@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,15 +28,15 @@
 #include "sim/simulator.hpp"
 #include "support/compute_cache.hpp"
 #include "support/task_pool.hpp"
+#include "sweep_common.hpp"
 
 namespace repmpi::bench {
 namespace {
 
-struct Cell {
-  int logical = 0;
-  int degree = 0;
-  const char* scenario = "none";  ///< none / early_crash / late_crash
-  // Filled in by the run:
+/// One grid cell (tools/sweep_common.hpp, shared with repmpi_sweep) and
+/// what its run measured.
+struct CellRun {
+  tools::Cell cell;
   double wallclock = 0;
   double efficiency = 0;
   double wall_host_s = 0;
@@ -44,25 +45,13 @@ struct Cell {
   kernels::KernelTotals kernels;   ///< host kernel-family ns delta
 };
 
-double run_cell(Cell& c, int nx, int iters, double* host_wall_s,
-                sim::SubstrateTotals* delta,
-                support::ComputeCacheStats* cache_stats) {
-  fault::FaultPlan plan;
-  if (std::string(c.scenario) == "early_crash") {
-    // A replica (plane 1 of logical rank 0) dies right after its 2nd task.
-    plan.add({.world_rank = c.logical, .site = fault::CrashSite::kAfterTaskExec,
-              .nth = 2});
-  } else if (std::string(c.scenario) == "late_crash") {
-    // Same replica dies mid-update deep into the run.
-    plan.add({.world_rank = c.logical,
-              .site = fault::CrashSite::kBetweenArgSends,
-              .nth = 4 * iters});
-  }
+void run_cell(CellRun& c, int nx, int iters) {
+  fault::FaultPlan plan = tools::crash_plan(c.cell, iters);
 
   RunConfig cfg;
-  cfg.mode = c.degree == 1 ? RunMode::kNative : RunMode::kIntra;
-  cfg.num_logical = c.logical;
-  cfg.degree = c.degree;
+  cfg.mode = c.cell.degree == 1 ? RunMode::kNative : RunMode::kIntra;
+  cfg.num_logical = c.cell.logical;
+  cfg.degree = c.cell.degree;
   if (!plan.empty()) cfg.faults = &plan;
 
   apps::HpccgParams p;
@@ -79,14 +68,13 @@ double run_cell(Cell& c, int nx, int iters, double* host_wall_s,
   const apps::RunResult r =
       apps::run_app(cfg, [&](apps::AppContext& ctx) { apps::hpccg(ctx, p); });
   const auto end = std::chrono::steady_clock::now();
-  const sim::SubstrateTotals after = sim::substrate_totals();
-  *host_wall_s = std::chrono::duration<double>(end - start).count();
-  *delta = after;
-  *delta -= before;
-  *cache_stats = r.compute_cache;
+  c.substrate = sim::substrate_totals();
+  c.substrate -= before;
+  c.wall_host_s = std::chrono::duration<double>(end - start).count();
+  c.cache = r.compute_cache;
   c.kernels = kernels::kernel_totals();
   c.kernels -= kt_before;
-  return r.wallclock;
+  c.wallclock = r.wallclock;
 }
 
 REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
@@ -105,21 +93,12 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
 
   // The grid: native references (degree 1) first, then every replicated
   // cell. Cells are independent simulations — ideal TaskPool citizens.
-  std::vector<Cell> cells;
-  const int logicals[] = {2, 4};
-  const int degrees[] = {2, 3};
-  const char* scenarios[] = {"none", "early_crash", "late_crash"};
-  const auto make_cell = [](int logical, int degree, const char* scenario) {
-    Cell c;
-    c.logical = logical;
-    c.degree = degree;
-    c.scenario = scenario;
-    return c;
-  };
-  for (int l : logicals) cells.push_back(make_cell(l, 1, "none"));
-  for (int l : logicals)
-    for (int d : degrees)
-      for (const char* s : scenarios) cells.push_back(make_cell(l, d, s));
+  std::vector<CellRun> cells;
+  for (const tools::Cell& cell : tools::make_grid()) {
+    CellRun c;
+    c.cell = cell;
+    cells.push_back(std::move(c));
+  }
 
   const auto sweep_start = std::chrono::steady_clock::now();
   bool ran_on_workers = false;
@@ -127,12 +106,8 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
     support::TaskPool pool(
         std::min<unsigned>(jobs, static_cast<unsigned>(cells.size())));
     ran_on_workers = pool.num_threads() > 1;
-    for (Cell& c : cells) {
-      pool.submit([&c, nx, iters] {
-        c.wallclock =
-            run_cell(c, nx, iters, &c.wall_host_s, &c.substrate, &c.cache);
-      });
-    }
+    for (CellRun& c : cells)
+      pool.submit([&c, nx, iters] { run_cell(c, nx, iters); });
     pool.wait();
   }
   const double elapsed = std::chrono::duration<double>(
@@ -141,31 +116,28 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
 
   // Efficiencies against the native reference of the same logical count
   // (fixed-problem protocol: the replicated run burns degree x resources).
-  double native_wall[8] = {};
-  for (const Cell& c : cells)
-    if (c.degree == 1)
-      for (std::size_t i = 0; i < 2; ++i)
-        if (logicals[i] == c.logical) native_wall[i] = c.wallclock;
+  std::map<int, double> native_wall;
+  for (const CellRun& c : cells)
+    if (c.cell.degree == 1) native_wall[c.cell.logical] = c.wallclock;
 
   Table t({"logical", "degree", "failure", "time (s)", "efficiency"});
   double serial_estimate = 0;
   sim::SubstrateTotals substrate_total;
-  for (Cell& c : cells) {
+  for (CellRun& c : cells) {
+    const tools::Cell& cell = c.cell;
     serial_estimate += c.wall_host_s;
     substrate_total += c.substrate;
-    double tn = 0;
-    for (std::size_t i = 0; i < 2; ++i)
-      if (logicals[i] == c.logical) tn = native_wall[i];
-    c.efficiency = c.degree == 1
+    c.efficiency = cell.degree == 1
                        ? 1.0
-                       : apps::efficiency_fixed_problem(tn, c.wallclock,
-                                                        c.degree);
-    t.add_row({std::to_string(c.logical), std::to_string(c.degree),
-               c.scenario, Table::fmt(c.wallclock, 4),
+                       : apps::efficiency_fixed_problem(
+                             native_wall.at(cell.logical), c.wallclock,
+                             cell.degree);
+    t.add_row({std::to_string(cell.logical), std::to_string(cell.degree),
+               cell.scenario, Table::fmt(c.wallclock, 4),
                fmt_eff(c.efficiency)});
-    if (c.degree > 1) {
-      ctx.metric("eff_l" + std::to_string(c.logical) + "_d" +
-                     std::to_string(c.degree) + "_" + c.scenario,
+    if (cell.degree > 1) {
+      ctx.metric("eff_l" + std::to_string(cell.logical) + "_d" +
+                     std::to_string(cell.degree) + "_" + cell.scenario,
                  c.efficiency);
     }
   }
@@ -179,7 +151,7 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
     sim::add_substrate(substrate_total);
     support::ComputeCacheStats cache_total;
     kernels::KernelTotals kernel_total;
-    for (const Cell& c : cells) {
+    for (const CellRun& c : cells) {
       cache_total.hits += c.cache.hits;
       cache_total.misses += c.cache.misses;
       cache_total.bypasses += c.cache.bypasses;

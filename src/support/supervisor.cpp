@@ -78,22 +78,8 @@ double Supervisor::backoff_sec(const SupervisorConfig& cfg, int retry,
   return exact * (0.5 + 0.5 * u);
 }
 
-void Supervisor::enqueue(WorkItem item) {
-  const std::uint64_t id = next_id_++;
-  entries_.emplace(id, Entry{std::move(item)});
-  pending_.push_back({id, 1, Clock::now()});
-}
-
-std::size_t Supervisor::queued_fresh() const {
-  std::size_t n = 0;
-  for (const Pending& p : pending_)
-    if (p.attempt == 1) ++n;
-  return n;
-}
-
 void Supervisor::finish_attempt(Child& c, CellStatus status, int code) {
-  const Entry& entry = entries_.at(c.id);
-  const WorkItem& item = entry.item;
+  const WorkItem& item = (*items_)[c.index];
   const bool failed = status != CellStatus::kOk;
   if (failed && c.attempt < cfg_.max_attempts) {
     const double delay = backoff_sec(cfg_, c.attempt, item.key);
@@ -103,7 +89,7 @@ void Supervisor::finish_attempt(Child& c, CellStatus status, int code) {
                 << to_string(status) << ", code " << code << "), retry in "
                 << delay << "s\n";
     pending_.push_back(
-        {c.id, c.attempt + 1,
+        {c.index, c.attempt + 1,
          Clock::now() + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(delay))});
     return;
@@ -119,8 +105,7 @@ void Supervisor::finish_attempt(Child& c, CellStatus status, int code) {
     *cfg_.log << "[supervisor] " << item.key << ": " << to_string(status)
               << " (attempts " << r.attempts << ", code " << code << ")\n";
   if (cfg_.on_result) cfg_.on_result(item, r);
-  if (collect_) collect_(c.id, std::move(r));
-  entries_.erase(c.id);
+  (*results_)[c.index] = std::move(r);
 }
 
 void Supervisor::reap(Child& c, int wait_status) {
@@ -154,7 +139,7 @@ void Supervisor::reap(Child& c, int wait_status) {
     code = WTERMSIG(wait_status);
   } else {
     code = WEXITSTATUS(wait_status);
-    const WorkItem& item = entries_.at(c.id).item;
+    const WorkItem& item = (*items_)[c.index];
     if (code != 0) {
       status = CellStatus::kExit;
     } else if (cfg_.validate && !cfg_.validate(item, c.output)) {
@@ -170,12 +155,11 @@ void Supervisor::step(int max_wait_ms) {
   const auto now = Clock::now();
 
   // Launch every pending attempt whose backoff has elapsed, up to jobs.
-  // Fresh first attempts stay parked while a graceful drain is holding.
   for (auto it = pending_.begin();
        it != pending_.end() &&
        running_.size() < static_cast<std::size_t>(cfg_.jobs);) {
-    if (it->ready <= now && !(hold_fresh_ && it->attempt == 1)) {
-      const WorkItem& item = entries_.at(it->id).item;
+    if (it->ready <= now) {
+      const WorkItem& item = (*items_)[it->index];
       int pipefd[2];
       REPMPI_CHECK_MSG(::pipe(pipefd) == 0, "pipe() failed for " << item.key);
 
@@ -212,7 +196,7 @@ void Supervisor::step(int max_wait_ms) {
 
       Child c;
       c.pid = pid;
-      c.id = it->id;
+      c.index = it->index;
       c.attempt = it->attempt;
       c.fd = pipefd[0];
       c.start = Clock::now();
@@ -232,8 +216,7 @@ void Supervisor::step(int max_wait_ms) {
   for (const Child& c : running_)
     wait_s = std::min(wait_s, seconds_between(now, c.deadline));
   for (const Pending& p : pending_)
-    if (running_.size() < static_cast<std::size_t>(cfg_.jobs) &&
-        !(hold_fresh_ && p.attempt == 1))
+    if (running_.size() < static_cast<std::size_t>(cfg_.jobs))
       wait_s = std::min(wait_s, seconds_between(now, p.ready));
   const int wait_ms =
       std::max(0, static_cast<int>(std::ceil(wait_s * 1e3)));
@@ -305,14 +288,14 @@ void Supervisor::step(int max_wait_ms) {
 
 std::vector<WorkResult> Supervisor::run(const std::vector<WorkItem>& items) {
   std::vector<WorkResult> results(items.size());
-  const std::uint64_t base = next_id_;
-  for (const WorkItem& item : items) enqueue(item);
-  collect_ = [&](std::uint64_t id, WorkResult&& r) {
-    if (id >= base && id - base < results.size())
-      results[id - base] = std::move(r);
-  };
-  while (active() > 0) step(500);
-  collect_ = nullptr;
+  items_ = &items;
+  results_ = &results;
+  const auto now = Clock::now();
+  for (std::size_t i = 0; i < items.size(); ++i)
+    pending_.push_back({i, 1, now});
+  while (!pending_.empty() || !running_.empty()) step(500);
+  items_ = nullptr;
+  results_ = nullptr;
   return results;
 }
 

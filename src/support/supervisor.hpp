@@ -18,14 +18,9 @@
 // Results are deterministic in content (the workers are deterministic
 // simulations); only completion order depends on the host.
 //
-// Two driving modes share the same engine:
-//   - run(items): the batch mode of the one-shot sweep tool — blocks until
-//     every item is terminal, returns results in item order.
-//   - enqueue() + step(): the incremental mode the long-running sweep
-//     daemon embeds in its own poll loop — items arrive over time, each
-//     terminal result is delivered through cfg.on_result, and
-//     hold_first_attempts() implements graceful drain (in-flight cells
-//     finish, never-started ones stay parked).
+// run(items) blocks until every item is terminal and returns the results
+// in item order; cfg.on_result sees each one as it completes, which is
+// where the sweep tool makes it durable.
 
 #include <sys/types.h>
 
@@ -35,7 +30,6 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "support/result_log.hpp"
@@ -84,43 +78,14 @@ struct SupervisorConfig {
 class Supervisor {
  public:
   explicit Supervisor(SupervisorConfig cfg);
-  /// SIGKILLs and reaps any children still running (a daemon dying with
-  /// workers in flight must not leak orphans holding its pipes).
+  /// SIGKILLs and reaps any children still running — only possible when
+  /// run() exits by an exception (a throwing callback, a failed fork).
   ~Supervisor();
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Batch mode: runs every item to a terminal status. Returns results in
-  /// item order. Items already enqueued incrementally complete too.
+  /// Runs every item to a terminal status. Returns results in item order.
   std::vector<WorkResult> run(const std::vector<WorkItem>& items);
-
-  /// Incremental mode: adds one item to the queue. It starts on a
-  /// subsequent step() call; its terminal result arrives via cfg.on_result.
-  void enqueue(WorkItem item);
-
-  /// One iteration of the engine: spawn ready attempts, wait for output /
-  /// deadlines / retry timers for at most max_wait_ms, drain pipes, enforce
-  /// deadlines, reap. Returns having done whatever was ready; callers poll
-  /// active() for completion.
-  void step(int max_wait_ms);
-
-  /// Items not yet terminal (queued, in backoff, or running).
-  std::size_t active() const { return entries_.size(); }
-
-  /// Live worker processes right now.
-  std::size_t running() const { return running_.size(); }
-
-  /// Queued first attempts that have never been spawned (the work a
-  /// graceful drain leaves parked for the next daemon incarnation).
-  std::size_t queued_fresh() const;
-
-  /// In-flight work a graceful drain must finish: running children plus
-  /// attempts that already ran at least once and are waiting to retry.
-  std::size_t in_flight() const { return active() - queued_fresh(); }
-
-  /// When held, first attempts are never spawned (retries of items that
-  /// already started keep going). The daemon's SIGTERM drain switch.
-  void hold_first_attempts(bool hold) { hold_fresh_ = hold; }
 
   /// Backoff delay before retry `retry` (1-based), per the config policy —
   /// the exact exponential, ignoring jitter.
@@ -134,12 +99,9 @@ class Supervisor {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Entry {
-    WorkItem item;
-  };
   struct Child {
     pid_t pid = -1;
-    std::uint64_t id = 0;
+    std::size_t index = 0;  ///< the item's position in run()'s batch
     int attempt = 1;
     int fd = -1;  ///< read end of the stdout pipe; -1 after EOF
     std::string output;
@@ -149,23 +111,25 @@ class Supervisor {
     bool overflowed = false;
   };
   struct Pending {
-    std::uint64_t id = 0;
+    std::size_t index = 0;
     int attempt = 1;
     Clock::time_point ready;
   };
 
+  /// One iteration of the engine: spawn ready attempts, wait for output /
+  /// deadlines / retry timers for at most max_wait_ms, drain pipes, enforce
+  /// deadlines, reap.
+  void step(int max_wait_ms);
   void finish_attempt(Child& c, CellStatus status, int code);
   void reap(Child& c, int wait_status);
 
   SupervisorConfig cfg_;
-  std::unordered_map<std::uint64_t, Entry> entries_;  ///< not-yet-terminal
-  std::uint64_t next_id_ = 0;
+  /// The batch run() is working on, and its item-ordered result slots.
+  const std::vector<WorkItem>* items_ = nullptr;
+  std::vector<WorkResult>* results_ = nullptr;
+  /// Every non-terminal item is in exactly one of these two.
   std::deque<Pending> pending_;
   std::vector<Child> running_;
-  bool hold_fresh_ = false;
-  /// Batch-mode collector (null in incremental mode): routes a terminal
-  /// result to its slot in run()'s item-ordered result vector.
-  std::function<void(std::uint64_t id, WorkResult&&)> collect_;
 };
 
 }  // namespace repmpi::support

@@ -263,10 +263,10 @@ TEST(ResultLog, LatestByKeySelectsLastRecord) {
 }
 
 TEST(ResultLog, ConcurrentReaderSeesOnlyWholeValidRecords) {
-  // The results-index scan runs against logs a live daemon is appending to
-  // (sweepctl dump/stats while sweepd serves). The reader must only ever
-  // observe whole, CRC-valid records — at worst it stops early at the
-  // writer's in-progress tail, never returns garbage.
+  // `repmpi_sweep --dump` may read a log a running sweep is still
+  // appending to. The reader must only ever observe whole, CRC-valid
+  // records — at worst it stops early at the writer's in-progress tail,
+  // never returns garbage.
   const std::string path = temp_log_path("concurrent");
   constexpr int kRecords = 400;
   std::atomic<int> written{0};

@@ -271,60 +271,6 @@ TEST(Supervisor, JitterDecorrelatesSiblingKeysAndZeroSeedIsExact) {
             Supervisor::backoff_sec(other, 3, "hpccg.l2.d2.none"));
 }
 
-TEST(Supervisor, IncrementalEnqueueStepDeliversResults) {
-  std::vector<std::string> seen;
-  SupervisorConfig cfg = fast_cfg(2, 2);
-  cfg.on_result = [&seen](const WorkItem& item, const WorkResult& r) {
-    seen.push_back(item.key + ":" + to_string(r.status));
-  };
-  Supervisor sup(cfg);
-  EXPECT_EQ(sup.active(), 0u);
-  sup.enqueue(sh("a", "echo x"));
-  sup.enqueue(sh("b", "exit 1"));
-  EXPECT_EQ(sup.active(), 2u);
-  // Items enqueued later join a live engine mid-flight. (a/b may already
-  // have been reaped by the step above — fast workers can finish inside
-  // one step — so only c is guaranteed still active.)
-  sup.step(10);
-  sup.enqueue(sh("c", "echo y"));
-  EXPECT_GE(sup.active(), 1u);
-  EXPECT_LE(sup.active(), 3u);
-  for (int i = 0; i < 3000 && sup.active() > 0; ++i) sup.step(20);
-  EXPECT_EQ(sup.active(), 0u);
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], "a:ok");
-  EXPECT_EQ(seen[1], "b:exit");
-  EXPECT_EQ(seen[2], "c:ok");
-}
-
-TEST(Supervisor, HoldFirstAttemptsParksFreshWorkButFinishesRetries) {
-  // The graceful-drain switch: a retrying item (already started) completes,
-  // a never-started item stays parked — exactly the split the daemon's
-  // SIGTERM drain needs.
-  std::vector<std::string> seen;
-  SupervisorConfig cfg = fast_cfg(1, 2);
-  cfg.on_result = [&seen](const WorkItem& item, const WorkResult&) {
-    seen.push_back(item.key);
-  };
-  Supervisor sup(cfg);
-  sup.enqueue(sh("retrier", "exit 1"));
-  // Step until the first attempt has been spawned: from then on the item
-  // counts as in-flight and a hold no longer applies to it.
-  for (int i = 0; i < 3000 && sup.queued_fresh() > 0; ++i) sup.step(20);
-  sup.enqueue(sh("parked", "echo never"));
-  sup.hold_first_attempts(true);
-  for (int i = 0; i < 3000 && sup.in_flight() > 0; ++i) sup.step(20);
-  EXPECT_EQ(seen, std::vector<std::string>{"retrier"});
-  EXPECT_EQ(sup.active(), 1u);        // parked item still owed
-  EXPECT_EQ(sup.queued_fresh(), 1u);  // ...and never spawned
-  // Releasing the hold lets the parked item run (same-process "restart").
-  sup.hold_first_attempts(false);
-  for (int i = 0; i < 3000 && sup.active() > 0; ++i) sup.step(20);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[1], "parked");
-}
-
 TEST(Supervisor, InvalidConfigRejected) {
   SupervisorConfig cfg;
   cfg.jobs = 0;

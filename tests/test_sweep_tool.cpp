@@ -1,6 +1,7 @@
 // End-to-end tests of the repmpi_sweep binary: clean sweep, SIGKILL
 // mid-sweep + --resume bit-identity, worker crash/corrupt retry, stall →
-// timeout with graceful degradation, and torn-log recovery. These drive the
+// timeout with graceful degradation, torn-log recovery, and crash cells
+// matching an in-process run of the shared crash plans. These drive the
 // real executable (path injected by CMake as REPMPI_SWEEP_BIN) through the
 // REPMPI_FAULT_* chaos knobs — the same scenarios the CI chaos job runs.
 
@@ -11,11 +12,17 @@
 #include <cstdio>
 #include <string>
 
+#include "apps/hpccg.hpp"
+#include "apps/runner.hpp"
+#include "sweep_common.hpp"
+
 #ifndef REPMPI_SWEEP_BIN
 #error "REPMPI_SWEEP_BIN must be defined by the build (path to repmpi_sweep)"
 #endif
 
 namespace {
+
+using namespace repmpi;
 
 struct CmdResult {
   int code = -1;       // exit status; 128+sig when signal-killed
@@ -182,14 +189,47 @@ TEST_F(SweepTool, StalledCellTimesOutWhileSweepDegradesGracefully) {
   EXPECT_EQ(count_lines_with(d, " ok "), 13u);
 }
 
-TEST_F(SweepTool, ListCellsPrintsTheFullGrid) {
-  const CmdResult r =
-      run_cmd(std::string(REPMPI_SWEEP_BIN) + " --list-cells");
-  EXPECT_EQ(r.code, 0) << r.output;
-  EXPECT_EQ(count_lines_with(r.output, "\n"), 14u);
-  EXPECT_EQ(count_lines_with(r.output, "hpccg.l"), 14u);
-  EXPECT_NE(r.output.find("hpccg.l2.d1.none\n"), std::string::npos);
-  EXPECT_NE(r.output.find("hpccg.l4.d3.late_crash\n"), std::string::npos);
+TEST(SweepWorker, CrashCellsMatchAnInProcessRunOfTheSharedCrashPlan) {
+  // Every early_crash / late_crash cell: the worker's metrics blob must be
+  // what an in-process run of the same cell under tools::crash_plan
+  // produces. The sweep bench builds its crash cells from crash_plan too,
+  // so this pins the tool and the bench to one scenario definition.
+  constexpr int kNx = 6, kIters = 2;  // kParams' problem
+  for (const tools::Cell& cell : tools::make_grid()) {
+    if (cell.scenario == "none") continue;
+    SCOPED_TRACE(cell.key());
+    const CmdResult worker = run_cmd(
+        std::string(REPMPI_SWEEP_BIN) + " --worker --cell=" + cell.key() +
+        " --nx=" + std::to_string(kNx) + " --iters=" + std::to_string(kIters));
+    ASSERT_EQ(worker.code, 0) << worker.output;
+
+    fault::FaultPlan plan = tools::crash_plan(cell, kIters);
+    ASSERT_FALSE(plan.empty());
+    apps::RunConfig cfg;
+    cfg.mode = apps::RunMode::kIntra;
+    cfg.num_logical = cell.logical;
+    cfg.degree = cell.degree;
+    cfg.faults = &plan;
+    apps::HpccgParams p;
+    p.nx = p.ny = kNx;
+    p.nz = 2 * kNx;
+    p.iterations = kIters;
+    double fingerprint = 0;
+    bool captured = false;
+    const apps::RunResult r = apps::run_app(cfg, [&](apps::AppContext& ctx) {
+      const apps::HpccgResult hr = apps::hpccg(ctx, p);
+      if (!captured) {
+        fingerprint = hr.rnorm + hr.xsum;
+        captured = true;
+      }
+    });
+    EXPECT_EQ(r.ranks_crashed, 1);  // the plan really killed the replica
+
+    EXPECT_EQ(tools::blob_number(worker.output, "wallclock"), r.wallclock);
+    EXPECT_EQ(tools::blob_number(worker.output, "messages"),
+              static_cast<double>(r.net_messages));
+    EXPECT_EQ(tools::blob_number(worker.output, "fingerprint"), fingerprint);
+  }
 }
 
 TEST_F(SweepTool, VerifyLogCleanCorruptAndMissingExitCodes) {

@@ -5,7 +5,6 @@
 //   repmpi_sweep --resume [--log=F ...]      skip cells already completed
 //   repmpi_sweep --dump [--log=F]            print per-cell results (diffable)
 //   repmpi_sweep --verify-log=F              fsck a result log + blob pair
-//   repmpi_sweep --list-cells                print the grid's cell keys
 //   repmpi_sweep --worker --cell=KEY --nx=N --iters=N   (internal)
 //
 // The sweep is the (logical procs × replication degree × failure scenario)
@@ -71,7 +70,6 @@ void print_usage() {
          "                    [--overwrite | --resume]\n"
          "       repmpi_sweep --dump [--log=FILE]\n"
          "       repmpi_sweep --verify-log=FILE\n"
-         "       repmpi_sweep --list-cells\n"
          "\n"
          "Runs the (logical x degree x failure) HPCCG scenario grid with\n"
          "process-isolated workers, per-cell deadlines, retry with backoff,\n"
@@ -81,8 +79,6 @@ void print_usage() {
          "--dump prints the log one diffable line per cell.\n"
          "--verify-log walks a log + blob pair and reports per-record\n"
          "CRC/framing status and the recovery truncation point.\n"
-         "--list-cells prints the grid's cell keys (a request trace for\n"
-         "repmpi_sweepctl replay).\n"
          "exit: 0 all ok, 1 internal error, 2 usage, 3 partial success /\n"
          "      verify-log corruption\n";
 }
@@ -129,16 +125,7 @@ int run_worker(const support::Options& opt) {
   const int nx = static_cast<int>(opt.get_int("nx", 8));
   const int iters = static_cast<int>(opt.get_int("iters", 4));
 
-  fault::FaultPlan plan;
-  if (cell.scenario == "early_crash") {
-    // A replica (plane 1 of logical rank 0) dies right after its 2nd task.
-    plan.add({.world_rank = cell.logical,
-              .site = fault::CrashSite::kAfterTaskExec, .nth = 2});
-  } else if (cell.scenario == "late_crash") {
-    // Same replica dies mid-update deep into the run.
-    plan.add({.world_rank = cell.logical,
-              .site = fault::CrashSite::kBetweenArgSends, .nth = 4 * iters});
-  }
+  fault::FaultPlan plan = crash_plan(cell, iters);
 
   apps::RunConfig cfg;
   cfg.mode = cell.degree == 1 ? apps::RunMode::kNative : apps::RunMode::kIntra;
@@ -368,10 +355,6 @@ int driver(int argc, char** argv) {
           support::verify_result_log(path, &std::cout);
       if (!rep.exists) return 1;
       return rep.clean() ? 0 : 3;
-    }
-    if (opt.get_bool("list-cells", false)) {
-      for (const Cell& c : make_grid()) std::printf("%s\n", c.key().c_str());
-      return 0;
     }
     return run_sweep(opt, argv[0]);
   } catch (const std::exception& e) {

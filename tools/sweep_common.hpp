@@ -1,11 +1,13 @@
 #pragma once
 
-// Shared between repmpi_sweep (one-shot batch sweeps) and the sweep service
-// tools (repmpi_sweepd / repmpi_sweepctl): the scenario grid, cell-key
-// parsing, and the diffable per-cell dump. The dump format is a contract —
-// two equivalent result sets (clean vs killed-and-resumed, one-shot vs
-// daemon-served) must print byte-identical text, which is how the chaos CI
-// job asserts crash recovery lost and corrupted nothing.
+// The scenario grid behind the paper's figures, defined once: the cells
+// (logical procs x replication degree x failure scenario), each scenario's
+// crash plan, cell-key parsing, and the diffable per-cell dump. The
+// repmpi_sweep tool and the in-process `sweep` bench (bench/bench_sweep.cpp)
+// both build their runs from here. The dump format is a contract — two
+// equivalent result sets (clean vs killed-and-resumed) must print
+// byte-identical text, which is how the chaos CI job asserts crash recovery
+// lost and corrupted nothing.
 
 #include <cmath>
 #include <cstdio>
@@ -30,7 +32,7 @@ struct Cell {
   }
 };
 
-/// The grid of bench_sweep: native references first, then every replicated
+/// The sweep grid: native references first, then every replicated
 /// (logical × degree × failure) cell.
 inline std::vector<Cell> make_grid() {
   std::vector<Cell> cells;
@@ -42,6 +44,24 @@ inline std::vector<Cell> make_grid() {
     for (int d : degrees)
       for (const char* s : scenarios) cells.push_back({l, d, s});
   return cells;
+}
+
+/// The fault plan of a cell's failure scenario for an `iters`-iteration
+/// HPCCG run ("none" and unknown scenarios: no faults). Both crash
+/// scenarios kill the same replica, world rank `logical` (plane 1 of
+/// logical rank 0).
+inline fault::FaultPlan crash_plan(const Cell& cell, int iters) {
+  fault::FaultPlan plan;
+  if (cell.scenario == "early_crash") {
+    // The replica dies right after its 2nd task.
+    plan.add({.world_rank = cell.logical,
+              .site = fault::CrashSite::kAfterTaskExec, .nth = 2});
+  } else if (cell.scenario == "late_crash") {
+    // The same replica dies mid-update deep into the run.
+    plan.add({.world_rank = cell.logical,
+              .site = fault::CrashSite::kBetweenArgSends, .nth = 4 * iters});
+  }
+  return plan;
 }
 
 inline bool parse_key(const std::string& key, Cell* out) {
@@ -65,8 +85,7 @@ inline double blob_number(const std::string& blob, const std::string& name) {
 
 /// Prints the diffable dump: one line per cell, key-sorted, deterministic
 /// fields only (no attempts/wall/host data) — two dumps of equivalent
-/// result sets diff clean regardless of crashes, retries, or which service
-/// incarnation ran each cell.
+/// result sets diff clean regardless of crashes, retries, or resumes.
 inline void dump_cells(
     const std::map<std::string, support::ResultRecord>& latest) {
   // Native reference walls for the efficiency column (fixed-problem
