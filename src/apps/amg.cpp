@@ -45,25 +45,9 @@ class AmgSolver {
       Level lev;
       lev.a = kernels::grid_matrix_cached(p.stencil, nx, ny, nz, lower, upper);
       ctx_.proc.compute(kernels::sparsemv_cost(lev.a->rows(), lev.a->nnz()));
-      lev.inv_diag.assign(lev.a->interior(), 0.0);
-      // Diagonal extraction is host-only setup work (no simulated cost is
-      // charged for it), identical across replicas — share it too.
-      ctx_.share.shared(
-          "setup.invdiag",
-          {std::as_writable_bytes(std::span(lev.inv_diag))},
-          [&]() -> net::ComputeCost {
-            for (std::int64_t row = 0; row < lev.a->rows(); ++row) {
-              for (std::int64_t k =
-                       lev.a->row_start[static_cast<std::size_t>(row)];
-                   k < lev.a->row_start[static_cast<std::size_t>(row) + 1];
-                   ++k) {
-                if (lev.a->col[static_cast<std::size_t>(k)] == row)
-                  lev.inv_diag[static_cast<std::size_t>(row)] =
-                      1.0 / lev.a->val[static_cast<std::size_t>(k)];
-              }
-            }
-            return {};
-          });
+      // Every row's diagonal entry is the stencil's centre weight.
+      lev.inv_diag.assign(lev.a->interior(),
+                          1.0 / kernels::diag_weight(p.stencil));
       lev.xh.assign(lev.a->vector_len(), 0.0);
       lev.xh2.assign(lev.a->vector_len(), 0.0);
       lev.b.assign(lev.a->interior(), 0.0);
@@ -131,7 +115,7 @@ class AmgSolver {
     const CsrMatrix& a = *lev.a;
     const auto row_update = [&a, &lev, b, w](std::int64_t r0, std::int64_t r1,
                                              std::span<double> out) {
-      // Row accumulation through the shared (structured-fast) gather, then
+      // Row accumulation through the shared (table-walking) gather, then
       // the elementwise damped-Jacobi update — same per-row operation order
       // as the fused loop, so results are bit-identical.
       kernels::csr_row_gather(a, lev.xh, out, r0, r1);

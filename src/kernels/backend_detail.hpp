@@ -49,11 +49,11 @@ inline double gather_one_row(const double* xp, std::int64_t r,
   return s;
 }
 
-/// Rows of one boundary class of a structured operator: npts fixed stride
+/// Rows of one boundary class of a table-only operator: npts fixed stride
 /// offsets and ±1/diagonal weights, in the exact entry order
-/// build_grid_matrix emits — each row's multiply-accumulate sequence
-/// matches the general CSR walk, so the result is bit-identical while the
-/// col/val streams stay untouched. Rows are processed four at a time with
+/// build_explicit_grid_matrix emits — each row's multiply-accumulate
+/// sequence matches the general CSR walk over the explicit form, so the
+/// result is bit-identical without any col/val streams. Rows are processed four at a time with
 /// independent accumulators: the general walk's serial fma chain (npts
 /// dependent adds per row) is latency-bound, and interleaving rows recovers
 /// the ILP without reordering any row's sum.

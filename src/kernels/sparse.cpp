@@ -17,7 +17,7 @@ std::shared_ptr<const StencilTables> build_stencil_tables(
     bool has_lower, bool has_upper) {
   const std::int64_t plane = nx * ny;
   const std::int64_t rows = plane * nz;
-  const double diag = stencil == Stencil::k27pt ? 27.0 : 7.0;
+  const double diag = diag_weight(stencil);
   auto tables = std::make_shared<StencilTables>();
 
   // Point list in emit order: k27pt is the dz/dy/dx triple loop, k7pt is
@@ -70,33 +70,63 @@ std::shared_ptr<const StencilTables> build_stencil_tables(
   return tables;
 }
 
-}  // namespace
+/// Boundary class of coordinate i on an axis of length n >= 3: 0 first,
+/// 2 last, 1 between (the StencilTables index).
+int boundary_class(std::int64_t i, std::int64_t n) {
+  return i == 0 ? 0 : i == n - 1 ? 2 : 1;
+}
 
-CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
-                            bool has_lower, bool has_upper) {
-  REPMPI_CHECK(nx > 0 && ny > 0 && nz > 0);
+/// A grid operator's shape fields, no entries yet.
+CsrMatrix shape_only(Stencil stencil, int nx, int ny, int nz, bool has_lower,
+                     bool has_upper) {
   CsrMatrix m;
   m.nx = nx;
   m.ny = ny;
   m.nz = nz;
-  m.structured = true;
   m.has_lower = has_lower;
   m.has_upper = has_upper;
   m.stencil = stencil;
+  return m;
+}
+
+}  // namespace
+
+CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
+                            bool has_lower, bool has_upper) {
+  // The tables assume an interior class on every axis (at length 1 a row
+  // is both first and last); thinner shapes keep explicit entries.
+  if (nx < 3 || ny < 3 || nz < 3)
+    return build_explicit_grid_matrix(stencil, nx, ny, nz, has_lower,
+                                      has_upper);
+  CsrMatrix m = shape_only(stencil, nx, ny, nz, has_lower, has_upper);
   m.tables = build_stencil_tables(stencil, nx, ny, nz, has_lower, has_upper);
+  // Row lengths are the per-class point counts, in row order.
+  m.row_start.reserve(static_cast<std::size_t>(m.interior()) + 1);
+  m.row_start.push_back(0);
+  std::int64_t nnz = 0;
+  for (int z = 0; z < nz; ++z) {
+    for (int y = 0; y < ny; ++y) {
+      const auto& row_tabs =
+          m.tables->t[boundary_class(z, nz)][boundary_class(y, ny)];
+      for (int x = 0; x < nx; ++x) {
+        nnz += row_tabs[boundary_class(x, nx)].npts;
+        m.row_start.push_back(nnz);
+      }
+    }
+  }
+  return m;
+}
+
+CsrMatrix build_explicit_grid_matrix(Stencil stencil, int nx, int ny, int nz,
+                                     bool has_lower, bool has_upper) {
+  REPMPI_CHECK(nx > 0 && ny > 0 && nz > 0);
+  CsrMatrix m = shape_only(stencil, nx, ny, nz, has_lower, has_upper);
   const std::int64_t rows =
       static_cast<std::int64_t>(nx) * ny * nz;
   m.row_start.reserve(static_cast<std::size_t>(rows) + 1);
   m.row_start.push_back(0);
-  // Upper bound on nnz (interior rows have the full stencil): reserving it
-  // avoids ~log2(nnz) doubling reallocations, each of which memmoves tens of
-  // megabytes for production-sized grids.
-  const std::size_t nnz_bound = static_cast<std::size_t>(rows) *
-                                (stencil == Stencil::k27pt ? 27u : 7u);
-  m.col.reserve(nnz_bound);
-  m.val.reserve(nnz_bound);
 
-  const double diag = stencil == Stencil::k27pt ? 27.0 : 7.0;
+  const double diag = diag_weight(stencil);
   const auto interior_index = [&](int x, int y, int z) {
     return static_cast<std::int32_t>(
         (static_cast<std::int64_t>(z) * ny + y) * nx + x);
@@ -190,17 +220,17 @@ void gather_general(const CsrMatrix& a, const double* xp, double* acc,
   }
 }
 
-/// The structured/general split over rows [r0, r1), on a given backend.
+/// The table/general split over rows [r0, r1), on a given backend.
 /// Interior runs of each grid row go through ops.gather_table (the
 /// backend's batched unit); single boundary cells and the general CSR walk
 /// stay common scalar code in every backend.
 void gather_impl(const CsrMatrix& a, const double* xp, double* out,
                  std::int64_t r0, std::int64_t r1, const BackendOps& ops) {
-  const std::int64_t nx = a.nx, ny = a.ny, nz = a.nz;
-  if (!a.structured || a.tables == nullptr || nx < 3 || ny < 3 || nz < 3) {
+  if (a.tables == nullptr) {
     gather_general(a, xp, out, r0, r1);
     return;
   }
+  const std::int64_t nx = a.nx, ny = a.ny, nz = a.nz;
   const StencilTables& st = *a.tables;
   const std::int64_t plane = nx * ny;
   // Single edge cells run inline (a function call per boundary row would
@@ -220,9 +250,7 @@ void gather_impl(const CsrMatrix& a, const double* xp, double* out,
     const std::int64_t rem = r - z * plane;
     const std::int64_t yy = rem / nx;
     const std::int64_t xx = rem - yy * nx;
-    const int zc = z == 0 ? 0 : z == nz - 1 ? 2 : 1;
-    const int yc = yy == 0 ? 0 : yy == ny - 1 ? 2 : 1;
-    const auto& row_tabs = st.t[zc][yc];
+    const auto& row_tabs = st.t[boundary_class(z, nz)][boundary_class(yy, ny)];
     const std::int64_t row_base = r - xx;
     const std::int64_t row_end = std::min(r1, row_base + nx);
     if (xx == 0) {
@@ -247,9 +275,13 @@ void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
                     std::span<double> acc, std::int64_t r0, std::int64_t r1) {
   REPMPI_CHECK(r0 >= 0 && r1 <= a.rows() && r0 <= r1);
   REPMPI_CHECK(acc.size() >= static_cast<std::size_t>(r1 - r0));
-  if (a.structured && a.tables != nullptr && a.nx >= 3 && a.ny >= 3 &&
-      a.nz >= 3) {
+  if (a.tables != nullptr) {
     REPMPI_CHECK(x.size() >= a.vector_len());  // halo strides read past rows
+  } else {
+    // The general walk reads explicit entries; a table-only operator has
+    // none.
+    REPMPI_CHECK(a.col.size() == static_cast<std::size_t>(a.nnz()) &&
+                 a.val.size() == a.col.size());
   }
   const KernelTimer timer(KernelFamily::kSpmv);
   const BackendOps& ops = active_ops();

@@ -20,9 +20,15 @@ namespace repmpi::kernels {
 /// Stencil shape for the grid operators.
 enum class Stencil { k7pt, k27pt };
 
-/// Per-matrix stride tables for csr_row_gather's structured fast path: one
-/// (offset, weight) list per (z, y, x) boundary-class combination, entries
-/// in the exact order build_grid_matrix emits them: out-of-domain x/y
+/// Diagonal weight of a grid operator: the stencil size (27 or 7). Every
+/// off-diagonal is -1, so the operator is diagonally dominant SPD.
+inline double diag_weight(Stencil stencil) {
+  return stencil == Stencil::k27pt ? 27.0 : 7.0;
+}
+
+/// Per-matrix stride tables of a table-only operator: one (offset, weight)
+/// list per (z, y, x) boundary-class combination, entries in the exact
+/// order build_explicit_grid_matrix emits them: out-of-domain x/y
 /// couplings are dropped, z couplings off the bottom (top) plane become the
 /// constant halo strides rows + dy*nx + dx (2*plane + dy*nx + dx) when a
 /// neighbor exists. Built once per matrix; ~11 KiB. Public because the
@@ -37,26 +43,28 @@ struct StencilTables {
   Table t[3][3][3];  // [zclass][yclass][xclass]
 };
 
+/// A grid operator in one of two forms, chosen from the shape alone:
+///  - table-only (every dimension >= 3): `tables` holds the stride/weight
+///    list of each boundary class and `col`/`val` stay empty;
+///    csr_row_gather walks the tables with the explicit form's accumulation
+///    order, so every output bit matches.
+///  - explicit (any dimension < 3, e.g. AMG's coarsest levels): plain CSR
+///    entries in `col`/`val`, no tables, walked by the general CSR loop.
+/// `row_start` is filled in both forms: it is the virtual-time cost input
+/// (rows(), nnz(), sparsemv_range, the AMG Jacobi cost).
 struct CsrMatrix {
   int nx = 0, ny = 0, nz = 0;
-  /// Set by build_grid_matrix: the operator is a `stencil`-shaped grid
-  /// stencil, so fully interior rows have a fixed set of column strides and
-  /// ±1/diagonal values — csr_row_gather walks them without touching the
-  /// col/val streams (bit-identical accumulation order). Rows on the bottom
-  /// (top) z-plane keep fixed strides into the halo region when has_lower
-  /// (has_upper) holds.
-  bool structured = false;
   bool has_lower = false, has_upper = false;
   Stencil stencil = Stencil::k7pt;
-  std::shared_ptr<const StencilTables> tables;  ///< set when structured
+  std::shared_ptr<const StencilTables> tables;  ///< table-only form
   std::vector<std::int64_t> row_start;  ///< size rows+1
-  std::vector<std::int32_t> col;
-  std::vector<double> val;
+  std::vector<std::int32_t> col;        ///< explicit form only
+  std::vector<double> val;              ///< explicit form only
 
   std::int64_t rows() const {
     return static_cast<std::int64_t>(row_start.size()) - 1;
   }
-  std::int64_t nnz() const { return static_cast<std::int64_t>(col.size()); }
+  std::int64_t nnz() const { return row_start.empty() ? 0 : row_start.back(); }
 
   std::size_t interior() const {
     return static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
@@ -74,17 +82,25 @@ struct CsrMatrix {
 /// Builds the local operator for one logical rank of a z-stacked global
 /// domain. `has_lower`/`has_upper` say whether a neighbor rank exists below/
 /// above (global boundary rows simply drop the out-of-domain couplings,
-/// like HPCCG's generate_matrix). Off-diagonals are -1, the diagonal is the
-/// stencil size (27 or 7), making the operator diagonally dominant SPD.
+/// like HPCCG's generate_matrix). Off-diagonals are -1, the diagonal is
+/// diag_weight(stencil). Shapes with every dimension >= 3 come back
+/// table-only; smaller ones come from build_explicit_grid_matrix.
 CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
                             bool has_lower, bool has_upper);
+
+/// The same operator with explicit CSR entries for any shape: the builder
+/// of small shapes, and the independent reference the tests check the
+/// table-only form against.
+CsrMatrix build_explicit_grid_matrix(Stencil stencil, int nx, int ny, int nz,
+                                     bool has_lower, bool has_upper);
 
 /// Memoized build_grid_matrix. Every rank of a z-stacked decomposition
 /// (except the two boundary ranks) owns a bit-identical local operator, and
 /// benches re-run the same configurations many times — the cache turns
 /// O(ranks * runs) matrix constructions into O(distinct shapes). Entries are
 /// immutable and shared; a bounded FIFO evicts old shapes (live references
-/// keep their matrix alive regardless). Thread-safe for concurrent
+/// keep their matrix alive regardless). A table-only entry is its tables
+/// plus row_start (~0.5 MB for a 32x32x64 shape). Thread-safe for concurrent
 /// simulations: built once under a mutex, then read through immutable
 /// shared_ptrs. Host-side memoization only: the simulated setup cost a
 /// caller charges is unchanged.
@@ -95,9 +111,9 @@ std::shared_ptr<const CsrMatrix> grid_matrix_cached(Stencil stencil, int nx,
 
 /// acc[i] = Σ_k val(r0+i, k) * x[col(r0+i, k)] in CSR entry order for rows
 /// [r0, r1) — the row-gather shared by sparsemv and the Jacobi smoother.
-/// Structured operators take a stride-offset fast path on fully interior
-/// rows that skips the col/val index streams; the accumulation order (and
-/// hence every output bit) is identical to the general CSR walk.
+/// Table-only operators walk their stride tables; explicit ones take the
+/// general CSR walk. The accumulation order (and hence every output bit)
+/// is the same either way.
 void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
                     std::span<double> acc, std::int64_t r0, std::int64_t r1);
 

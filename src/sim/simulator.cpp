@@ -28,6 +28,29 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+// AddressSanitizer fiber support: ASan knows one stack per thread unless
+// each swapcontext is bracketed by start/finish annotations. Without them a
+// throw on a fiber stack (ProcessKilled unwinding a crashed rank) makes
+// __asan_handle_no_return unpoison against the thread stack's bounds and
+// report a stack-buffer-overflow.
+#if defined(__SANITIZE_ADDRESS__)
+#define REPMPI_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define REPMPI_ASAN_FIBERS 1
+#endif
+#endif
+
+#ifdef REPMPI_ASAN_FIBERS
+extern "C" {
+void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
+                                    std::size_t size);
+void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                     const void** bottom_old,
+                                     std::size_t* size_old);
+}
+#endif
+
 namespace repmpi::sim {
 
 namespace {
@@ -35,6 +58,25 @@ namespace {
 inline void tsan_switch([[maybe_unused]] void* fiber) {
 #ifdef REPMPI_TSAN_FIBERS
   __tsan_switch_to_fiber(fiber, 0);
+#endif
+}
+
+// Before a swap: the destination stack. A null `fake_stack` means the
+// current fiber never resumes (its fake frames are released).
+inline void asan_start_switch([[maybe_unused]] void** fake_stack,
+                              [[maybe_unused]] const void* bottom,
+                              [[maybe_unused]] std::size_t size) {
+#ifdef REPMPI_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+#endif
+}
+
+// First thing after a swap returns: reports the stack control came from.
+inline void asan_finish_switch([[maybe_unused]] void* fake_stack,
+                               [[maybe_unused]] const void** bottom_old,
+                               [[maybe_unused]] std::size_t* size_old) {
+#ifdef REPMPI_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
 #endif
 }
 }  // namespace
@@ -198,8 +240,7 @@ void Simulator::terminate_processes() {
     p.state = PState::kRunning;
     ++fiber_switches_;
     current_ = static_cast<Pid>(i);
-    tsan_switch(p.tsan_fiber);
-    fiber::swap(sched_ctx_, p.fctx);
+    swap_into(p);
     current_ = kNoPid;
     retire_fiber(p);
   }
@@ -275,8 +316,27 @@ const std::string& Simulator::name(Pid pid) const {
   return procs_[static_cast<std::size_t>(pid)]->name;
 }
 
+void Simulator::swap_into(Process& p) {
+  tsan_switch(p.tsan_fiber);
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, p.stack.sp, kStackBytes);
+  fiber::swap(sched_ctx_, p.fctx);
+  asan_finish_switch(fake_stack, nullptr, nullptr);
+}
+
+void Simulator::swap_out(Process& p, bool finished) {
+  tsan_switch(sched_tsan_fiber_);
+  void* fake_stack = nullptr;
+  asan_start_switch(finished ? nullptr : &fake_stack, sched_stack_bottom_,
+                    sched_stack_size_);
+  fiber::swap(p.fctx, sched_ctx_);
+  asan_finish_switch(fake_stack, &sched_stack_bottom_, &sched_stack_size_);
+}
+
 void Simulator::fiber_entry() {
   Simulator* self = t_entering_sim;
+  asan_finish_switch(nullptr, &self->sched_stack_bottom_,
+                      &self->sched_stack_size_);
   const Pid pid = self->current_;
   Process& p = *self->procs_[static_cast<std::size_t>(pid)];
   // Every exception is caught on this side of the context switch: unwinding
@@ -291,8 +351,7 @@ void Simulator::fiber_entry() {
     p.pending_exception = std::current_exception();
   }
   p.state = PState::kFinished;
-  tsan_switch(self->sched_tsan_fiber_);
-  fiber::swap(p.fctx, self->sched_ctx_);  // never returns
+  self->swap_out(p, /*finished=*/true);  // never returns
 }
 
 void Simulator::StackMem::allocate(std::size_t usable) {
@@ -371,8 +430,7 @@ void Simulator::switch_to(Pid pid) {
   ++fiber_switches_;
   current_ = pid;
   t_entering_sim = this;  // consumed by fiber_entry on a first switch-in
-  tsan_switch(p.tsan_fiber);
-  fiber::swap(sched_ctx_, p.fctx);
+  swap_into(p);
   current_ = kNoPid;
   if (p.state == PState::kFinished) {
     retire_fiber(p);  // the fiber can never run again; recycle its stack
@@ -386,8 +444,7 @@ void Simulator::switch_to(Pid pid) {
 
 void Simulator::yield_from_process(Process& p, PState next) {
   p.state = next;
-  tsan_switch(sched_tsan_fiber_);
-  fiber::swap(p.fctx, sched_ctx_);
+  swap_out(p, /*finished=*/false);
   if (p.killed) throw ProcessKilled{};
 }
 

@@ -470,6 +470,12 @@ class Simulator {
 
   void start_fiber(Process& p, Pid pid);
 
+  /// The two fiber switch directions, with their sanitizer annotations:
+  /// scheduler into `p` (returns when p yields back), and `p` back to the
+  /// scheduler (returns when p is resumed; never, once p has `finished`).
+  void swap_into(Process& p);
+  void swap_out(Process& p, bool finished);
+
   /// Fiber-stack pool: finished fibers park their guard-paged mmap stacks
   /// here instead of munmapping, and the next spawn reuses them (pages stay
   /// warm, three syscalls saved per process). Everything is freed when the
@@ -506,6 +512,9 @@ class Simulator {
   fiber::Context sched_ctx_;  ///< saved scheduler context during a switch
   Pid current_ = kNoPid;      ///< fiber currently executing (kNoPid: scheduler)
   void* sched_tsan_fiber_ = nullptr;  ///< TSan handle of the scheduler side
+  /// Scheduler stack as AddressSanitizer last reported it (ASan only).
+  const void* sched_stack_bottom_ = nullptr;
+  std::size_t sched_stack_size_ = 0;
 
   std::function<void(Pid, Time)> switch_hook_;
   bool in_run_ = false;

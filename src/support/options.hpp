@@ -77,6 +77,14 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Every key given on the command line (plus installed defaults), sorted.
+  std::vector<std::string> keys() const {
+    std::vector<std::string> out;
+    out.reserve(values_.size());
+    for (const auto& kv : values_) out.push_back(kv.first);
+    return out;
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

@@ -1,5 +1,5 @@
 // Replica-compute sharing (support/compute_cache.hpp): the FifoMemo
-// template, the per-run ComputeCache/ComputeClient pair, the structured
+// template, the per-run ComputeCache/ComputeClient pair, the table-only
 // row-gather fast path it rides on, and the end-to-end guarantees — cached
 // and recomputed executions are bit-identical, epoch invalidation on
 // injected failures falls back to real execution, and virtual-time results
@@ -323,7 +323,8 @@ TEST(ComputeCache, SmallRegionsAlwaysPublish) {
 }
 
 // ---------------------------------------------------------------------------
-// Structured row-gather fast path: bit-identical to the general CSR walk.
+// Table-only row gather: bit-identical to the general CSR walk over the
+// explicit form.
 // ---------------------------------------------------------------------------
 
 TEST(StructuredGather, MatchesGeneralWalkForAllBoundaryCombos) {
@@ -337,9 +338,9 @@ TEST(StructuredGather, MatchesGeneralWalkForAllBoundaryCombos) {
         std::vector<double> x(a.vector_len());
         for (double& v : x) v = rng.uniform(-2.0, 2.0);
 
-        // Reference: identical matrix forced onto the general path.
-        kernels::CsrMatrix gen = a;
-        gen.structured = false;
+        // Reference: the explicit-CSR form through the general walk.
+        const kernels::CsrMatrix gen =
+            kernels::build_explicit_grid_matrix(st, 5, 4, 6, lower, upper);
         std::vector<double> want(static_cast<std::size_t>(a.rows()));
         kernels::csr_row_gather(gen, x, want, 0, a.rows());
 

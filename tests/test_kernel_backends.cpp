@@ -193,11 +193,15 @@ TEST(BackendBitwise, CsrRowGatherStructured) {
             for (double& v : x) v = rng.uniform(-2.0, 2.0);
             x[0] = 1e-310;
 
+            // Reference: the explicit-CSR form through the general walk.
             std::vector<double> want(static_cast<std::size_t>(a.rows()));
             std::vector<double> got(want.size(), -7.0);
             {
               const kernels::ScopedBackend scope(Backend::kScalar);
-              kernels::csr_row_gather(a, x, want, 0, a.rows());
+              kernels::csr_row_gather(
+                  kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz,
+                                                      lower, upper),
+                  x, want, 0, a.rows());
             }
             {
               const kernels::ScopedBackend scope(b);
@@ -227,7 +231,6 @@ TEST(BackendBitwise, CsrRowGatherUnstructuredAndEmptyRows) {
   // general walk must behave identically whatever backend is active (it
   // only vectorizes structured interior runs).
   kernels::CsrMatrix a;
-  a.structured = false;
   a.row_start = {0, 0, 3, 3, 5, 6, 6};
   a.col = {0, 2, 4, 1, 3, 0};
   a.val = {2.0, -1.0, 0.5, 1e-310, -3.25, 7.0};
@@ -246,6 +249,70 @@ TEST(BackendBitwise, CsrRowGatherUnstructuredAndEmptyRows) {
     kernels::csr_row_gather(a, x, got, 0, a.rows());
     expect_bits_eq(want, got, "unstructured gather", b);
   }
+}
+
+TEST(TableOnlyOperator, MatchesExplicitBuilder) {
+  // The table-only form must reproduce the explicit-CSR form: row_start
+  // element by element (the virtual-time cost input) and every gathered
+  // bit on every backend this host runs.
+  support::Rng rng(0x7ab1eULL);
+  struct Shape {
+    int nx, ny, nz;
+  };
+  const Shape shapes[] = {{5, 4, 6}, {3, 3, 3}, {4, 3, 3}, {32, 32, 64}};
+  std::vector<Backend> backends = simd_backends();
+  backends.insert(backends.begin(), Backend::kScalar);
+  for (const kernels::Stencil st :
+       {kernels::Stencil::k7pt, kernels::Stencil::k27pt}) {
+    for (const bool lower : {false, true}) {
+      for (const bool upper : {false, true}) {
+        for (const Shape& s : shapes) {
+          const kernels::CsrMatrix a =
+              kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
+          const kernels::CsrMatrix ref = kernels::build_explicit_grid_matrix(
+              st, s.nx, s.ny, s.nz, lower, upper);
+          ASSERT_NE(a.tables, nullptr);
+          EXPECT_TRUE(a.col.empty() && a.val.empty());
+          ASSERT_EQ(a.row_start, ref.row_start)
+              << "stencil=" << static_cast<int>(st) << " lower=" << lower
+              << " upper=" << upper << " shape=" << s.nx << "x" << s.ny
+              << "x" << s.nz;
+          EXPECT_EQ(a.nnz(), static_cast<std::int64_t>(ref.col.size()));
+
+          const std::vector<double> x = edge_vector(a.vector_len(), rng);
+          std::vector<double> want(static_cast<std::size_t>(a.rows()));
+          {
+            const kernels::ScopedBackend scope(Backend::kScalar);
+            kernels::csr_row_gather(ref, x, want, 0, ref.rows());
+          }
+          for (Backend b : backends) {
+            std::vector<double> got(want.size(), -7.0);
+            const kernels::ScopedBackend scope(b);
+            kernels::csr_row_gather(a, x, got, 0, a.rows());
+            expect_bits_eq(want, got, "table-only gather", b);
+          }
+        }
+      }
+    }
+  }
+  const auto cached = kernels::grid_matrix_cached(kernels::Stencil::k27pt, 32,
+                                                  32, 64, true, true);
+  EXPECT_TRUE(cached->col.empty());
+  EXPECT_TRUE(cached->val.empty());
+  EXPECT_EQ(cached->nnz(), 94 * 94 * 192);
+}
+
+TEST(TableOnlyOperator, GeneralWalkRejectsMissingEntries) {
+  // A table-only operator stripped of its tables has no entries for the
+  // general walk to read: the gather refuses it instead of reading past
+  // empty col/val.
+  kernels::CsrMatrix a =
+      kernels::build_grid_matrix(kernels::Stencil::k7pt, 4, 4, 4, true, true);
+  a.tables = nullptr;
+  std::vector<double> x(a.vector_len(), 1.0);
+  std::vector<double> out(static_cast<std::size_t>(a.rows()));
+  EXPECT_THROW(kernels::csr_row_gather(a, x, out, 0, a.rows()),
+               support::InvariantError);
 }
 
 TEST(BackendBitwise, Stencil27) {

@@ -65,7 +65,8 @@ TEST(Sparse, SevenPointStructure) {
 }
 
 TEST(Sparse, BoundaryRowsReferenceHalo) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k7pt, 3, 3, 2, true, true);
+  const CsrMatrix m =
+      build_explicit_grid_matrix(Stencil::k7pt, 3, 3, 2, true, true);
   // Row (1,1,0) must reference the bottom halo at index interior + y*nx + x.
   bool found_halo = false;
   const std::int64_t r = (0 * 3 + 1) * 3 + 1;
@@ -86,13 +87,15 @@ TEST(Sparse, SpmvMatchesDenseReference) {
   std::vector<double> y(static_cast<std::size_t>(m.rows()), 0.0);
   sparsemv(m, x, y);
 
-  // Dense reference.
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
+  // Dense reference from the explicit-CSR form.
+  const CsrMatrix e =
+      build_explicit_grid_matrix(Stencil::k27pt, 4, 3, 3, true, false);
+  for (std::int64_t r = 0; r < e.rows(); ++r) {
     double acc = 0;
-    for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
-         k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k)
-      acc += m.val[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(m.col[static_cast<std::size_t>(k)])];
+    for (std::int64_t k = e.row_start[static_cast<std::size_t>(r)];
+         k < e.row_start[static_cast<std::size_t>(r) + 1]; ++k)
+      acc += e.val[static_cast<std::size_t>(k)] *
+             x[static_cast<std::size_t>(e.col[static_cast<std::size_t>(k)])];
     EXPECT_NEAR(y[static_cast<std::size_t>(r)], acc, 1e-12);
   }
 }
@@ -110,7 +113,8 @@ TEST(Sparse, SpmvRangeEqualsFull) {
 }
 
 TEST(Sparse, DiagonalDominance) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
+  const CsrMatrix m =
+      build_explicit_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
   for (std::int64_t r = 0; r < m.rows(); ++r) {
     double diag = 0, offsum = 0;
     for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "apps/hpccg.hpp"
@@ -127,6 +128,15 @@ TEST_F(SweepTool, BadOptionValuesExitTwo) {
                     " --worker --cell=not.a.key")
                 .code,
             2);
+  // Unknown flags (a removed option, a typo) and stray arguments are usage
+  // errors, never a silent full sweep that writes a log into the cwd.
+  for (const char* flag : {"--list-cells", "--jbos=2", "stray"}) {
+    const CmdResult r = run_cmd(sweep_cmd(log, flag));
+    EXPECT_EQ(r.code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage: repmpi_sweep"), std::string::npos)
+        << r.output;
+  }
+  EXPECT_FALSE(std::ifstream(log).good()) << "a rejected run wrote " << log;
 }
 
 TEST_F(SweepTool, SigkillMidSweepThenResumeIsBitIdentical) {

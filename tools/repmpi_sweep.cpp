@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -327,6 +328,24 @@ int driver(int argc, char** argv) {
   support::Options opt(argc, argv,
                        {"jobs", "nx", "iters", "timeout-sec", "max-attempts",
                         "log", "cell", "verify-log"});
+  // A mistyped flag must not fall through to a full sweep into the cwd.
+  const std::set<std::string> known = {
+      "jobs", "nx",     "iters",  "timeout-sec", "max-attempts", "log",
+      "cell", "resume", "dump",   "verify-log",  "overwrite",    "worker",
+      "help"};
+  for (const std::string& key : opt.keys()) {
+    if (known.count(key) == 0) {
+      std::cerr << "repmpi_sweep: unknown option --" << key << "\n";
+      print_usage();
+      return 2;
+    }
+  }
+  if (!opt.positional().empty()) {
+    std::cerr << "repmpi_sweep: unexpected argument '"
+              << opt.positional().front() << "'\n";
+    print_usage();
+    return 2;
+  }
   for (const char* key :
        {"jobs", "nx", "iters", "timeout-sec", "max-attempts"}) {
     if (!opt.has(key)) continue;
