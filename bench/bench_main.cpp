@@ -95,9 +95,9 @@ void print_usage() {
          "conservative time windows; virtual-time results are\n"
          "bit-identical at any shard count, and sharded runs report\n"
          "host_shard_count/windows/cross_messages.\n"
-         "--backend={auto,scalar,avx2,avx512} selects the host kernel\n"
+         "--backend={auto,scalar,avx2} selects the host kernel\n"
          "backend for the batch kernels (SpMV, stencil, PIC, vector ops).\n"
-         "auto (default) picks the best the CPU supports. Virtual-time\n"
+         "auto (default) picks avx2 where the CPU has it. Virtual-time\n"
          "results are bit-identical under every backend; only host wall\n"
          "time changes. Requesting a backend this build or CPU lacks is\n"
          "an error (exit 2), never a silent fallback. The report records\n"
@@ -326,7 +326,7 @@ int driver(int argc, char** argv) {
     if (v == "true" || v.empty() ||
         !kernels::backend_from_string(v, &requested)) {
       std::cerr << "repmpi_bench: --backend expects one of auto, scalar, "
-                   "avx2, avx512; got '"
+                   "avx2; got '"
                 << (v == "true" ? "" : v) << "'\n";
       return 2;
     }

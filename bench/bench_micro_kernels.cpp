@@ -139,7 +139,7 @@ void register_for_backend(kernels::Backend b) {
 
 int main(int argc, char** argv) {
   using repmpi::kernels::Backend;
-  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
     if (repmpi::kernels::backend_supported(b))
       repmpi::register_for_backend(b);
   }

@@ -25,14 +25,6 @@ bool cpu_has_avx2() {
 #endif
 }
 
-bool cpu_has_avx512() {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
 /// Process default, resolved lazily (first use detects the CPU). Encoded as
 /// int: 0 = not yet detected.
 std::atomic<int> g_default{0};
@@ -55,8 +47,6 @@ const char* to_string(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -65,7 +55,6 @@ bool backend_from_string(std::string_view name, Backend* out) {
   if (name == "auto") *out = Backend::kAuto;
   else if (name == "scalar") *out = Backend::kScalar;
   else if (name == "avx2") *out = Backend::kAvx2;
-  else if (name == "avx512") *out = Backend::kAvx512;
   else return false;
   return true;
 }
@@ -81,32 +70,17 @@ bool backend_compiled(Backend b) {
 #else
       return false;
 #endif
-    case Backend::kAvx512:
-#ifdef REPMPI_HAVE_AVX512
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 bool backend_supported(Backend b) {
   if (!backend_compiled(b)) return false;
-  switch (b) {
-    case Backend::kAvx2:
-      return cpu_has_avx2();
-    case Backend::kAvx512:
-      return cpu_has_avx512();
-    default:
-      return true;
-  }
+  return b != Backend::kAvx2 || cpu_has_avx2();
 }
 
 Backend detect_backend() {
-  if (backend_supported(Backend::kAvx512)) return Backend::kAvx512;
-  if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
-  return Backend::kScalar;
+  return backend_supported(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
 }
 
 Backend process_default_backend() {
@@ -137,10 +111,6 @@ const BackendOps& backend_ops(Backend b) {
 #ifdef REPMPI_HAVE_AVX2
     case Backend::kAvx2:
       return detail::avx2_ops();
-#endif
-#ifdef REPMPI_HAVE_AVX512
-    case Backend::kAvx512:
-      return detail::avx512_ops();
 #endif
     default:
       return kScalarOps;

@@ -1,10 +1,9 @@
 #pragma once
 
-// Pluggable kernel backends: scalar / AVX2 / AVX-512 implementations of the
-// four kernel families (SpMV row gather, 27-point stencil rows, PIC
-// charge/push, vector ops), selected at runtime by CPUID dispatch with a
-// compile-time fallback (a build without SIMD support simply has fewer
-// backends compiled in).
+// Pluggable kernel backends: scalar and AVX2 implementations of the four
+// kernel families (SpMV row gather, 27-point stencil rows, PIC charge/push,
+// vector ops), selected at runtime by CPUID dispatch with a compile-time
+// fallback (a build without AVX2 support has only the scalar backend).
 //
 // The contract that makes a backend swappable at all: the scalar backend is
 // the bit-exact reference, and every SIMD path preserves the scalar
@@ -15,7 +14,7 @@
 // reference never executed. Virtual-time results — efficiencies, event and
 // message counts, determinism fingerprints, ComputeCache bytes — are
 // therefore identical under every backend, which is what lets the drift
-// gate run the same baseline at --backend=scalar and --backend=avx2, and
+// gate run the same baseline at the default (AVX2) and --backend=scalar, and
 // what makes a shared-compute cache hit backend-agnostic.
 //
 // Enforcement: REPMPI_VERIFY_BACKEND=1 (or set_verify_backend) makes every
@@ -44,18 +43,17 @@ enum class Backend : int {
   kAuto = 0,    ///< resolve to the process default at use
   kScalar = 1,  ///< bit-exact reference, always compiled
   kAvx2 = 2,    ///< 4-wide doubles (compiled when the toolchain has -mavx2)
-  kAvx512 = 3,  ///< 8-wide doubles (compiled when the toolchain has -mavx512f)
 };
 
 const char* to_string(Backend b);
-/// Parses "auto" / "scalar" / "avx2" / "avx512"; false on anything else.
+/// Parses "auto" / "scalar" / "avx2"; false on anything else.
 bool backend_from_string(std::string_view name, Backend* out);
 
 /// The backend's translation unit is built into this binary.
 bool backend_compiled(Backend b);
 /// Compiled *and* the host CPU executes it (CPUID). kAuto/kScalar: always.
 bool backend_supported(Backend b);
-/// Best supported backend: avx512 > avx2 > scalar.
+/// Best supported backend: avx2 > scalar.
 Backend detect_backend();
 
 /// Process-wide default, used by threads with no ScopedBackend installed.

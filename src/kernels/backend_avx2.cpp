@@ -338,8 +338,6 @@ inline void deposit4_of(const Axis4& ax, const Axis4& ay, double w, int mx,
                   _mm_add_epi32(row1, ax.i1));
 }
 
-}  // namespace
-
 // charge: axes and bilinear weights are computed 4 particles at a time, but
 // the grid scatters stay serial in particle order — ring points of one
 // particle, then the next — because gyro rings overlap on the grid and the
@@ -428,8 +426,6 @@ void push_avx2(double* x, double* y, double* vx, double* vy,
   for (; i < n; ++i)
     push_one(x, y, vx, vy, rho, i, lx, ly, sx, sy, dt, ex, ey);
 }
-
-namespace {
 
 const BackendOps kAvx2Ops{
     Backend::kAvx2, waxpby_avx2,      axpy_avx2,   ddot_avx2,

@@ -2,7 +2,7 @@
 
 // Internal to the kernel backends (kernels/backend.hpp): the scalar
 // reference loop bodies, shared between the scalar ops table (backend.cpp)
-// and the SIMD translation units, which run them for remainder elements so
+// and the AVX2 translation unit, which runs them for remainder elements so
 // tails are bit-exact by construction. Every function here defines the
 // accumulation order the SIMD paths must reproduce per output element —
 // change one and you change the contract for all backends at once.
@@ -308,22 +308,10 @@ inline void push_scalar(double* x, double* y, double* vx, double* vy,
     push_one(x, y, vx, vy, rho, i, lx, ly, sx, sy, dt, ex, ey);
 }
 
-// --- SIMD ops tables (compiled per toolchain support; see CMakeLists) -------
+// --- SIMD ops table (compiled per toolchain support; see CMakeLists) --------
 
 #ifdef REPMPI_HAVE_AVX2
 const BackendOps& avx2_ops();
-// Exported for the AVX-512 table: the PIC kernels' gathers and ordered
-// scalar scatters gain nothing from 512-bit registers, so that backend
-// reuses the AVX2 implementations (CMake only builds AVX-512 when AVX2 is
-// compiled too).
-void charge_avx2(const Particles& p, std::size_t i0, std::size_t i1,
-                 double lx, double ly, Field2D& partial);
-void push_avx2(double* x, double* y, double* vx, double* vy,
-               const double* rho, std::size_t n, double lx, double ly,
-               double dt, const Field2D& ex, const Field2D& ey);
-#endif
-#ifdef REPMPI_HAVE_AVX512
-const BackendOps& avx512_ops();
 #endif
 
 }  // namespace repmpi::kernels::detail

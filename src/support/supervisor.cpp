@@ -3,13 +3,13 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <ctime>
 #include <ostream>
 
 #include "support/error.hpp"
@@ -49,6 +49,7 @@ Supervisor::~Supervisor() {
   for (Child& c : running_) {
     kill_tree(c.pid);
     if (c.fd >= 0) ::close(c.fd);
+    if (c.pidfd >= 0) ::close(c.pidfd);
     int wait_status = 0;
     ::waitpid(c.pid, &wait_status, 0);
   }
@@ -126,6 +127,8 @@ void Supervisor::reap(Child& c, int wait_status) {
     ::close(c.fd);
     c.fd = -1;
   }
+  ::close(c.pidfd);
+  c.pidfd = -1;
   CellStatus status;
   int code;
   if (c.timed_out) {
@@ -203,7 +206,10 @@ void Supervisor::step(int max_wait_ms) {
       c.deadline =
           c.start + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(item.timeout_sec));
+      c.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
       running_.push_back(std::move(c));
+      REPMPI_CHECK_MSG(running_.back().pidfd >= 0,
+                       "pidfd_open() failed for " << item.key);
       it = pending_.erase(it);
     } else {
       ++it;
@@ -228,16 +234,14 @@ void Supervisor::step(int max_wait_ms) {
     fds.push_back({running_[i].fd, POLLIN, 0});
     fd_child.push_back(i);
   }
-  if (fds.empty()) {
-    if (wait_ms > 0) {
-      struct timespec ts{wait_ms / 1000, (wait_ms % 1000) * 1000000L};
-      ::nanosleep(&ts, nullptr);
-    }
-  } else if (::poll(fds.data(), fds.size(), wait_ms) < 0 && errno != EINTR) {
+  // A pidfd turns readable when its child exits, so a worker that closed
+  // stdout before exiting is reaped at once rather than after the full wait.
+  for (const Child& c : running_) fds.push_back({c.pidfd, POLLIN, 0});
+  // With nothing running, poll() over no fds just sleeps until a retry.
+  if (::poll(fds.data(), fds.size(), wait_ms) < 0 && errno != EINTR)
     throw Error("supervisor: poll() failed");
-  }
 
-  for (std::size_t i = 0; i < fds.size(); ++i) {
+  for (std::size_t i = 0; i < fd_child.size(); ++i) {
     if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     Child& c = running_[fd_child[i]];
     // Drain whatever the pipe currently holds.

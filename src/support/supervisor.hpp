@@ -103,7 +103,8 @@ class Supervisor {
     pid_t pid = -1;
     std::size_t index = 0;  ///< the item's position in run()'s batch
     int attempt = 1;
-    int fd = -1;  ///< read end of the stdout pipe; -1 after EOF
+    int fd = -1;     ///< read end of the stdout pipe; -1 after EOF
+    int pidfd = -1;  ///< readable once the child exits (polled with fd)
     std::string output;
     Clock::time_point start;
     Clock::time_point deadline;

@@ -48,6 +48,21 @@ TEST(Supervisor, CleanExitCapturesOutput) {
   EXPECT_EQ(results[0].output, "hello\n");
 }
 
+TEST(Supervisor, WorkerReapedPromptlyAfterClosingStdout) {
+  // Once stdout hits EOF only the child's exit can wake the poll loop; it
+  // must not wait out the loop's whole 500 ms budget before reaping.
+  Supervisor sup(fast_cfg());
+  const auto results =
+      sup.run({sh("a", "echo hi; exec >&-; sleep 0.1"),
+               sh("b", "echo hi; exec >&-; sleep 0.1")});
+  ASSERT_EQ(results.size(), 2u);
+  for (const WorkResult& r : results) {
+    EXPECT_EQ(r.status, CellStatus::kOk) << r.key;
+    EXPECT_EQ(r.output, "hi\n") << r.key;
+    EXPECT_LT(r.wall_s, 0.35) << r.key;
+  }
+}
+
 TEST(Supervisor, NonzeroExitClassifiedWithCode) {
   Supervisor sup(fast_cfg(1, 2));
   const auto results = sup.run({sh("bad", "exit 7")});

@@ -197,8 +197,8 @@ def main(argv):
     # Kernel-backend provenance and host kernel-time trajectory. Never
     # gating — the backend seam's contract is that the virtual-time metrics
     # compared above are identical whatever backend executed the kernels
-    # (which is exactly why the same baseline serves --backend=scalar and
-    # --backend=avx2 CI passes); host_kernel_*_ns only says how fast the
+    # (which is exactly why the same baseline serves the default AVX2 and
+    # the --backend=scalar CI passes); host_kernel_*_ns only says how fast the
     # host got through them.
     if report_backend or baseline_backend:
         notes.append(f"host_backend: baseline {baseline_backend or 'n/a'}, "
