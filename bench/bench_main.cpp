@@ -16,13 +16,14 @@
 // registry order no matter which order they finished in.
 //
 // The JSON report (schema "repmpi-bench-report/1") carries one entry per
-// bench: exit status, host wall time plus substrate throughput
-// (wall_ms / events_per_sec / messages_per_sec, derived from the
-// thread-local simulator counters), and the headline metrics the bench
-// recorded through BenchContext::metric — the perf trajectory that CI
-// archives across PRs. Virtual-time metrics are deterministic; the
-// throughput fields and any metric prefixed "host_" are host-dependent and
-// excluded from regression diffs (tools/check_bench_drift.py).
+// bench: exit status, wall time and event/message counts (wall_ms /
+// events / messages / events_per_sec / messages_per_sec, the counts from
+// the thread-local simulator totals), and the headline metrics the bench
+// recorded through BenchContext::metric. Virtual-time metrics are
+// deterministic and gated against the committed baseline
+// (tools/check_bench_drift.py); the wall-time fields and any metric
+// prefixed "host_" are host-dependent and never gated. Host performance
+// per layer is measured by perfbench/, not here.
 
 #include <pthread.h>
 #include <signal.h>
@@ -44,7 +45,6 @@
 #include "kernels/backend.hpp"
 #include "registry.hpp"
 #include "sim/simulator.hpp"
-#include "support/compute_cache.hpp"
 #include "support/options.hpp"
 #include "support/task_pool.hpp"
 
@@ -62,15 +62,6 @@ struct BenchOutcome {
   std::string output;  ///< the bench's buffered text output
 };
 
-double median_wall(std::vector<BenchOutcome>& runs) {
-  std::vector<double> walls;
-  walls.reserve(runs.size());
-  for (const BenchOutcome& o : runs) walls.push_back(o.wall_time_s);
-  std::nth_element(walls.begin(), walls.begin() + walls.size() / 2,
-                   walls.end());
-  return walls[walls.size() / 2];
-}
-
 void print_usage() {
   std::cout
       << "usage: repmpi_bench --list\n"
@@ -87,9 +78,6 @@ void print_usage() {
          "--jobs=N (or --jobs N) runs the selected benches concurrently on\n"
          "N threads (default: hardware concurrency; virtual-time results\n"
          "are bit-identical to --jobs=1, only wall-clock changes).\n"
-         "--repeat=N runs each selected bench N times and reports the run\n"
-         "with the median wall time (virtual-time metrics are identical\n"
-         "across repeats; CI uses this to de-noise the perf trajectory).\n"
          "--shards=N splits each simulation in the benches that support\n"
          "it (the fig6 panels) across N simulator shards synchronized by\n"
          "conservative time windows; virtual-time results are\n"
@@ -220,8 +208,6 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
   o.name = info.name;
   BenchContext ctx(opt);
   const sim::SubstrateTotals before = sim::substrate_totals();
-  const support::ComputeCacheStats cc_before = support::compute_cache_totals();
-  const kernels::KernelTotals kt_before = kernels::kernel_totals();
   const auto start = std::chrono::steady_clock::now();
   try {
     o.status = info.fn(ctx);
@@ -231,81 +217,22 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
   }
   const auto end = std::chrono::steady_clock::now();
   const sim::SubstrateTotals after = sim::substrate_totals();
-  const support::ComputeCacheStats cc_after = support::compute_cache_totals();
   o.wall_time_s = std::chrono::duration<double>(end - start).count();
   o.events = after.events - before.events;
   o.messages = after.messages - before.messages;
   o.metrics = ctx.metrics();
-  // Replica-compute sharing counters for every bench (host_ prefix: host-
-  // side behavior, excluded from the virtual-time drift gate).
-  o.metrics.emplace_back("host_compute_cache_hits",
-                         static_cast<double>(cc_after.hits - cc_before.hits));
-  o.metrics.emplace_back(
-      "host_compute_cache_misses",
-      static_cast<double>(cc_after.misses - cc_before.misses));
-  o.metrics.emplace_back(
-      "host_compute_cache_shared_mb",
-      static_cast<double>(cc_after.shared_bytes - cc_before.shared_bytes) /
-          (1024.0 * 1024.0));
-  // Event-engine fast-path counters (PR 5): how much scheduler traffic the
-  // bench generated and how much of it skipped the timed queue entirely.
-  o.metrics.emplace_back(
-      "host_fiber_switches",
-      static_cast<double>(after.fiber_switches - before.fiber_switches));
-  o.metrics.emplace_back(
-      "host_heap_bypass",
-      static_cast<double>(after.heap_bypass - before.heap_bypass));
-  o.metrics.emplace_back(
-      "host_wakeups_elided",
-      static_cast<double>(after.wakeups_elided - before.wakeups_elided));
-  // Host nanoseconds spent inside each batch-kernel family (PR 8): where
-  // the backend's SIMD actually lands, independent of simulated time.
-  {
-    kernels::KernelTotals kt = kernels::kernel_totals();
-    kt -= kt_before;
-    const auto ns = [&kt](kernels::KernelFamily f) {
-      return static_cast<double>(kt.ns[static_cast<int>(f)]);
-    };
-    o.metrics.emplace_back("host_kernel_spmv_ns",
-                           ns(kernels::KernelFamily::kSpmv));
-    o.metrics.emplace_back("host_kernel_stencil_ns",
-                           ns(kernels::KernelFamily::kStencil));
-    o.metrics.emplace_back("host_kernel_pic_charge_ns",
-                           ns(kernels::KernelFamily::kPicCharge));
-    o.metrics.emplace_back("host_kernel_pic_push_ns",
-                           ns(kernels::KernelFamily::kPicPush));
-    o.metrics.emplace_back("host_kernel_vector_ns",
-                           ns(kernels::KernelFamily::kVector));
-  }
   o.output = ctx.output();
   return o;
 }
 
-/// Runs a bench `repeat` times and returns the run with the median wall
-/// time. Virtual-time metrics are deterministic (identical across repeats),
-/// so only the host-side wall/throughput numbers differ — the median damps
-/// scheduler noise in the perf-trajectory artifacts (--repeat in CI's
-/// full-size job).
-BenchOutcome run_median(const BenchInfo& info, const support::Options& opt,
-                        int repeat) {
-  std::vector<BenchOutcome> runs;
-  runs.reserve(static_cast<std::size_t>(repeat));
-  for (int i = 0; i < repeat; ++i) runs.push_back(run_one(info, opt));
-  const double med = median_wall(runs);
-  for (BenchOutcome& o : runs) {
-    if (o.wall_time_s == med) return std::move(o);
-  }
-  return std::move(runs.back());
-}
-
 int driver(int argc, char** argv) {
-  // "--jobs N" / "--repeat N" / "--shards N" work in addition to the =
+  // "--jobs N" / "--shards N" / "--timeout-sec N" work in addition to the =
   // forms. Only these are value keys: making `json` one would change the
   // meaning of existing "--json <bench>" invocations (the positional .json
   // fallback below already covers "--json file.json").
-  support::Options opt(argc, argv, {"jobs", "repeat", "shards",
-                                    "timeout-sec", "backend"});
-  for (const char* key : {"jobs", "repeat", "shards", "timeout-sec"}) {
+  support::Options opt(argc, argv,
+                       {"jobs", "shards", "timeout-sec", "backend"});
+  for (const char* key : {"jobs", "shards", "timeout-sec"}) {
     if (!opt.has(key)) continue;
     const std::string v = opt.get(key);
     // A bare flag parses as "true"; reject it like any non-number instead
@@ -395,7 +322,7 @@ int driver(int argc, char** argv) {
   }
 
   // Out-of-range values are an error, not a silent clamp: "--jobs=0" or
-  // "--repeat=1000" almost certainly means a typo or a misremembered unit,
+  // "--shards=1000" almost certainly means a typo or a misremembered unit,
   // and quietly running with something else buries the mistake in a report
   // that looks healthy.
   const auto ranged = [&opt](const char* key, long def, long lo, long hi,
@@ -408,9 +335,8 @@ int driver(int argc, char** argv) {
     }
     return true;
   };
-  long jobs_opt = 0, repeat_opt = 0, shards_opt = 0, timeout_opt = 0;
+  long jobs_opt = 0, shards_opt = 0, timeout_opt = 0;
   if (!ranged("jobs", support::TaskPool::default_jobs(), 1, 256, jobs_opt) ||
-      !ranged("repeat", 1, 1, 99, repeat_opt) ||
       (opt.has("shards") && !ranged("shards", 1, 1, 64, shards_opt)) ||
       (opt.has("timeout-sec") &&
        !ranged("timeout-sec", 0, 1, 86400, timeout_opt))) {
@@ -427,8 +353,6 @@ int driver(int argc, char** argv) {
   if (workers > 1)
     std::cout << "[running " << selected.size() << " benches on " << workers
               << " threads]\n";
-
-  const int repeat = static_cast<int>(repeat_opt);
 
   std::vector<BenchOutcome> outcomes(selected.size());
   std::mutex print_mu;
@@ -525,8 +449,7 @@ int driver(int argc, char** argv) {
           started[i] = true;
           starts[i] = BenchClock::now();
         }
-        BenchOutcome o = repeat > 1 ? run_median(*selected[i], opt, repeat)
-                                    : run_one(*selected[i], opt);
+        BenchOutcome o = run_one(*selected[i], opt);
         {
           // One intact block per bench, in completion order.
           std::lock_guard<std::mutex> lk(print_mu);

@@ -129,11 +129,10 @@ void verify_backend_match(const char* kernel, const double* got,
 // --- Host-side kernel timing counters --------------------------------------
 //
 // Thread-local nanosecond totals per kernel family, mirroring
-// sim::substrate_totals(): the bench driver snapshots before/after each
-// bench and reports the deltas as host_kernel_*_ns metrics (host_ prefix:
-// excluded from the virtual-time drift gate). Work done on other threads
-// (sharded-engine workers, sweep pool cells) is deposited back with
-// add_kernel_totals().
+// sim::substrate_totals(): perfbench snapshots them around each round and
+// reports the deltas as its kernels.spmv_s / kernels.vector_s /
+// kernels.share probes. Work done on other threads (sharded-engine
+// workers) is deposited back with add_kernel_totals().
 
 enum class KernelFamily : int {
   kSpmv = 0,

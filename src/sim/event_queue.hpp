@@ -219,7 +219,7 @@ class LadderQueue {
     // A quarter of the geometric-mean lead keeps the typical insert a few
     // buckets ahead of the drain point (O(1) append) instead of inside the
     // sorted active lane; narrower multipliers start paying in re-anchors
-    // on bimodal mixes (tuned with the host_queue_* microbenches).
+    // on bimodal mixes (perfbench's sim.event_ns probe tracks the cost).
     width_ = std::clamp(std::exp2(lg_lead_) * 0.25, kMinWidth, kMaxWidth);
     // At very large timestamps the whole window can round away in double
     // (base_ + kBuckets*width_ == base_): widen until the horizon strictly

@@ -72,14 +72,15 @@ class Simulator;
 
 /// Per-*thread* substrate throughput totals, accumulated across every
 /// Simulator (events) and Network (messages) instance that ran on the
-/// calling thread. The bench driver snapshots these around each bench to
-/// derive events/sec and messages/sec for the JSON perf report; because a
-/// bench executes entirely on one worker thread, concurrent benches never
-/// see each other's counts. Drivers that fan simulations out to their own
-/// worker pool (the sweep bench) diff these totals around each run *on the
-/// worker thread that ran it*, then deposit the sum back on their own
-/// thread with add_substrate_*. Simulator::counters() is the per-instance
-/// alternative for callers that hold the simulator itself.
+/// calling thread. The bench driver snapshots these around each bench for
+/// the JSON report's event/message counts, and perfbench around each round
+/// for its sim.* probes; because a bench executes entirely on one worker
+/// thread, concurrent benches never see each other's counts. Drivers that
+/// fan simulations out to their own worker pool (the sweep bench) diff
+/// these totals around each run *on the worker thread that ran it*, then
+/// deposit the sum back on their own thread with add_substrate_*.
+/// Simulator::counters() is the per-instance alternative for callers that
+/// hold the simulator itself.
 struct SubstrateTotals {
   std::uint64_t events = 0;
   std::uint64_t messages = 0;

@@ -13,13 +13,11 @@ which case the baseline must be regenerated with
 
 Host-dependent fields are excluded from the gate: wall_time_s / wall_ms /
 events_per_sec / messages_per_sec per bench, and any metric prefixed
-`host_` (the substrate microbench throughputs, the sweep's pool speedup,
-and the replica-compute-sharing hit counters). Metrics present only on one
-side are reported (new metrics are fine; vanished ones fail). Host wall-time
-deltas per bench, the reports' kernel backends (top-level `host_backend`),
-and the aggregate host_kernel_*_ns trajectory are printed as informational
-notes — they never gate, but they are the at-a-glance perf trajectory
-between two reports.
+`host_` (the sharded engine's host_shard_* counts, which depend on the
+shard count). Metrics present only on one side are reported (new metrics
+are fine; vanished ones fail).
+The reports' kernel backends (top-level `host_backend`) are printed as an
+informational note. Host performance is judged by perfbench/, not here.
 
 Benches are matched by *name*, never by array position: the driver emits
 the array in registry order, but a parallel run (--jobs) or a reordered
@@ -175,52 +173,13 @@ def main(argv):
                         metric not in baseline[name].get("metrics", {}):
                     notes.append(f"{name}.{metric}: new metric")
 
-    # Informational host wall-time deltas (never gating: wall time is a
-    # property of the host that ran the report, not of the source tree).
-    wall_old = wall_new = 0.0
-    for name, base in sorted(baseline.items()):
-        cur = report.get(name)
-        if cur is None:
-            continue
-        b, c = base.get("wall_ms"), cur.get("wall_ms")
-        if not b or not c:
-            continue
-        wall_old += b
-        wall_new += c
-        notes.append(f"{name}: wall {b:.0f} ms -> {c:.0f} ms "
-                     f"({(c - b) / b:+.1%}, informational)")
-    if wall_old > 0 and wall_new > 0:
-        notes.append(f"total wall {wall_old:.0f} ms -> {wall_new:.0f} ms "
-                     f"({(wall_new - wall_old) / wall_old:+.1%}, "
-                     f"informational)")
-
-    # Kernel-backend provenance and host kernel-time trajectory. Never
-    # gating — the backend seam's contract is that the virtual-time metrics
-    # compared above are identical whatever backend executed the kernels
-    # (which is exactly why the same baseline serves the default AVX2 and
-    # the --backend=scalar CI passes); host_kernel_*_ns only says how fast the
-    # host got through them.
+    # Kernel-backend provenance. Never gating — the backend seam's contract
+    # is that the virtual-time metrics compared above are identical whatever
+    # backend executed the kernels (which is exactly why the same baseline
+    # serves the default AVX2 and the --backend=scalar CI passes).
     if report_backend or baseline_backend:
         notes.append(f"host_backend: baseline {baseline_backend or 'n/a'}, "
                      f"report {report_backend or 'n/a'} (informational)")
-    kern_old = kern_new = 0.0
-    for name, base in sorted(baseline.items()):
-        cur = report.get(name)
-        if cur is None:
-            continue
-        for metric, v in base.get("metrics", {}).items():
-            if not (metric.startswith("host_kernel_")
-                    and metric.endswith("_ns")):
-                continue
-            got = cur.get("metrics", {}).get(metric)
-            if isinstance(v, (int, float)) and isinstance(got, (int, float)):
-                kern_old += v
-                kern_new += got
-    if kern_old > 0 and kern_new > 0:
-        notes.append(f"total host kernel time {kern_old / 1e6:.1f} ms -> "
-                     f"{kern_new / 1e6:.1f} ms "
-                     f"({(kern_new - kern_old) / kern_old:+.1%}, "
-                     f"informational)")
 
     for n in notes:
         print(f"note: {n}")

@@ -4,7 +4,7 @@
 Run directly: python3 tools/test_check_bench_drift.py
 Exercises the edge cases the gate must not crash or lie on: malformed /
 negative --tolerance, unknown options, null (non-finite) metric values on
-either side, zero-valued baseline metrics, and missing/zero wall_ms.
+either side, and zero-valued baseline metrics.
 """
 
 import json
@@ -17,11 +17,9 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "check_bench_drift.py")
 
 
-def make_report(metrics, name="b1", status=0, wall_ms=12.5, extra=None,
+def make_report(metrics, name="b1", status=0, extra=None,
                 partial=False, benches=None, host_backend=None):
     bench = {"name": name, "status": status, "metrics": metrics}
-    if wall_ms is not None:
-        bench["wall_ms"] = wall_ms
     doc = {"schema": "repmpi-bench-report/1", "partial": partial,
            "benches": benches if benches is not None
            else [bench] + (extra or [])}
@@ -88,26 +86,17 @@ def main():
     check("zero baseline gates on absolute deviation",
           code == 1 and "zero-baseline" in out)
 
-    # Missing and zero wall_ms must not crash the informational notes.
-    no_wall_base = make_report({"eff": 0.5}, wall_ms=None)
-    code, out = run(make_report({"eff": 0.5}, wall_ms=0.0), no_wall_base)
-    check("missing/zero wall_ms tolerated", code == 0)
-
     # Vanished metric still fails.
     code, out = run(make_report({"eff": 0.5}), base)
     check("vanished metric fails", code == 1 and "vanished" in out)
 
     # Kernel-backend provenance: a report produced on a different backend
-    # with wildly different host_kernel_*_ns values passes — both are
-    # informational notes, never gated (the virtual-time metrics are
-    # backend-invariant by contract).
-    hb_base = make_report({"eff": 0.5, "host_kernel_spmv_ns": 1.0e9},
-                          host_backend="scalar")
-    code, out = run(make_report({"eff": 0.5, "host_kernel_spmv_ns": 2.5e8},
-                                host_backend="avx2"), hb_base)
-    check("host_backend + kernel ns are informational only",
-          code == 0 and "host_backend: baseline scalar, report avx2" in out
-          and "total host kernel time" in out)
+    # passes with an informational note, never gated (the virtual-time
+    # metrics are backend-invariant by contract).
+    hb_base = make_report({"eff": 0.5}, host_backend="scalar")
+    code, out = run(make_report({"eff": 0.5}, host_backend="avx2"), hb_base)
+    check("host_backend is informational only",
+          code == 0 and "host_backend: baseline scalar, report avx2" in out)
 
     # Reports predating host_backend (no top-level key) stay silent about it.
     code, out = run(make_report({"eff": 0.5, "zero": 0.0}), base)
