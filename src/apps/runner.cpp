@@ -159,6 +159,9 @@ void collect_rank_results(const rep::ReplicaLayout& layout,
   if (phase_ranks > 0) {
     for (auto& [name, t] : res.phase_avg) t /= phase_ranks;
   }
+  const rep::LogicalComm::LogStats log = rep::LogicalComm::log_stats(world);
+  res.send_log_high_water = log.high_water;
+  res.replayed_sends = log.replayed;
 }
 
 RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,

@@ -164,6 +164,12 @@ struct RunResult {
   int shards = 0;
   std::uint64_t shard_windows = 0;          ///< conservative windows run
   std::uint64_t shard_cross_messages = 0;   ///< boundary-merged internode sends
+  /// Replication send log, host-side (no bench metric reads it): the sum
+  /// over physical ranks of each rank's peak count of live logged sends.
+  /// Sharded runs trim at window boundaries, so theirs can be higher.
+  std::uint64_t send_log_high_water = 0;
+  /// Messages the progress agents resent on NACKs (zero without a crash).
+  std::uint64_t replayed_sends = 0;
 
   double phase(const std::string& name) const {
     const auto it = phase_max.find(name);

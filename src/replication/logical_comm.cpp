@@ -14,7 +14,121 @@ std::vector<int> identity_members(int n) {
   std::iota(m.begin(), m.end(), 0);
   return m;
 }
+
+/// Watermark of a sender lane none of whose receiver lanes is alive.
+constexpr std::uint64_t kNoReader = ~std::uint64_t{0};
 }  // namespace
+
+/// The run's replication state: every physical rank's SharedState, plus the
+/// floor notices a sharded run defers to the window boundary. The world
+/// owns it (see mpi::LayerState).
+class LogicalComm::Registry final : public mpi::LayerState {
+ public:
+  Registry(mpi::World& world, const ReplicaLayout& layout)
+      : world_(world),
+        layout_(layout),
+        ranks_(static_cast<std::size_t>(world.num_ranks())),
+        notices_(static_cast<std::size_t>(world.num_shards())) {}
+
+  const ReplicaLayout& layout() const { return layout_; }
+  SharedState& at(int world_rank) {
+    return ranks_[static_cast<std::size_t>(world_rank)];
+  }
+  const std::vector<SharedState>& ranks() const { return ranks_; }
+
+  /// Receiver `recv_world`'s published floor for `stream` rose. The classic
+  /// engine trims at once; a sharded run defers the trim to the window
+  /// boundary, because the sender lanes may run on other shards' threads.
+  void floor_advanced(int recv_world, TagKey stream) {
+    if (!world_.sharded()) {
+      publish(recv_world, stream);
+      return;
+    }
+    auto& box = notices_[static_cast<std::size_t>(sim::current_shard())];
+    const Notice n{recv_world, stream};
+    if (box.empty() || box.back() != n) box.push_back(n);
+  }
+
+  void at_boundary() override {
+    for (auto& box : notices_) {
+      for (const Notice& n : box) publish(n.recv_world, n.stream);
+      box.clear();
+    }
+  }
+
+ private:
+  struct Notice {
+    int recv_world = 0;
+    TagKey stream = 0;
+    bool operator==(const Notice&) const = default;
+  };
+
+  void publish(int recv_world, TagKey stream);
+  std::uint64_t watermark(int dst, int sender_lane, TagKey stream) const;
+  void trim(int sender_world, TagKey k, std::uint64_t w);
+
+  mpi::World& world_;
+  const ReplicaLayout layout_;
+  std::vector<SharedState> ranks_;
+  std::vector<std::vector<Notice>> notices_;  ///< per shard
+};
+
+/// Trims, below their new watermarks, the logs that the sender lanes of
+/// `stream`'s source keep for receiver `recv_world`'s logical rank.
+void LogicalComm::Registry::publish(int recv_world, TagKey stream) {
+  const int dst = layout_.logical_of(recv_world);
+  const int src = static_cast<int>(stream >> 32);
+  const TagKey k =
+      key(dst, static_cast<int>(static_cast<std::uint32_t>(stream)));
+  const int recv_lane = layout_.lane_of(recv_world);
+  for (int lane = 0; lane < layout_.degree; ++lane) {
+    if (lane == recv_lane) continue;
+    trim(layout_.phys_rank(src, lane), k, watermark(dst, lane, stream));
+  }
+}
+
+/// Lowest published floor for `stream` over the alive lanes of `dst` that
+/// sender lane `sender_lane` could replay to (every lane but its own);
+/// kNoReader when none of them is alive.
+std::uint64_t LogicalComm::Registry::watermark(int dst, int sender_lane,
+                                               TagKey stream) const {
+  std::uint64_t w = kNoReader;
+  for (int j = 0; j < layout_.degree && w > 0; ++j) {
+    const int r = layout_.phys_rank(dst, j);
+    if (j == sender_lane || world_.is_dead(r)) continue;
+    const auto& states = ranks_[static_cast<std::size_t>(r)].recv_state;
+    const auto it = states.find(stream);
+    w = std::min(w, it == states.end() ? 0 : it->second.published());
+  }
+  return w;
+}
+
+void LogicalComm::Registry::trim(int sender_world, TagKey k,
+                                 std::uint64_t w) {
+  SharedState& st = at(sender_world);
+  auto it = st.send_log.find(k);
+  // A dead sender's agent died with it; with no alive reader, nobody NACKs.
+  if (w == kNoReader || world_.is_dead(sender_world)) {
+    if (it != st.send_log.end()) st.erase_log(it);
+    return;
+  }
+  if (w == 0) return;
+  if (it == st.send_log.end()) {
+    // The sender lags the receivers: keep the watermark for its sends.
+    st.send_log.emplace(k, SendLog{w, 0, {}});
+    return;
+  }
+  SendLog& log = it->second;
+  if (w <= log.base) return;
+  log.base = w;
+  auto& entries = log.entries;
+  const auto kept = std::find_if(
+      entries.begin(), entries.end(),
+      [w](const LoggedMsg& m) { return m.seq >= w; });
+  st.live -= static_cast<std::uint64_t>(kept - entries.begin());
+  entries.erase(entries.begin(), kept);
+  if (entries.empty() && log.base <= log.next) st.send_log.erase(it);
+}
 
 LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
     : proc_(proc), layout_(layout) {
@@ -41,17 +155,21 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
       std::move(lanes));
 
   if (replicated()) {
+    registry_ = &proc_.world().layer_state<Registry>(proc_.world(), layout_);
+    REPMPI_CHECK_MSG(registry_->layout().num_logical == layout_.num_logical &&
+                         registry_->layout().degree == layout_.degree,
+                     "every rank of a world must share one replica layout");
+    shared_ = &registry_->at(proc_.world_rank());
     // Streams are keyed per (peer, tag) and collectives burn a fresh tag per
     // call, so these tables grow with the iteration count; start them past
     // the first few rehash doublings.
-    send_seq_.reserve(256);
+    shared_->send_seq.reserve(256);
     recv_seq_.reserve(256);
-    recv_state_.reserve(256);
-    shared_ = std::make_shared<SharedState>();
+    shared_->recv_state.reserve(256);
     shared_->send_log.reserve(256);
     // The progress agent models the MPI library's async progress thread: it
     // serves replay requests even while the main thread is blocked.
-    auto shared = shared_;
+    SharedState* shared = shared_;
     mpi::World* world = &proc_.world();
     const ReplicaLayout lay = layout_;
     const int my_world = proc_.world_rank();
@@ -102,14 +220,14 @@ void LogicalComm::send(int dst, int tag, std::span<const std::byte> bytes) {
   }
 
   const TagKey k = key(dst, tag);
-  const std::uint64_t seq = send_seq_[k]++;
+  const std::uint64_t seq = shared_->send_seq[k]++;
 
   // One capture of header + body; the log entry and every lane transmission
   // below share it by reference.
   const MsgHeader hdr{seq};
   support::Payload payload =
       support::Payload::concat(support::as_bytes_of(hdr), bytes);
-  shared_->send_log[k].push_back(LoggedMsg{seq, payload});
+  log_send(dst, k, seq, payload);
 
   // Replication-protocol bookkeeping (ordering metadata, envelope checks).
   proc_.elapse(proc_.world().model().replication_msg_overhead);
@@ -126,6 +244,29 @@ void LogicalComm::send(int dst, int tag, std::span<const std::byte> bytes) {
     if (proc_.world().is_dead(dst_phys)) continue;
     phys_->send_payload(dst_phys, tag, payload);
   }
+}
+
+void LogicalComm::log_send(int dst, TagKey k, std::uint64_t seq,
+                           const support::Payload& payload) {
+  bool reader = false;
+  for (int j = 0; j < layout_.degree && !reader; ++j)
+    reader = j != lane_ && !proc_.world().is_dead(layout_.phys_rank(dst, j));
+  auto& logs = shared_->send_log;
+  auto it = logs.find(k);
+  if (!reader) {  // no lane of dst can ever NACK this lane for the stream
+    if (it != logs.end()) shared_->erase_log(it);
+    return;
+  }
+  // A fresh record starts at this seq: every earlier one was dropped.
+  if (it == logs.end()) it = logs.emplace(k, SendLog{seq, 0, {}}).first;
+  SendLog& log = it->second;
+  log.next = seq + 1;
+  if (seq < log.base) {  // every receiver lane already passed it
+    if (log.base <= log.next) logs.erase(it);
+    return;
+  }
+  log.entries.push_back(LoggedMsg{seq, payload});
+  shared_->peak = std::max(shared_->peak, ++shared_->live);
 }
 
 // --- recv -------------------------------------------------------------------
@@ -158,17 +299,20 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
   }
 
   const TagKey k = key(req.src_logical, req.tag);
-  RecvState& ks = recv_state_[k];
+  RecvState& ks = shared_->recv_state[k];
   for (;;) {
     // Deliver from the out-of-order stash when possible.
     if (auto it = ks.stash.find(req.expected_seq); it != ks.stash.end()) {
       req.data = std::move(it->second);
       ks.stash.erase(it);
       ks.delivered.insert(req.expected_seq);
+      const std::uint64_t floor = ks.floor;
       while (ks.delivered.count(ks.floor)) {
         ks.delivered.erase(ks.floor);
         ++ks.floor;
       }
+      if (ks.floor != floor && ks.published() == ks.floor)
+        registry_->floor_advanced(proc_.world_rank(), k);
       req.done = true;
       req.status.source = req.src_logical;
       req.status.tag = req.tag;
@@ -189,6 +333,7 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
                                   << req.expected_seq << " designated lane "
                                   << d);
     if (d != lane_ && ks.nacked_lane != d) {
+      ks.nack_floor = std::min(ks.nack_floor, ks.floor);
       send_nack(req.src_logical, req.tag, ks.floor);
       ks.nacked_lane = d;
     }
@@ -282,18 +427,51 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
     const ControlMsg msg = support::from_buffer<ControlMsg>(st->data);
     // Replay logged messages for the requesting stream from expected_seq on.
     const TagKey k = key(msg.requester_logical, msg.tag);
-    const auto it = shared.send_log.find(k);
-    if (it == shared.send_log.end()) continue;
     const int dst_phys =
         layout.phys_rank(msg.requester_logical, msg.requester_lane);
     if (world.is_dead(dst_phys)) continue;
-    for (const LoggedMsg& lm : it->second) {
-      if (lm.seq < msg.expected_seq) continue;
+    const auto it = shared.send_log.find(k);
+    // Seqs below the record's base are gone; without a record, every seq
+    // sent so far is. The trimming rule must never drop one a NACK asks for.
+    std::uint64_t base = 0;
+    if (it != shared.send_log.end()) {
+      base = it->second.base;
+    } else if (const auto s = shared.send_seq.find(k);
+               s != shared.send_seq.end()) {
+      base = s->second;
+    }
+    REPMPI_CHECK_MSG(msg.expected_seq >= base,
+                     "NACK from world rank " << dst_phys << " for tag "
+                                             << msg.tag << " asks for seq "
+                                             << msg.expected_seq
+                                             << ", but the log starts at "
+                                             << base);
+    if (it == shared.send_log.end()) continue;
+    // Snapshot the payloads before the first delay: while the agent yields,
+    // the main fiber may append to this log and trims may shrink or erase it.
+    std::vector<support::Payload> replay;
+    for (const LoggedMsg& lm : it->second.entries) {
+      if (lm.seq >= msg.expected_seq) replay.push_back(lm.payload);
+    }
+    for (support::Payload& payload : replay) {
       ctx.delay(model.send_overhead);
       world.send_payload(my_world, dst_phys, kLogicalChannel,
-                         /*src_comm_rank=*/my_world, msg.tag, lm.payload);
+                         /*src_comm_rank=*/my_world, msg.tag,
+                         std::move(payload));
+      ++shared.replayed;
     }
   }
+}
+
+LogicalComm::LogStats LogicalComm::log_stats(const mpi::World& world) {
+  LogStats out;
+  const auto* registry = dynamic_cast<const Registry*>(world.layer());
+  if (registry == nullptr) return out;
+  for (const SharedState& s : registry->ranks()) {
+    out.high_water += s.peak;
+    out.replayed += s.replayed;
+  }
+  return out;
 }
 
 }  // namespace repmpi::rep

@@ -12,11 +12,19 @@
 //    adds no cross-plane messages in failure-free runs;
 //  * sequence numbers per (source logical rank, tag) enforce in-order,
 //    exactly-once logical delivery;
-//  * every logical send is logged; when a lane dies, the lowest-alive lane
-//    of that logical rank becomes the *cover* for the dead lane: its future
+//  * logical sends are logged; when a lane dies, the lowest-alive lane of
+//    that logical rank becomes the *cover* for the dead lane: its future
 //    sends also go to the orphaned receiver lanes, and its progress agent
 //    replays logged messages on request (NACK) to fill the gap between what
 //    the dead lane managed to send and where the cover took over;
+//  * the log is bounded by the receivers' floors. Sender lane L's log for
+//    a stream (dst, tag) can only be NACKed by receiver lanes j != L of
+//    dst, and a NACK asks for replay from j's floor, so entries below the
+//    lowest floor of the alive such lanes are dropped (all of them when
+//    none is alive). A lane's floor counts only up to its first NACK on the
+//    stream: the NACK is still in flight while the floor moves on, and the
+//    agent replays everything at or above the floor it carries. Trimming is
+//    host-side only; virtual time is never charged for it;
 //  * wildcards are rejected: send-determinism presumes deterministic
 //    matching, and all four evaluation apps comply (paper Section V-A).
 //
@@ -27,6 +35,7 @@
 // MPI library's asynchronous progress thread; it serves NACKs so a cover
 // replays even while its main thread is blocked elsewhere.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -97,6 +106,14 @@ class LogicalComm {
 
   /// Lanes of `logical` whose replica has not been announced dead.
   std::vector<int> alive_lanes(int logical) const;
+
+  /// Host-side send-log statistics of a run, summed over physical ranks
+  /// (zero when no rank of `world` was replicated).
+  struct LogStats {
+    std::uint64_t high_water = 0;  ///< sum of each rank's peak live entries
+    std::uint64_t replayed = 0;    ///< messages resent on NACKs
+  };
+  static LogStats log_stats(const mpi::World& world);
 
   /// Intra-parallel-section guard (paper Definition 1: a section cannot
   /// include message passing). The intra runtime flips this; every logical
@@ -201,10 +218,15 @@ class LogicalComm {
     }
   };
 
-  /// Shared between the main process and its progress agent (same address
-  /// space; the simulator serializes execution, so no locking is needed).
-  struct SharedState {
-    std::unordered_map<TagKey, std::vector<LoggedMsg>, TagKeyHash> send_log;
+  /// One sender lane's log of a stream (dst, tag). Entries are in seq
+  /// order and hold exactly the sent seqs in [base, next): seqs below base
+  /// were trimmed or never logged, since no receiver can ask for them.
+  struct SendLog {
+    std::uint64_t base = 0;
+    /// One past the last seq sent (0 until a send since the record was
+    /// created: a floor can arrive before a lagging sender's first send).
+    std::uint64_t next = 0;
+    std::vector<LoggedMsg> entries;
   };
 
   /// Per-(source, tag) in-order delivery state. `floor` is the lowest seq
@@ -219,13 +241,43 @@ class LogicalComm {
     /// this — the cover may have sent part of the stream before it learned
     /// of the death, so we must request a replay of the gap.
     int nacked_lane = -1;
+    /// Floor carried by this lane's first NACK on the stream (max: none).
+    std::uint64_t nack_floor = ~std::uint64_t{0};
+
+    /// The floor the senders' logs are trimmed by: frozen at the first NACK.
+    std::uint64_t published() const { return std::min(floor, nack_floor); }
   };
+
+  /// Protocol state of one physical rank. The run's Registry owns it, so it
+  /// outlives the rank's LogicalComm (on the stack of the rank's main): the
+  /// progress agent replays from it, and senders read its floors after the
+  /// rank's main has returned. No locking is needed: the classic engine
+  /// runs every fiber on one thread, and a sharded run lets other ranks
+  /// touch this state only at window boundaries.
+  struct SharedState {
+    std::unordered_map<TagKey, std::uint64_t, TagKeyHash> send_seq;
+    std::unordered_map<TagKey, SendLog, TagKeyHash> send_log;
+    std::unordered_map<TagKey, RecvState, TagKeyHash> recv_state;
+    std::uint64_t live = 0;      ///< logged entries held now
+    std::uint64_t peak = 0;      ///< high-water of `live`
+    std::uint64_t replayed = 0;  ///< messages the agent resent on NACKs
+
+    /// Drops a stream's log record with every entry it holds.
+    void erase_log(decltype(send_log)::iterator it) {
+      live -= it->second.entries.size();
+      send_log.erase(it);
+    }
+  };
+
+  class Registry;  // the run's per-rank states; logical_comm.cpp
 
   // Designated sender lane for my lane, for messages from `src_logical`.
   int designated_sender_lane(int src_logical) const;
   int lowest_alive_lane(int logical) const;
 
   void send_nack(int src_logical, int tag, std::uint64_t expected);
+  void log_send(int dst, TagKey k, std::uint64_t seq,
+                const support::Payload& payload);
 
   /// Progress-agent body; static so it cannot touch the (stack-allocated)
   /// LogicalComm after the main process exits or crashes.
@@ -241,11 +293,10 @@ class LogicalComm {
   std::unique_ptr<mpi::Comm> control_;  ///< NACK/shutdown channel
   std::unique_ptr<mpi::Comm> replica_comm_;
 
-  std::unordered_map<TagKey, std::uint64_t, TagKeyHash> send_seq_;
   std::unordered_map<TagKey, std::uint64_t, TagKeyHash> recv_seq_;
-  std::unordered_map<TagKey, RecvState, TagKeyHash> recv_state_;
 
-  std::shared_ptr<SharedState> shared_;
+  Registry* registry_ = nullptr;  ///< null at degree 1
+  SharedState* shared_ = nullptr;  ///< this rank's slot in the registry
   sim::Pid agent_pid_ = sim::kNoPid;
   int coll_tag_ = kCollTagBase;
   bool in_section_ = false;

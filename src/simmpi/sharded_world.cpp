@@ -96,7 +96,12 @@ void ShardedMachine::at_boundary(sim::Time window_end) {
     queue.clear();
   }
 
-  // 3. Companion retirement, once, at the horizon of the window in which
+  // 3. The protocol layer's deferred host-side work (the replication
+  //    layer trims its send logs below the floors its receivers reached).
+  //    It schedules nothing, so virtual time cannot depend on it.
+  if (LayerState* layer = world_->layer()) layer->at_boundary();
+
+  // 4. Companion retirement, once, at the horizon of the window in which
   //    the last main settled — a deterministic virtual time, since which
   //    window that is depends only on the mains' execution.
   if (retire_requested_.load(std::memory_order_relaxed) && !retired_) {

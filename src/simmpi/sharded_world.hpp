@@ -18,8 +18,11 @@
 //     events at exactly crash_time + detection_delay.
 //   * companion retirement — scheduled on every shard at the boundary
 //     horizon of the window where the last main settled.
+//   * the world's layer state — its at_boundary() runs host-side work that
+//     must see every shard's state (the replication layer's log trimming);
+//     it schedules no events.
 //
-// All three application points are functions of virtual time and rank
+// The three event application points are functions of virtual time and rank
 // execution alone, so the resulting event streams — and with them virtual
 // time, counters and fingerprints — are identical at any shard count.
 

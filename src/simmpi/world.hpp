@@ -33,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -100,6 +101,20 @@ class ShardRouter {
   virtual void post_abort(sim::Time when) = 0;
 };
 
+/// Run-scoped state of a protocol layer built on a World (the replication
+/// layer's send logs and receive floors). The world owns it, so it outlives
+/// every rank's stack and is destroyed only after every process unwound.
+class LayerState {
+ public:
+  LayerState() = default;
+  LayerState(const LayerState&) = delete;
+  LayerState& operator=(const LayerState&) = delete;
+  virtual ~LayerState() = default;
+  /// Sharded runs: called serially at every window boundary, with every
+  /// shard quiescent, so it may touch state owned by any rank.
+  virtual void at_boundary() {}
+};
+
 /// Per-process metrics: virtual time attributed to named phases by
 /// ScopedPhase, collected after the run for bench reporting.
 using PhaseTimes = std::map<std::string, double>;
@@ -141,6 +156,27 @@ class World {
   }
 
   const net::MachineModel& model() const { return *model_; }
+
+  /// True when the ranks are spread over a sharded engine's threads.
+  bool sharded() const { return router_ != nullptr; }
+  int num_shards() const {
+    return router_ != nullptr ? router_->num_shards() : 1;
+  }
+
+  /// The world's layer state, constructed from `args` by the first caller
+  /// (a rank fiber on any shard). A world holds one layer's state.
+  template <class T, class... Args>
+  T& layer_state(Args&&... args) {
+    const std::lock_guard<std::mutex> lock(layer_mu_);
+    if (!layer_) layer_ = std::make_unique<T>(std::forward<Args>(args)...);
+    T* state = dynamic_cast<T*>(layer_.get());
+    REPMPI_CHECK_MSG(state != nullptr, "world holds another layer's state");
+    return *state;
+  }
+
+  /// The layer state, or null when no layer created one. Read it after the
+  /// run joins or at a window boundary.
+  LayerState* layer() const { return layer_.get(); }
 
   /// Spawns all ranks; each runs `main_fn` with its own Proc handle. Must be
   /// called exactly once, before Simulator::run().
@@ -358,6 +394,9 @@ class World {
   bool launched_ = false;
   std::atomic<int> mains_done_{0};
   std::atomic<int> mains_crashed_{0};
+
+  std::mutex layer_mu_;  ///< guards the creation of layer_
+  std::unique_ptr<LayerState> layer_;
 
   /// Per-rank straggler factors (node_slowdown mapped through the topology);
   /// empty when the model declares none.

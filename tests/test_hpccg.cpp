@@ -47,6 +47,21 @@ TEST(Hpccg, ConvergesTowardOnes) {
   EXPECT_NEAR(r.xsum, 8.0 * 8.0 * 8.0 * 4, 1e-6 * 8 * 8 * 8 * 4);
 }
 
+TEST(Hpccg, SendLogStaysBoundedAsIterationsGrow) {
+  // The replication send log is trimmed below the receivers' floors, so
+  // its peak does not grow with the run length.
+  HpccgParams p;
+  p.nx = p.ny = p.nz = 6;
+  p.iterations = 4;
+  const auto short_run = run_hpccg(RunMode::kReplicated, 4, p);
+  p.iterations = 16;
+  const auto long_run = run_hpccg(RunMode::kReplicated, 4, p);
+  EXPECT_GT(short_run.run.send_log_high_water, 0u);
+  EXPECT_EQ(long_run.run.send_log_high_water,
+            short_run.run.send_log_high_water);
+  EXPECT_GT(long_run.run.net_messages, 2 * short_run.run.net_messages);
+}
+
 TEST(Hpccg, AllModesAgreeBitwise) {
   HpccgParams p;
   p.nx = p.ny = p.nz = 8;

@@ -129,6 +129,36 @@ TEST(ProtocolWire, NackReplayServedWhileCoverMainIsBlocked) {
   EXPECT_EQ(acks.at(0), 1234);
 }
 
+TEST(ProtocolWire, FloorAdvancingWhileNackInFlightKeepsReplaySet) {
+  // The cover's live sends reach the orphaned receiver lane before it
+  // waits, so it NACKs from floor 0 and then drains the whole stream while
+  // the NACK is still on the wire. Its floor counts for trimming only up to
+  // the NACK's, so the cover still replays every entry the NACK asks for:
+  // the replay set (and the virtual time it costs) is the untrimmed one.
+  RepFixture f(2, 2);
+  constexpr int kMsgs = 6;
+  std::vector<int> lane1_got;
+  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+    if (comm.rank() == 0) {
+      if (comm.lane() == 1) proc.world().crash(proc.world_rank());
+      proc.elapse(0.001);  // the cover knows of the death before sending
+      for (int i = 0; i < kMsgs; ++i) comm.send_value(1, 4, 40 + i);
+      proc.elapse(0.01);  // stay alive to serve the replay
+    } else {
+      if (comm.lane() == 1) proc.elapse(0.002);  // live sends queued first
+      for (int i = 0; i < kMsgs; ++i) {
+        const int v = comm.recv_value<int>(0, 4);
+        if (comm.lane() == 1) lane1_got.push_back(v);
+      }
+    }
+  });
+  std::vector<int> want;
+  for (int i = 0; i < kMsgs; ++i) want.push_back(40 + i);
+  EXPECT_EQ(lane1_got, want);
+  EXPECT_EQ(LogicalComm::log_stats(*f.world).replayed,
+            static_cast<std::uint64_t>(kMsgs));
+}
+
 TEST(ProtocolWire, ReplayIdempotentAcrossTwoSuccessiveCovers) {
   // Degree 3: the receiver's designated sender (lane 2) dies first, the
   // first cover (lane 0) dies later, so the stream is re-NACKed against the

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <vector>
 
+#include "late_crash_scenario.hpp"
 #include "rep_test_harness.hpp"
 #include "replication/layout.hpp"
 
@@ -316,6 +318,29 @@ TEST(ReplicationFailure, DegreeThreeSurvivesTwoCrashes) {
     }
   });
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ReplicationFailure, LateCrashReplaysFromTrimmedLog) {
+  // Hundreds of iterations in, the designated sender of logical 2's lane 1
+  // dies. The cover's log has been trimmed below the receivers' floors all
+  // along, yet the replay must be the one an untrimmed log gives: the
+  // fingerprint and replay count are those of the unbounded log.
+  const apps::RunResult clean =
+      repmpi::testing::run_late_crash_ring(/*shards=*/0, /*crash=*/false);
+  EXPECT_EQ(clean.replayed_sends, 0u);
+  // Bounded: the failure-free log never holds more than a few entries.
+  EXPECT_LT(clean.send_log_high_water, 32u);
+  EXPECT_GT(clean.net_messages, 2000u);
+
+  const apps::RunResult r = repmpi::testing::run_late_crash_ring(0);
+  EXPECT_EQ(r.ranks_crashed, 1);
+  EXPECT_EQ(r.ranks_finished, 7);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.wallclock),
+            std::bit_cast<std::uint64_t>(0x1.4d535c95cf81cp-7))
+      << r.wallclock;
+  EXPECT_EQ(r.net_messages, 2735u);
+  EXPECT_EQ(r.net_bytes, 43800u);
+  EXPECT_EQ(r.replayed_sends, 6u);
 }
 
 TEST(ReplicationTiming, FailureFreeOverheadIsSmall) {

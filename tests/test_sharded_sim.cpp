@@ -16,6 +16,7 @@
 #include "apps/hpccg.hpp"
 #include "apps/runner.hpp"
 #include "fault/failure.hpp"
+#include "late_crash_scenario.hpp"
 #include "net/machine_model.hpp"
 #include "net/topology.hpp"
 #include "simmpi/comm.hpp"
@@ -219,6 +220,23 @@ TEST(ShardInvarianceFaults, CrashMidSectionBitIdenticalAcrossShardCounts) {
   EXPECT_EQ(one.ranks_crashed, 1);
   expect_identical(one, two);
   expect_identical(one, four);
+}
+
+TEST(ShardInvarianceFaults, LateCrashReplaysFromTrimmedLogAtTwoShards) {
+  // The classic-engine scenario of test_replication at shards=2: receivers
+  // on one shard publish floors that trim logs of senders on the other, at
+  // window boundaries. The replay and its virtual time must not change.
+  const apps::RunResult r = testing::run_late_crash_ring(/*shards=*/2);
+  EXPECT_EQ(r.ranks_crashed, 1);
+  EXPECT_EQ(r.ranks_finished, 7);
+  expect_bit_identical(r.wallclock, 0x1.4d535c95cf81cp-7, "wallclock");
+  EXPECT_EQ(r.net_messages, 2735u);
+  EXPECT_EQ(r.net_bytes, 43800u);
+  EXPECT_EQ(r.replayed_sends, 6u);
+  const apps::RunResult clean =
+      testing::run_late_crash_ring(/*shards=*/2, /*crash=*/false);
+  EXPECT_EQ(clean.replayed_sends, 0u);
+  EXPECT_LT(clean.send_log_high_water, 32u);
 }
 
 }  // namespace
