@@ -3,7 +3,7 @@
 // Sharded simulator engine: one simulation, many threads.
 //
 // A ShardedEngine owns N ordinary Simulators ("shards"), each driven by its
-// own dedicated worker thread with its own ladder queue, fiber pool and
+// own dedicated worker thread with its own event lanes, fiber pool and
 // instance-local state — exactly the single-threaded substrate, replicated.
 // The shards advance in lockstep through conservative time windows
 // (sim/time_sync.hpp): a window [W, W + lookahead) is safe to execute in

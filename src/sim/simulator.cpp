@@ -176,10 +176,11 @@ Simulator::~Simulator() {
     delete n;
   }
   ready_tail_ = nullptr;
-  timed_.drain([](EventNode* n) {
+  for (EventNode* n : timed_) {
     if (n->drop != nullptr) n->drop(*n);
     delete n;
-  });
+  }
+  timed_.clear();
   while (free_nodes_ != nullptr) {
     EventNode* next = free_nodes_->next;
     delete free_nodes_;
@@ -497,26 +498,15 @@ void Simulator::run() {
 void Simulator::run_until(Time end) {
   REPMPI_CHECK_MSG(!in_run_, "Simulator::run_until is not reentrant");
   in_run_ = true;
-  for (;;) {
-    // Peek the (t, seq) minimum across both lanes without popping, so an
-    // event at or beyond the horizon stays queued for a later window.
-    EventNode* r = ready_head_;
-    EventNode* m = timed_.peek();
-    const EventNode* min = r;
-    if (min == nullptr ||
-        (m != nullptr &&
-         (m->t < min->t || (m->t == min->t && m->seq < min->seq)))) {
-      min = m;
-    }
-    if (min == nullptr || min->t >= end) break;
-    dispatch(pop_next());
-  }
+  // Peek the earliest pending time before popping, so an event at or
+  // beyond the horizon stays queued for a later window.
+  while (next_event_time() < end) dispatch(pop_next());
   in_run_ = false;
 }
 
-Time Simulator::next_event_time() {
-  EventNode* r = ready_head_;
-  EventNode* m = timed_.peek();
+Time Simulator::next_event_time() const {
+  const EventNode* r = ready_head_;
+  const EventNode* m = timed_min();
   if (r == nullptr && m == nullptr) {
     return std::numeric_limits<Time>::infinity();
   }

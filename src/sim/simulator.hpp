@@ -29,12 +29,11 @@
 //     bypassing the timed queue entirely ("zero-heap wakeups"); the FIFO is
 //     automatically (t, seq)-ordered because entries are created at the
 //     clock with fresh sequence numbers.
-//   * timed lane — a two-level ladder queue (sim/event_queue.hpp) whose
-//     near tier absorbs comm-latency-scale inserts in O(1) and whose far
-//     tier keeps compute-scale delays in a conventional heap.
+//   * timed lane — a binary min-heap (std::push_heap/pop_heap under
+//     EventAfter, sim/event_queue.hpp) holding every later event.
 // Callers may rely on the wakeup ordering contract: an unpark at virtual
 // time t runs after every event already scheduled at t and before anything
-// scheduled later — identical to the binary-heap engine it replaced.
+// scheduled later.
 //
 // Thread-confinement contract: one Simulator is single-threaded by design,
 // but the substrate keeps NO process-wide mutable state, so independent
@@ -47,6 +46,7 @@
 // counters it feeds are thread-local, and everything else it touches is
 // instance-local.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -64,9 +64,8 @@
 
 namespace repmpi::sim {
 
-// Time and Pid are defined in sim/event_queue.hpp (the queue needs them);
-// kNoPid is the canonical spelling of the sentinel.
-constexpr Pid kNoPid = kNoPidValue;
+// Time, Pid and kNoPid are defined in sim/event_queue.hpp (time_sync.hpp
+// needs them too).
 
 class Simulator;
 
@@ -126,8 +125,6 @@ struct SubstrateCounters {
   std::uint64_t fiber_switches = 0;    ///< control transfers into fibers
   std::uint64_t heap_bypass = 0;       ///< ready-lane (same-time) events
   std::uint64_t wakeups_elided = 0;    ///< focused waits: wakes never issued
-  std::uint64_t queue_near_inserts = 0;  ///< ladder near-tier inserts
-  std::uint64_t queue_far_inserts = 0;   ///< ladder far-tier inserts
 };
 
 /// Thrown inside a simulated process when it is killed; the process body must
@@ -247,15 +244,15 @@ class Simulator {
   std::size_t num_processes() const { return procs_.size(); }
   std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Snapshot of this instance's substrate counters (events, messages,
-  /// stack-pool reuse). Monotonic over the simulator's lifetime; callers
-  /// running many simulators concurrently diff snapshots per run instead of
-  /// reading the thread-local process totals.
+  /// Snapshot of this instance's substrate counters: events, messages,
+  /// stack-pool reuse, fiber switches, ready-lane events and elided
+  /// wakeups. Monotonic over the simulator's lifetime; callers running many
+  /// simulators concurrently diff snapshots per run instead of reading the
+  /// thread-local process totals.
   SubstrateCounters counters() const {
-    const LadderQueue::Stats& q = timed_.stats();
-    return {events_executed_,  messages_,       stacks_allocated_,
-            stacks_reused_,    fiber_switches_, heap_bypass_,
-            wakeups_elided_,   q.near_inserts,  q.far_inserts};
+    return {events_executed_, messages_,       stacks_allocated_,
+            stacks_reused_,   fiber_switches_, heap_bypass_,
+            wakeups_elided_};
   }
 
   /// Called by an attached Network (same thread by the confinement
@@ -277,7 +274,7 @@ class Simulator {
   /// Earliest pending event time across both lanes, or +infinity when the
   /// queue is empty. Used by the sharded engine to compute the next global
   /// time window.
-  Time next_event_time();
+  Time next_event_time() const;
 
   /// Disables delay()'s advance-in-place fast path so every delay schedules
   /// a timed resume event. The fast path's trigger condition ("no pending
@@ -368,7 +365,7 @@ class Simulator {
     std::exception_ptr pending_exception;
   };
 
-  // EventNode / EventAfter / LadderQueue live in sim/event_queue.hpp.
+  // EventNode / EventAfter live in sim/event_queue.hpp.
 
   template <typename F>
   void attach_callable(EventNode* n, F&& fn) {
@@ -408,7 +405,7 @@ class Simulator {
   void release_node(EventNode* n);
 
   /// Routes a filled node to the right lane: the ready FIFO when it is due
-  /// at the current instant (zero timed-queue traffic), the ladder queue
+  /// at the current instant (zero timed-queue traffic), the timed heap
   /// otherwise.
   void enqueue(EventNode* n) {
     if (n->t <= now_) {
@@ -421,8 +418,21 @@ class Simulator {
       ready_tail_ = n;
       ++heap_bypass_;
     } else {
-      timed_.push(n, now_);
+      timed_.push_back(n);
+      std::push_heap(timed_.begin(), timed_.end(), EventAfter{});
     }
+  }
+
+  /// The timed lane's (t, seq) minimum, or nullptr when it is empty.
+  EventNode* timed_min() const {
+    return timed_.empty() ? nullptr : timed_.front();
+  }
+
+  EventNode* pop_timed() {
+    std::pop_heap(timed_.begin(), timed_.end(), EventAfter{});
+    EventNode* n = timed_.back();
+    timed_.pop_back();
+    return n;
   }
 
   /// Next event in strict (t, seq) order across both lanes, or nullptr.
@@ -430,12 +440,11 @@ class Simulator {
   /// comparison against the timed lane's minimum.
   EventNode* pop_next() {
     EventNode* r = ready_head_;
-    if (r == nullptr) return timed_.pop();
-    EventNode* m = timed_.peek();
-    if (m != nullptr &&
-        (m->t < r->t || (m->t == r->t && m->seq < r->seq))) {
-      return timed_.pop();
+    EventNode* m = timed_min();
+    if (m != nullptr && (r == nullptr || EventAfter{}(r, m))) {
+      return pop_timed();
     }
+    if (r == nullptr) return nullptr;
     ready_head_ = r->next;
     if (ready_head_ == nullptr) ready_tail_ = nullptr;
     return r;
@@ -443,9 +452,9 @@ class Simulator {
 
   /// True when no pending event is due at or before `t` — the condition for
   /// delay()'s advance-in-place fast path.
-  bool nothing_before(Time t) {
+  bool nothing_before(Time t) const {
     if (ready_head_ != nullptr) return false;
-    EventNode* m = timed_.peek();
+    EventNode* m = timed_min();
     return m == nullptr || m->t > t;
   }
 
@@ -503,7 +512,7 @@ class Simulator {
   std::uint64_t heap_bypass_ = 0;     ///< ready-lane events
   std::uint64_t wakeups_elided_ = 0;  ///< unpark_hint suppressions
   SubstrateTotals flushed_;           ///< already added to substrate totals
-  LadderQueue timed_;                 ///< future events, (t, seq) order
+  std::vector<EventNode*> timed_;     ///< min-heap of future events
   EventNode* ready_head_ = nullptr;   ///< same-instant FIFO (seq order)
   EventNode* ready_tail_ = nullptr;
   EventNode* free_nodes_ = nullptr;

@@ -124,8 +124,6 @@ sim::SubstrateCounters ShardedMachine::counters() const {
     total.fiber_switches += c.fiber_switches;
     total.heap_bypass += c.heap_bypass;
     total.wakeups_elided += c.wakeups_elided;
-    total.queue_near_inserts += c.queue_near_inserts;
-    total.queue_far_inserts += c.queue_far_inserts;
   }
   return total;
 }

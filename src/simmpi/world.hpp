@@ -137,17 +137,6 @@ class World {
 
   int num_ranks() const { return num_ranks_; }
 
-  /// Legacy single-simulator accessors; invalid on a sharded world (use
-  /// sim_of / net_of with a rank).
-  sim::Simulator& simulator() {
-    REPMPI_CHECK_MSG(sim_ != nullptr, "sharded world has no single simulator");
-    return *sim_;
-  }
-  net::Network& network() {
-    REPMPI_CHECK_MSG(net_ != nullptr, "sharded world has no single network");
-    return *net_;
-  }
-
   /// The simulator owning `world_rank`'s process (its shard's, or the
   /// single one). Spawning a companion for a rank must go through this.
   sim::Simulator& sim_of(int world_rank) {

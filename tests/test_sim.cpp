@@ -7,15 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/time_sync.hpp"
 #include "support/error.hpp"
 
 namespace repmpi::sim {
@@ -391,10 +389,10 @@ TEST(Sim, UnparkThenDelayYieldsToWokenProcessFirst) {
 }
 
 TEST(Sim, MixedScaleTimestampsPopInStableGlobalOrder) {
-  // Deterministic pseudo-random mix of microsecond-scale (comm latency) and
-  // second-scale (compute delay) timestamps, with duplicates: pops must
-  // follow (time, schedule order) exactly. Exercises near/far routing and
-  // re-anchoring in a tiered queue.
+  // Ordering contract across timestamp scales: for a deterministic
+  // pseudo-random mix of microsecond-scale (comm latency) and second-scale
+  // (compute delay) timestamps, with an exact tie repeated across scales,
+  // pops follow (time, schedule order) exactly.
   Simulator sim;
   std::vector<std::pair<double, int>> expected;
   std::vector<std::pair<double, int>> got;
@@ -424,16 +422,16 @@ TEST(Sim, MixedScaleTimestampsPopInStableGlobalOrder) {
 }
 
 TEST(Sim, HugeTimestampAfterCommScaleTrafficStillDrains) {
-  // Regression: once the queue's width estimate has tuned itself to
-  // microsecond leads, an event at a timestamp so large that a
-  // comm-scale window rounds away in double (base + 512*w == base) must
-  // still drain — the re-anchor path has to guarantee progress instead of
-  // re-anchoring forever.
+  // Ordering contract at extreme timestamps: after thousands of
+  // microsecond-lead delays, events at 1e13 s and beyond, where a
+  // microsecond rounds away in double, still all run and the clock ends on
+  // the last of them.
   Simulator sim;
   int ran = 0;
   Time last = -1;
-  // Two interleaved delayers: every delay sees the other's pending resume,
-  // takes the slow path, and feeds a ~2 us lead to the width estimator.
+  // Two interleaved delayers: every delay sees the other's pending resume
+  // and takes the slow path, so the timed lane holds ~2 us leads next to
+  // the 1e13 s events.
   for (int pnum = 0; pnum < 2; ++pnum) {
     std::string pname = "p";
     pname += std::to_string(pnum);
@@ -452,123 +450,107 @@ TEST(Sim, HugeTimestampAfterCommScaleTrafficStillDrains) {
   EXPECT_DOUBLE_EQ(last, 2e13);
 }
 
-// --- LadderQueue driven directly -------------------------------------------
+// --- Randomized differential check of the two lanes ------------------------
 
-/// Stable-address node arena for driving the queue without a Simulator.
-struct NodeArena {
-  std::deque<EventNode> pool;
+/// A randomized schedule driven through a Simulator. Every dispatched
+/// callback schedules 0-3 children from inside the run, with timestamps
+/// drawn from adversarial mixes: zero leads (ready lane) next to timed ties,
+/// exact same-instant bursts, denormal leads, a 12-decade tail and a 1e15
+/// far tail. Children derive from their parent's key, not from dispatch
+/// order. Records every (t, id) in schedule order and in dispatch order.
+class RandomSchedule {
+ public:
+  RandomSchedule(Simulator& sim, std::size_t cap) : sim_(sim), cap_(cap) {}
 
-  EventNode* make(Time t, std::uint64_t seq) {
-    pool.emplace_back();
-    pool.back().t = t;
-    pool.back().seq = seq;
-    return &pool.back();
+  void schedule(Time t, std::uint64_t key) {
+    if (scheduled.size() >= cap_) return;
+    const int id = static_cast<int>(scheduled.size());
+    scheduled.emplace_back(t, id);
+    last_t_ = t;
+    sim_.schedule_at(t, [this, t, id, key] { fire(t, id, key); });
   }
-};
 
-TEST(LadderQueue, DrainResetsEpochForReuse) {
-  // Regression: drain() used to keep the old epoch's window (base_, cur_,
-  // active_end_, width estimate). Reusing the queue with timestamps *below*
-  // the stale base then computed a negative bucket offset (undefined
-  // unsigned conversion), and a stale active_end_ silently degraded every
-  // push to a sorted-lane insert. A drained queue must behave like a
-  // freshly constructed one.
-  LadderQueue q;
-  NodeArena arena;
-  // First epoch: anchor the window around t ~ 1e9 and consume half of it so
-  // base_/cur_ move well past zero.
-  for (int i = 0; i < 300; ++i) {
-    q.push(arena.make(1e9 + 1e-6 * i, static_cast<std::uint64_t>(i)), 1e9);
+  std::vector<std::pair<Time, int>> scheduled;
+  std::vector<std::pair<Time, int>> dispatched;
+
+ private:
+  static std::uint64_t mix(std::uint64_t x) {  // splitmix64 finalizer
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
   }
-  for (int i = 0; i < 150; ++i) ASSERT_NE(q.pop(), nullptr);
-  int drained = 0;
-  q.drain([&](EventNode*) { ++drained; });
-  EXPECT_EQ(drained, 150);
-  ASSERT_TRUE(q.empty());
 
-  // Second epoch: near-zero timestamps, pushed in reverse, must pop in
-  // strict (t, seq) order and all come back out.
-  std::uint64_t seq = 1000;
-  for (int i = 299; i >= 0; --i) q.push(arena.make(1e-9 * i, seq++), 0.0);
-  double last = -1.0;
-  int popped = 0;
-  while (EventNode* n = q.pop()) {
-    EXPECT_GT(n->t, last);
-    last = n->t;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 300);
-  EXPECT_DOUBLE_EQ(last, 1e-9 * 299);
-}
-
-TEST(LadderQueue, RandomizedDifferentialAgainstPriorityQueue) {
-  // Differential check against std::priority_queue on adversarial mixes:
-  // huge bases, denormal / near-zero leads, exact same-instant bursts, and
-  // heavy far-tier tails, with pops interleaved. Every pop must match the
-  // reference's strict (t, seq) minimum bit-for-bit.
-  using Ref = std::pair<double, std::uint64_t>;
-  const double bases[] = {0.0, 1e15, 1.0};
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    std::uint64_t state = 0x9e3779b97f4a7c15ULL ^
-                          (trial * 0x517cc1b727220a95ULL + 0xda3e39cb94b95bdbULL);
-    auto rnd = [&state] {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      return state >> 11;
-    };
-    LadderQueue q;
-    NodeArena arena;
-    std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
-    double now = bases[trial % 3];
-    double last_t = now;
-    std::uint64_t seq = 0;
-    const auto step = [&] {
-      if (!ref.empty() && rnd() % 4 == 0) {
-        EventNode* n = q.pop();
-        ASSERT_NE(n, nullptr);
-        ASSERT_EQ(n->t, ref.top().first);
-        ASSERT_EQ(n->seq, ref.top().second);
-        now = n->t;
-        ref.pop();
-        return;
-      }
-      double t;
-      switch (rnd() % 6) {
-        case 0:
-          t = last_t;  // exact same-instant burst (reuses a prior timestamp)
+  void fire(Time t, int id, std::uint64_t key) {
+    EXPECT_EQ(sim_.now(), t);
+    dispatched.emplace_back(t, id);
+    const Time now = sim_.now();
+    const std::uint64_t children = mix(key) % 4;
+    for (std::uint64_t c = 0; c < children; ++c) {
+      const std::uint64_t r = mix(key ^ mix(c + 1));
+      const std::uint64_t v = r >> 8;
+      switch (r % 6) {
+        case 0:  // exact same-instant burst on an earlier timestamp
+          for (int b = 0; b < 3; ++b) schedule(std::max(last_t_, now), r + b);
           break;
-        case 1:
-          t = now + 5e-318 * static_cast<double>(1 + rnd() % 3);  // denormal
+        case 1:  // denormal lead: rounds away to `now` unless now == 0
+          schedule(now + 5e-318 * static_cast<double>(1 + v % 3), r);
           break;
-        case 2:
-          t = now;  // zero lead
+        case 2:  // zero lead: the ready lane
+          schedule(now, r);
           break;
-        case 3:
-          t = now + 1e-9 * static_cast<double>(rnd() % 4000);  // comm scale
+        case 3:  // comm scale
+          schedule(now + 1e-9 * static_cast<double>(v % 4000), r);
           break;
         case 4:  // heavy tail: leads spanning 12 decades
-          t = now + 1e-6 * std::pow(10.0, static_cast<double>(rnd() % 12));
+          schedule(now + 1e-6 * std::pow(10.0, static_cast<double>(v % 12)),
+                   r);
           break;
-        default:
-          t = now + 1e15;  // far tier
+        default:  // far tail
+          schedule(now + 1e15, r);
           break;
       }
-      if (t < now) t = now;  // FP guard; the contract forbids past pushes
-      last_t = t;
-      q.push(arena.make(t, seq), now);
-      ref.emplace(t, seq);
-      ++seq;
-    };
-    for (int op = 0; op < 4000; ++op) step();
-    while (!ref.empty()) {
-      EventNode* n = q.pop();
-      ASSERT_NE(n, nullptr);
-      ASSERT_EQ(n->t, ref.top().first);
-      ASSERT_EQ(n->seq, ref.top().second);
-      now = n->t;
-      ref.pop();
     }
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.pop(), nullptr);
+  }
+
+  Simulator& sim_;
+  std::size_t cap_;
+  Time last_t_ = 0.0;
+};
+
+TEST(Sim, RandomizedScheduleDispatchesInStableTimeOrder) {
+  // Differential check of the ready/timed lane merge: dispatch order must
+  // equal a stable sort of every scheduled event by (t, schedule order).
+  // Each schedule runs twice, once through run() and once through
+  // run_until() in the sharded engine's fixed-lookahead windows, so the
+  // window loop's peek-merge is pinned to the same order.
+  const Time bases[] = {0.0, 1e15, 1.0};
+  const Time lookaheads[] = {1e-6, 2.5e-9};
+  for (std::uint64_t trial = 0; trial < 6; ++trial) {
+    std::vector<std::pair<Time, int>> orders[2];
+    for (int windowed = 0; windowed < 2; ++windowed) {
+      Simulator sim;
+      RandomSchedule sched(sim, 3000);
+      for (std::uint64_t k = 0; k < 32; ++k) {
+        sched.schedule(bases[trial % 3], trial * 1000 + k);
+      }
+      if (windowed == 0) {
+        sim.run();
+      } else {
+        WindowClock clock(lookaheads[trial % 2]);
+        while (clock.advance(sim.next_event_time())) sim.run_until(clock.end());
+      }
+      std::vector<std::pair<Time, int>> expected = sched.scheduled;
+      std::stable_sort(
+          expected.begin(), expected.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      ASSERT_EQ(expected.size(), 3000u) << "trial " << trial;
+      ASSERT_TRUE(sched.dispatched == expected)
+          << "trial " << trial << " windowed " << windowed;
+      EXPECT_GT(sim.counters().heap_bypass, 0u);
+      orders[windowed] = std::move(sched.dispatched);
+    }
+    EXPECT_TRUE(orders[0] == orders[1]) << "trial " << trial;
   }
 }
 
