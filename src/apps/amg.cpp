@@ -438,15 +438,11 @@ AmgResult amg(AppContext& ctx, const AmgParams& p) {
   std::vector<double> b(solver.n(), 0.0);
   {
     mpi::ScopedPhase sp(ctx.proc, "setup");
-    ctx.share.shared("setup.rhs", {std::as_writable_bytes(std::span(b))},
-                     [&]() -> net::ComputeCost {
-                       std::vector<double> ones(
-                           solver.fine().a->vector_len(), 1.0);
-                       kernels::sparsemv(*solver.fine().a, ones, b);
-                       return {};
-                     });
-    ctx.proc.compute(kernels::sparsemv_cost(solver.fine().a->rows(),
-                                            solver.fine().a->nnz()));
+    ctx.proc.compute(ctx.share.shared(
+        "setup.rhs", {std::as_writable_bytes(std::span(b))}, [&] {
+          std::vector<double> ones(solver.fine().a->vector_len(), 1.0);
+          return kernels::sparsemv(*solver.fine().a, ones, b);
+        }));
   }
   return p.solver == AmgParams::Solver::kPCG ? solve_pcg(solver, p, b)
                                              : solve_gmres(solver, p, b);

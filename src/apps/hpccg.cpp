@@ -83,13 +83,11 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
 
     // b = A * ones (with neighbor halos = 1 where neighbors exist), the
     // HPCCG right-hand side: the exact solution is the all-ones vector.
-    ctx.share.shared("setup.rhs", {std::as_writable_bytes(std::span(b))},
-                     [&]() -> net::ComputeCost {
-                       std::vector<double> ones(a.vector_len(), 1.0);
-                       kernels::sparsemv(a, ones, b);
-                       return {};
-                     });
-    ctx.proc.compute(kernels::sparsemv_cost(a.rows(), a.nnz()));
+    ctx.proc.compute(ctx.share.shared(
+        "setup.rhs", {std::as_writable_bytes(std::span(b))}, [&] {
+          std::vector<double> ones(a.vector_len(), 1.0);
+          return kernels::sparsemv(a, ones, b);
+        }));
   }
   const kernels::CsrMatrix& a = *a_ptr;
 

@@ -253,46 +253,16 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
   // Replica-compute sharing (host-side only): replicas of a logical rank
   // execute bit-identical kernel regions, so compute each once and share the
   // output bytes. Never in kReplicatedVerify — that mode exists to duplicate
-  // execution for SDC detection. The cache is owned by this run and touched
-  // only by this simulator's fibers (thread-confinement contract — which is
-  // also why sharded runs leave it off).
+  // execution for SDC detection — and never under a fault plan: crash and
+  // SDC rules count real executions, and a corrupted replica diverges. The
+  // cache is owned by this run and touched only by this simulator's fibers
+  // (thread-confinement contract — which is also why sharded runs leave it
+  // off).
   std::unique_ptr<support::ComputeCache> cache;
   if (cfg.effective_degree() > 1 && cfg.mode != RunMode::kReplicatedVerify &&
+      (cfg.faults == nullptr || cfg.faults->empty()) &&
       !support::ComputeCache::disabled_by_env()) {
     cache = std::make_unique<support::ComputeCache>(cfg.effective_degree());
-    if (cfg.faults != nullptr && !cfg.faults->empty()) {
-      fault::FaultPlan* faults = cfg.faults;
-      support::ComputeCache* c = cache.get();
-      mpi::World* w = &world;
-      // SDC leaves a replica silently diverged for the rest of the run:
-      // poison (permanent bypass). A crash is fail-stop — survivors stay
-      // consistent under send-determinism — so only the pending epoch is
-      // invalidated, each logical rank's expected-consumer count drops to
-      // its surviving siblings (a lone survivor stops publishing), and
-      // sharing resumes.
-      cache->set_divergence_probe(
-          [faults, c, w, layout, crashes_seen = 0]() mutable {
-            if (faults->corruptions_fired() > 0) {
-              c->poison();
-              return;
-            }
-            const int fired = faults->fired();
-            if (fired > crashes_seen) {
-              crashes_seen = fired;
-              c->invalidate_all();
-              for (int l = 0; l < layout.num_logical; ++l) {
-                int alive = 0;
-                for (int k = 0; k < layout.degree; ++k) {
-                  if (!w->crash_pending(layout.phys_rank(l, k))) ++alive;
-                }
-                // Both replicas of l may be dead (alive == 0): clamp so the
-                // probe never asks for a negative consumer count while the
-                // job-failure abort is in flight.
-                c->set_expected_consumers(l, std::max(0, alive - 1));
-              }
-            }
-          });
-    }
   }
 
   RankOutputs out(layout.num_physical());

@@ -75,7 +75,8 @@ struct RunConfig {
   /// and byte counts, per-rank event streams — are bit-identical at every
   /// shard count; only host wall-clock changes. Replica-compute sharing is
   /// host-side machinery confined to one thread and is disabled when
-  /// sharded (it never affects simulated results either way).
+  /// sharded (it never affects simulated results either way, and its
+  /// decisions read no clock, only the config and modelled costs).
   int shards = 0;
   /// Host kernel backend for this run's batch kernels (SpMV, stencil, PIC,
   /// vector ops). kAuto = the process default (best supported by CPUID).
@@ -108,7 +109,8 @@ struct AppContext {
   rep::LogicalComm& comm;
   intra::Runtime& intra;
   const RunConfig& cfg;
-  /// Replica-compute sharing handle (inert at degree 1 / in verify modes):
+  /// Replica-compute sharing handle (inert at degree 1, in verify mode,
+  /// under a fault plan and in sharded runs):
   /// deterministic kernel regions the app routes through share.shared() are
   /// computed once per logical rank on the host and their output bytes
   /// shared with the sibling replicas, while every replica still charges
@@ -148,7 +150,9 @@ struct RunResult {
   /// domain cap; the run used the plain paper placement instead.
   bool placement_fallback = false;
   /// Host-side replica-compute sharing counters for this run (zero when
-  /// sharing was off: degree 1, kReplicatedVerify, or REPMPI_NO_SHARED_COMPUTE).
+  /// sharing was off: degree 1, kReplicatedVerify, a non-empty fault plan,
+  /// shards > 0, or REPMPI_NO_SHARED_COMPUTE). A function of the config
+  /// alone: the same config gives the same counters on any host.
   support::ComputeCacheStats compute_cache;
   /// DES events executed by this run (summed over shards when sharded).
   /// Invariant across shard counts on homogeneous machines. With per-node

@@ -123,8 +123,7 @@ class FaultPlan {
   bool should_corrupt(mpi::Proc& proc);
 
   /// Called by the runner's timed-crash control event after it kills a
-  /// victim, so observers polling fired() (the replica-compute-sharing
-  /// divergence probe) see timed deaths exactly like site-rule deaths.
+  /// victim, so fired() counts timed deaths exactly like site-rule deaths.
   void note_timed_fired() {
     std::lock_guard<std::mutex> lock(mu_);
     ++fired_;

@@ -251,11 +251,9 @@ void Runtime::section_end() {
     // or a lone survivor: execute all tasks locally; no updates to ship.
     // In classic replication the executions are bit-identical across the
     // replicas of this logical rank, so the host computes each task once
-    // and shares the outputs (virtual time and stats are unchanged). Fault
-    // plans force real execution: crash/SDC rules count task executions.
+    // and shares the outputs (virtual time and stats are unchanged).
     const bool dedupe = config_.share != nullptr && config_.share->active() &&
-                        config_.mode == Mode::kAllLocal && lanes.size() > 1 &&
-                        (config_.faults == nullptr || config_.faults->empty());
+                        config_.mode == Mode::kAllLocal && lanes.size() > 1;
     for (Task& t : tasks_) {
       maybe_crash(fault::CrashSite::kBeforeTaskExec,
                   static_cast<int>(&t - tasks_.data()));

@@ -89,7 +89,7 @@ class Runtime {
     /// mode — classic replication, where every replica executes every task —
     /// task bodies are deduped through it on the host: computed once per
     /// logical rank, outputs shared, full simulated cost still charged per
-    /// replica. Bypassed whenever a fault plan is present (crash/SDC
+    /// replica. Runs with a fault plan get an inert handle (crash/SDC
     /// injection counts per task execution, so executions must be real).
     support::ComputeClient* share = nullptr;
   };

@@ -1,6 +1,5 @@
 #include "support/compute_cache.hpp"
 
-#include <chrono>
 #include <cstring>
 
 namespace repmpi::support {
@@ -20,14 +19,10 @@ void add_compute_cache_totals(const ComputeCacheStats& s) {
   g_totals.uncached += s.uncached;
 }
 
-bool ComputeCache::worth_publishing(double compute_ns, std::size_t bytes,
-                                    int consumers) {
-  if (bytes < kMinAdaptiveBytes) return true;
-  // ~8 B/ns sustained host memcpy (the pooled entry buffers keep their pages
-  // warm); publishing pays (1 + consumers) copies, skipping pays `consumers`
-  // recomputes.
-  const double copy_ns = static_cast<double>(bytes) / 8.0;
-  return compute_ns * consumers > copy_ns * (1 + consumers);
+bool ComputeCache::worth_publishing(const net::ComputeCost& cost,
+                                    std::size_t bytes) {
+  return bytes < kMinAdaptiveBytes ||
+         cost.flops >= static_cast<double>(bytes);
 }
 
 ComputeCache::ComputeCache(int degree, std::size_t max_bytes)
@@ -38,21 +33,6 @@ ComputeCache::ComputeCache(int degree, std::size_t max_bytes)
 }
 
 ComputeCache::~ComputeCache() { add_compute_cache_totals(stats_); }
-
-void ComputeCache::poison() {
-  poisoned_ = true;
-  invalidate_all();
-}
-
-void ComputeCache::invalidate_all() {
-  map_.clear();
-  fifo_.clear();
-  total_bytes_ = 0;
-}
-
-void ComputeCache::set_expected_consumers(int logical, int n) {
-  consumer_overrides_[logical] = n;
-}
 
 Buffer ComputeCache::acquire_buffer() {
   if (buffer_pool_.empty()) return Buffer{};
@@ -79,10 +59,10 @@ void ComputeCache::erase(
 
 void ComputeCache::insert(const Key& key,
                           std::span<const std::span<std::byte>> outs,
-                          const net::ComputeCost& cost, int consumers) {
+                          const net::ComputeCost& cost) {
   Entry e;
   e.cost = cost;
-  e.consumers_left = consumers;
+  e.consumers_left = degree_ - 1;
   e.outputs.reserve(outs.size());
   for (const auto& s : outs) {
     Buffer b = acquire_buffer();
@@ -108,29 +88,15 @@ void ComputeCache::insert(const Key& key,
 net::ComputeCost ComputeCache::lookup(
     int logical, std::uint64_t step, std::string_view phase,
     std::span<const std::span<std::byte>> outs, ComputeFnRef compute) {
-  if (!poisoned_ && probe_) probe_();
-  // Poisoned cache, or a logical rank left without siblings to share with
-  // (lone crash survivor): compute without publishing.
-  const int consumers = consumers_for(logical);
-  if (poisoned_ || consumers <= 0) {
-    ++stats_.bypasses;
-    return compute();
-  }
-
   const Key key{logical, step, fnv1a(phase)};
   const auto it = map_.find(key);
   if (it == map_.end()) {
-    const auto t0 = std::chrono::steady_clock::now();
     const net::ComputeCost cost = compute();
-    const double compute_ns =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
     ++stats_.misses;
     std::size_t bytes = 0;
     for (const auto& s : outs) bytes += s.size();
-    if (worth_publishing(compute_ns, bytes, consumers)) {
-      insert(key, outs, cost, consumers);
+    if (worth_publishing(cost, bytes)) {
+      insert(key, outs, cost);
     } else {
       ++stats_.uncached;
     }

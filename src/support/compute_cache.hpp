@@ -23,14 +23,14 @@
 //    execution (each original `compute(cost)` call site still performs
 //    exactly one `compute` with exactly the same cost value);
 //  * entries are erased as soon as every sibling consumed them (degree - 1
-//    consumers), with a byte-capped FIFO as backstop for replicas that
-//    crash before consuming;
-//  * divergence safety: a configurable probe (wired to the run's FaultPlan)
-//    poisons the cache the moment any crash or silent-data-corruption rule
-//    fires — pending entries are dropped and every later region falls back
-//    to real execution, so diverged replicas never share state. Runs in
-//    SDC-verify mode (kReplicatedVerify) never get a cache at all: that
-//    mode's purpose is duplicate execution;
+//    consumers), with a byte-capped FIFO as backstop for a producer that
+//    runs far ahead of a lagging sibling;
+//  * every decision is a pure function of the run's configuration and each
+//    region's modelled cost: the cache reads no clock, so which regions are
+//    published — and with it every stat — is the same on any host. Runs with
+//    a fault plan never get a cache (crash and SDC rules count real
+//    executions and corrupted replicas diverge), nor do runs in SDC-verify
+//    mode (kReplicatedVerify), whose purpose is duplicate execution;
 //  * REPMPI_VERIFY_SHARED_COMPUTE=1 turns every hit into a
 //    recompute-and-compare: the region executes anyway and the result must
 //    match the cached bytes and cost bit for bit (test/CI mode; catches any
@@ -151,10 +151,10 @@ class FifoMemo {
 struct ComputeCacheStats {
   std::uint64_t hits = 0;        ///< regions served from a sibling's result
   std::uint64_t misses = 0;      ///< regions computed (and published)
-  std::uint64_t bypasses = 0;    ///< regions computed with sharing poisoned
+  std::uint64_t bypasses = 0;    ///< always 0 (nothing bypasses the cache)
   std::uint64_t evictions = 0;   ///< entries dropped by the byte cap
   std::uint64_t shared_bytes = 0;  ///< output bytes served from the cache
-  std::uint64_t uncached = 0;    ///< publishes skipped (recompute ~ memcpy)
+  std::uint64_t uncached = 0;    ///< publishes skipped (recompute < memcpy)
 };
 
 /// Thread-local process-wide totals across every ComputeCache that lived on
@@ -168,7 +168,7 @@ class ComputeCache {
  public:
   /// Default byte cap for pending (not-yet-consumed) output copies. Entries
   /// normally die as soon as all siblings consumed them; the cap only
-  /// matters when a replica crashed before consuming.
+  /// matters when a producer runs far ahead of a lagging sibling.
   static constexpr std::size_t kDefaultMaxBytes = 128u << 20;
 
   explicit ComputeCache(int degree, std::size_t max_bytes = kDefaultMaxBytes);
@@ -177,33 +177,6 @@ class ComputeCache {
   ComputeCache(const ComputeCache&) = delete;
   ComputeCache& operator=(const ComputeCache&) = delete;
 
-  /// Fault probe, polled before every region; it may call poison() and/or
-  /// invalidate_all() on this cache. The runner wires it to the run's
-  /// FaultPlan counters: a silent-data-corruption rule firing poisons the
-  /// cache permanently (corrupted replicas diverge for good), while a crash
-  /// rule firing only invalidates the pending epoch — fail-stop survivors
-  /// remain consistent (send-determinism), so sharing resumes afterwards.
-  void set_divergence_probe(std::function<void()> probe) {
-    probe_ = std::move(probe);
-  }
-
-  /// Permanently stops sharing for the rest of the run and drops pending
-  /// entries (what the divergence probe triggers).
-  void poison();
-
-  /// Starts a new epoch: drops every pending entry; sharing continues.
-  /// Invoked by the fault probe on crash rules (and directly by tests).
-  void invalidate_all();
-
-  /// Adjusts how many siblings are expected to consume entries published
-  /// for `logical` (default: degree - 1). The fault probe calls this after
-  /// a crash with the surviving-sibling count, so a lone survivor stops
-  /// publishing copies nobody will read and degree-3 entries stop
-  /// lingering when only one sibling remains. n <= 0 bypasses sharing for
-  /// that logical rank entirely.
-  void set_expected_consumers(int logical, int n);
-
-  bool poisoned() const { return poisoned_; }
   int degree() const { return degree_; }
   const ComputeCacheStats& stats() const { return stats_; }
   std::size_t pending_entries() const { return map_.size(); }
@@ -258,27 +231,20 @@ class ComputeCache {
                           ComputeFnRef compute);
   /// Cost-aware publish decision. Sharing a region costs one copy into the
   /// cache plus one copy per consuming sibling; skipping costs each sibling
-  /// a recompute instead. For memory-bound kernels (waxpby at MB sizes — or
-  /// any kernel once a SIMD backend makes it fast enough) the recompute is
-  /// cheaper than the two copies, so publishing only adds memcpy traffic.
-  /// The decision is host-timing-based and may differ between runs, which
-  /// is safe: a sibling that misses recomputes bit-identical bytes and
-  /// charges the identical simulated cost (residency never affects
-  /// results). Small regions always publish — below kMinAdaptiveBytes the
-  /// copies are cheap and unit-scale timings are mostly noise.
-  static bool worth_publishing(double compute_ns, std::size_t bytes,
-                               int consumers);
+  /// a recompute instead. A region publishes when it does at least one
+  /// modelled flop per output byte: that keeps SpMV (1.75 flops/B at 7
+  /// points, 6.75 at 27) and stencil27 (3.75), and drops the memory-bound
+  /// vector family (waxpby 0.25), whose recompute is cheaper than two
+  /// copies of its output. Regions below kMinAdaptiveBytes always publish:
+  /// their copies are cheap whatever the kernel. Either outcome is safe — a
+  /// sibling that misses recomputes bit-identical bytes and charges the
+  /// identical simulated cost.
+  static bool worth_publishing(const net::ComputeCost& cost,
+                               std::size_t bytes);
   static constexpr std::size_t kMinAdaptiveBytes = 64u << 10;
   void insert(const Key& key, std::span<const std::span<std::byte>> outs,
-              const net::ComputeCost& cost, int consumers);
+              const net::ComputeCost& cost);
   void erase(std::unordered_map<Key, Entry, KeyHash>::iterator it);
-  int consumers_for(int logical) const {
-    if (!consumer_overrides_.empty()) {
-      const auto it = consumer_overrides_.find(logical);
-      if (it != consumer_overrides_.end()) return it->second;
-    }
-    return degree_ - 1;
-  }
 
   /// Recycled entry buffers. Entries churn at steady state (insert on miss,
   /// erase once every sibling consumed), and their outputs are MB-scale
@@ -293,12 +259,8 @@ class ComputeCache {
   int degree_;
   std::size_t max_bytes_;
   bool verify_;
-  bool poisoned_ = false;
-  std::function<void()> probe_;
   ComputeCacheStats stats_;
   std::vector<Buffer> buffer_pool_;
-  /// Post-crash per-logical consumer counts (empty in fault-free runs).
-  std::unordered_map<int, int> consumer_overrides_;
   std::unordered_map<Key, Entry, KeyHash> map_;
   std::list<Key> fifo_;  ///< insertion order for the byte-cap backstop
   std::size_t total_bytes_ = 0;

@@ -1,14 +1,13 @@
 // Replica-compute sharing (support/compute_cache.hpp): the FifoMemo
 // template, the per-run ComputeCache/ComputeClient pair, the table-only
 // row-gather fast path it rides on, and the end-to-end guarantees — cached
-// and recomputed executions are bit-identical, epoch invalidation on
-// injected failures falls back to real execution, and virtual-time results
-// never depend on whether sharing was on.
+// and recomputed executions are bit-identical, the cache's decisions depend
+// on the config alone, runs with a fault plan never share, and virtual-time
+// results never depend on whether sharing was on.
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
@@ -177,71 +176,6 @@ TEST(ComputeCache, ByteCapEvictsOldestPendingEntries) {
   EXPECT_EQ(w[1], 1.0);
 }
 
-TEST(ComputeCache, PoisonAndInvalidateFallBackToRealExecution) {
-  ComputeCache cache(2);
-  ComputeClient a(&cache, 0), b(&cache, 0);
-  std::vector<double> v(8), w(8);
-  a.shared("p", {std::as_writable_bytes(std::span(v))},
-           [&] { return fill(v, 1.0, nullptr); });
-  cache.invalidate_all();  // epoch ends: pending entry dropped
-  int execs = 0;
-  b.shared("p", {std::as_writable_bytes(std::span(w))},
-           [&] { return fill(w, 1.0, &execs); });
-  EXPECT_EQ(execs, 1);
-
-  cache.poison();
-  EXPECT_TRUE(cache.poisoned());
-  int execs2 = 0;
-  a.shared("q", {std::as_writable_bytes(std::span(v))},
-           [&] { return fill(v, 2.0, &execs2); });
-  b.shared("q", {std::as_writable_bytes(std::span(w))},
-           [&] { return fill(w, 2.0, &execs2); });
-  EXPECT_EQ(execs2, 2);  // both replicas execute for real
-  EXPECT_GE(cache.stats().bypasses, 2u);
-}
-
-TEST(ComputeCache, LoneSurvivorStopsPublishing) {
-  ComputeCache cache(2);
-  // Logical 0 lost its sibling: nothing to share with — bypass, and in
-  // particular never publish copies nobody will consume.
-  cache.set_expected_consumers(0, 0);
-  ComputeClient survivor(&cache, 0);
-  std::vector<double> v(8);
-  int execs = 0;
-  survivor.shared("p", {std::as_writable_bytes(std::span(v))},
-                  [&] { return fill(v, 1.0, &execs); });
-  EXPECT_EQ(execs, 1);
-  EXPECT_EQ(cache.pending_entries(), 0u);
-  EXPECT_GE(cache.stats().bypasses, 1u);
-  // Other logical ranks keep sharing normally.
-  ComputeClient a(&cache, 1), b(&cache, 1);
-  std::vector<double> w0(8), w1(8);
-  a.shared("p", {std::as_writable_bytes(std::span(w0))},
-           [&] { return fill(w0, 2.0, &execs); });
-  b.shared("p", {std::as_writable_bytes(std::span(w1))},
-           [&] { return fill(w1, 9.0, &execs); });
-  EXPECT_EQ(execs, 2);
-  EXPECT_EQ(w1, w0);
-}
-
-TEST(ComputeCache, DivergenceProbePoisonsBeforeLookup) {
-  ComputeCache cache(2);
-  bool diverged = false;
-  cache.set_divergence_probe([&cache, &diverged] {
-    if (diverged) cache.poison();
-  });
-  ComputeClient a(&cache, 0), b(&cache, 0);
-  std::vector<double> v(8), w(8);
-  a.shared("p", {std::as_writable_bytes(std::span(v))},
-           [&] { return fill(v, 1.0, nullptr); });
-  diverged = true;
-  int execs = 0;
-  b.shared("p", {std::as_writable_bytes(std::span(w))},
-           [&] { return fill(w, 5.0, &execs); });
-  EXPECT_EQ(execs, 1);
-  EXPECT_EQ(w[0], 5.0);  // real execution, not the stale cached bytes
-}
-
 TEST(ComputeCache, VerifyModeAcceptsDeterministicRegions) {
   ScopedEnv env("REPMPI_VERIFY_SHARED_COMPUTE", "1");
   ComputeCache cache(2);
@@ -270,49 +204,56 @@ TEST(ComputeCache, InertClientJustExecutes) {
   EXPECT_EQ(execs, 2);
 }
 
+/// fill() with a modelled cost of `flops` (the publish rule's input).
+net::ComputeCost fill_with_flops(std::vector<double>& v, double flops,
+                                 int* executions) {
+  fill(v, 1.0, executions);
+  return {flops, 1.0};
+}
+
 TEST(ComputeCache, CheapLargeRegionIsNotPublished) {
-  // A large region whose recompute is ~free: publishing would only add two
-  // MB-scale memcpys, so the cost-aware decision skips the cache and every
-  // sibling recomputes (bit-identically).
+  // Fewer modelled flops than output bytes (the vector family): publishing
+  // would only add two MB-scale memcpys, so the region skips the cache and
+  // every sibling recomputes (bit-identically).
   ComputeCache cache(2);
   ComputeClient producer(&cache, 0);
   ComputeClient sibling(&cache, 0);
-  std::vector<double> v(1u << 18, 7.0);  // 2 MiB, pre-filled: compute no-ops
+  std::vector<double> v(1u << 18), w(1u << 18);
+  const double bytes = 8.0 * static_cast<double>(v.size());
   int execs = 0;
-  auto noop = [&]() -> net::ComputeCost {
-    ++execs;
-    return {1.0, 1.0};
-  };
-  producer.shared("p", {std::as_writable_bytes(std::span(v))}, noop);
+  producer.shared("p", {std::as_writable_bytes(std::span(v))},
+                  [&] { return fill_with_flops(v, bytes - 1.0, &execs); });
   EXPECT_EQ(cache.pending_entries(), 0u);
   EXPECT_EQ(cache.stats().uncached, 1u);
-  sibling.shared("p", {std::as_writable_bytes(std::span(v))}, noop);
+  sibling.shared("p", {std::as_writable_bytes(std::span(w))},
+                 [&] { return fill_with_flops(w, bytes - 1.0, &execs); });
   EXPECT_EQ(execs, 2);  // sibling missed and recomputed
+  EXPECT_EQ(v, w);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(ComputeCache, ExpensiveLargeRegionIsPublished) {
+  // At one modelled flop per output byte the region publishes.
   ComputeCache cache(2);
   ComputeClient producer(&cache, 0);
   ComputeClient sibling(&cache, 0);
-  std::vector<double> v(1u << 18), w(1u << 18);  // 2 MiB each
+  std::vector<double> v(1u << 18), w(1u << 18);
+  const double bytes = 8.0 * static_cast<double>(v.size());
   int execs = 0;
-  producer.shared("p", {std::as_writable_bytes(std::span(v))}, [&] {
-    // Far above the ~1 ms publish threshold for 2 MiB of output.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return fill(v, 1.0, &execs);
-  });
+  producer.shared("p", {std::as_writable_bytes(std::span(v))},
+                  [&] { return fill_with_flops(v, bytes, &execs); });
   EXPECT_EQ(cache.pending_entries(), 1u);
+  EXPECT_EQ(cache.stats().uncached, 0u);
   sibling.shared("p", {std::as_writable_bytes(std::span(w))},
-                 [&] { return fill(w, 2.0, &execs); });
+                 [&] { return fill_with_flops(w, bytes, &execs); });
   EXPECT_EQ(execs, 1);
   EXPECT_EQ(v, w);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ComputeCache, SmallRegionsAlwaysPublish) {
-  // Below kMinAdaptiveBytes the timing heuristic is off: tiny regions
-  // publish unconditionally no matter how fast their compute is.
+  // Below kMinAdaptiveBytes the cost rule is off: tiny regions publish
+  // unconditionally, even at zero modelled flops.
   ComputeCache cache(2);
   ComputeClient producer(&cache, 0);
   std::vector<double> v(8, 1.0);
@@ -406,14 +347,15 @@ void expect_same_outcome(const AppOutcome& a, const AppOutcome& b) {
 }
 
 AppOutcome run_hpccg(apps::RunMode mode, int degree,
-                     fault::FaultPlan* faults = nullptr) {
+                     fault::FaultPlan* faults = nullptr, int nz = 8) {
   apps::RunConfig cfg;
   cfg.mode = mode;
   cfg.num_logical = 4;
   cfg.degree = degree;
   cfg.faults = faults;
   apps::HpccgParams p;
-  p.nx = p.ny = p.nz = 8;
+  p.nx = p.ny = 8;
+  p.nz = nz;
   p.iterations = 3;
   p.intra_waxpby = false;  // direct path: exercises the shared regions
   AppOutcome out;
@@ -449,48 +391,61 @@ TEST(SharedComputeEndToEnd, NativeAndVerifyModesNeverShare) {
   EXPECT_EQ(sdc.run.compute_cache.hits, 0u);
 }
 
-TEST(SharedComputeEndToEnd, CrashInvalidatesEpochAndStaysBitIdentical) {
-  // A replica of logical rank 1 dies mid-section; the cache must drop its
-  // pending epoch and keep results identical to an unshared run.
-  const auto plan = [] {
-    fault::FaultPlan p;
-    p.add({.world_rank = 5, .site = fault::CrashSite::kAfterTaskExec,
-           .nth = 2});
-    return p;
-  };
-  fault::FaultPlan shared_plan = plan();
-  const AppOutcome shared =
-      run_hpccg(apps::RunMode::kIntra, 2, &shared_plan);
-  EXPECT_EQ(shared_plan.fired(), 1);
-  AppOutcome unshared;
-  fault::FaultPlan unshared_plan = plan();
-  {
-    ScopedEnv off("REPMPI_NO_SHARED_COMPUTE", "1");
-    unshared = run_hpccg(apps::RunMode::kIntra, 2, &unshared_plan);
-  }
-  expect_same_outcome(shared, unshared);
+TEST(SharedComputeEndToEnd, StatsDependOnTheConfigAlone) {
+  // 8x8x128 rows per rank: every vector region is 64 KiB, so the cost rule
+  // decides (SpMV publishes, waxpby does not). The publish decisions read
+  // no clock, so two runs of one config agree field for field.
+  const AppOutcome a = run_hpccg(apps::RunMode::kReplicated, 2, nullptr, 128);
+  const AppOutcome b = run_hpccg(apps::RunMode::kReplicated, 2, nullptr, 128);
+  const ComputeCacheStats& x = a.run.compute_cache;
+  const ComputeCacheStats& y = b.run.compute_cache;
+  EXPECT_GT(x.hits, 0u);
+  EXPECT_GT(x.uncached, 0u);
+  EXPECT_EQ(x.hits, y.hits);
+  EXPECT_EQ(x.misses, y.misses);
+  EXPECT_EQ(x.bypasses, y.bypasses);
+  EXPECT_EQ(x.evictions, y.evictions);
+  EXPECT_EQ(x.shared_bytes, y.shared_bytes);
+  EXPECT_EQ(x.uncached, y.uncached);
 }
 
-TEST(SharedComputeEndToEnd, SdcInjectionPoisonsSharing) {
-  // Silent corruption on one replica: sharing must stop (poison), and the
-  // virtual-time outcome must match the unshared run with the same plan.
-  const auto plan = [] {
-    fault::FaultPlan p;
-    p.add_corruption({.world_rank = 5, .nth = 3});
-    return p;
+TEST(SharedComputeEndToEnd, FaultPlansRunWithoutCache) {
+  // Crash and SDC rules count real executions, so a run with a fault plan
+  // gets no cache: zero lookups, and results equal to the unshared run
+  // with the same plan.
+  struct Case {
+    apps::RunMode mode;
+    fault::FaultPlan (*plan)();
   };
-  fault::FaultPlan shared_plan = plan();
-  const AppOutcome shared =
-      run_hpccg(apps::RunMode::kReplicated, 2, &shared_plan);
-  EXPECT_EQ(shared_plan.corruptions_fired(), 1);
-  EXPECT_GT(shared.run.compute_cache.bypasses, 0u);
-  fault::FaultPlan unshared_plan = plan();
-  AppOutcome unshared;
-  {
-    ScopedEnv off("REPMPI_NO_SHARED_COMPUTE", "1");
-    unshared = run_hpccg(apps::RunMode::kReplicated, 2, &unshared_plan);
+  const Case cases[] = {
+      {apps::RunMode::kIntra,
+       [] {
+         fault::FaultPlan p;
+         p.add({.world_rank = 5, .site = fault::CrashSite::kAfterTaskExec,
+                .nth = 2});
+         return p;
+       }},
+      {apps::RunMode::kReplicated,
+       [] {
+         fault::FaultPlan p;
+         p.add_corruption({.world_rank = 5, .nth = 3});
+         return p;
+       }},
+  };
+  for (const Case& c : cases) {
+    fault::FaultPlan shared_plan = c.plan();
+    const AppOutcome shared = run_hpccg(c.mode, 2, &shared_plan);
+    EXPECT_EQ(shared_plan.fired() + shared_plan.corruptions_fired(), 1);
+    EXPECT_EQ(shared.run.compute_cache.hits, 0u);
+    EXPECT_EQ(shared.run.compute_cache.misses, 0u);
+    fault::FaultPlan unshared_plan = c.plan();
+    AppOutcome unshared;
+    {
+      ScopedEnv off("REPMPI_NO_SHARED_COMPUTE", "1");
+      unshared = run_hpccg(c.mode, 2, &unshared_plan);
+    }
+    expect_same_outcome(shared, unshared);
   }
-  expect_same_outcome(shared, unshared);
 }
 
 // ---------------------------------------------------------------------------
