@@ -161,7 +161,9 @@ void collect_rank_results(const rep::ReplicaLayout& layout,
   }
   const rep::LogicalComm::LogStats log = rep::LogicalComm::log_stats(world);
   res.send_log_high_water = log.high_water;
+  res.send_log_live = log.live;
   res.replayed_sends = log.replayed;
+  res.recv_streams = log.streams;
 }
 
 RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,

@@ -172,8 +172,14 @@ struct RunResult {
   /// over physical ranks of each rank's peak count of live logged sends.
   /// Sharded runs trim at window boundaries, so theirs can be higher.
   std::uint64_t send_log_high_water = 0;
+  /// Logged sends still held when the run ended, summed over physical
+  /// ranks (zero after a failure-free run: every entry was trimmed).
+  std::uint64_t send_log_live = 0;
   /// Messages the progress agents resent on NACKs (zero without a crash).
   std::uint64_t replayed_sends = 0;
+  /// Receive-stream records the protocol held at the end, summed over
+  /// physical ranks: one per (source, tag) stream a rank received on.
+  std::uint64_t recv_streams = 0;
 
   double phase(const std::string& name) const {
     const auto it = phase_max.find(name);

@@ -96,9 +96,8 @@ std::uint64_t LogicalComm::Registry::watermark(int dst, int sender_lane,
   for (int j = 0; j < layout_.degree && w > 0; ++j) {
     const int r = layout_.phys_rank(dst, j);
     if (j == sender_lane || world_.is_dead(r)) continue;
-    const auto& states = ranks_[static_cast<std::size_t>(r)].recv_state;
-    const auto it = states.find(stream);
-    w = std::min(w, it == states.end() ? 0 : it->second.published());
+    const InRecord* rec = ranks_[static_cast<std::size_t>(r)].in.find(stream);
+    w = std::min(w, rec == nullptr ? 0 : rec->published());
   }
   return w;
 }
@@ -106,19 +105,19 @@ std::uint64_t LogicalComm::Registry::watermark(int dst, int sender_lane,
 void LogicalComm::Registry::trim(int sender_world, TagKey k,
                                  std::uint64_t w) {
   SharedState& st = at(sender_world);
-  auto it = st.send_log.find(k);
   // A dead sender's agent died with it; with no alive reader, nobody NACKs.
   if (w == kNoReader || world_.is_dead(sender_world)) {
-    if (it != st.send_log.end()) st.erase_log(it);
+    if (OutRecord* rec = st.out.find(k)) st.close_log(*rec);
     return;
   }
   if (w == 0) return;
-  if (it == st.send_log.end()) {
+  OutRecord& rec = st.out[k];
+  if (rec.log == kNone) {
     // The sender lags the receivers: keep the watermark for its sends.
-    st.send_log.emplace(k, SendLog{w, 0, {}});
+    st.open_log(rec, w);
     return;
   }
-  SendLog& log = it->second;
+  SendLog& log = st.logs[rec.log];
   if (w <= log.base) return;
   log.base = w;
   auto& entries = log.entries;
@@ -127,7 +126,7 @@ void LogicalComm::Registry::trim(int sender_world, TagKey k,
       [w](const LoggedMsg& m) { return m.seq >= w; });
   st.live -= static_cast<std::uint64_t>(kept - entries.begin());
   entries.erase(entries.begin(), kept);
-  if (entries.empty() && log.base <= log.next) st.send_log.erase(it);
+  if (entries.empty() && log.base <= log.next) st.close_log(rec);
 }
 
 LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
@@ -160,13 +159,6 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
                          registry_->layout().degree == layout_.degree,
                      "every rank of a world must share one replica layout");
     shared_ = &registry_->at(proc_.world_rank());
-    // Streams are keyed per (peer, tag) and collectives burn a fresh tag per
-    // call, so these tables grow with the iteration count; start them past
-    // the first few rehash doublings.
-    shared_->send_seq.reserve(256);
-    recv_seq_.reserve(256);
-    shared_->recv_state.reserve(256);
-    shared_->send_log.reserve(256);
     // The progress agent models the MPI library's async progress thread: it
     // serves replay requests even while the main thread is blocked.
     SharedState* shared = shared_;
@@ -209,6 +201,13 @@ int LogicalComm::designated_sender_lane(int src_logical) const {
 // --- send -------------------------------------------------------------------
 
 void LogicalComm::send(int dst, int tag, std::span<const std::byte> bytes) {
+  REPMPI_CHECK_MSG(tag < kCollTagBase,
+                   "tag " << tag << " is in the collectives' tag space");
+  post_send(dst, tag, bytes);
+}
+
+void LogicalComm::post_send(int dst, int tag,
+                            std::span<const std::byte> bytes) {
   REPMPI_CHECK_MSG(!in_section_,
                    "message passing inside an intra-parallel section "
                    "violates Definition 1");
@@ -219,15 +218,15 @@ void LogicalComm::send(int dst, int tag, std::span<const std::byte> bytes) {
     return;
   }
 
-  const TagKey k = key(dst, tag);
-  const std::uint64_t seq = shared_->send_seq[k]++;
+  OutRecord& rec = shared_->out[key(dst, tag)];
+  const std::uint64_t seq = rec.sent++;
 
   // One capture of header + body; the log entry and every lane transmission
   // below share it by reference.
   const MsgHeader hdr{seq};
   support::Payload payload =
       support::Payload::concat(support::as_bytes_of(hdr), bytes);
-  log_send(dst, k, seq, payload);
+  log_send(dst, rec, seq, payload);  // `rec` is not used past a yield
 
   // Replication-protocol bookkeeping (ordering metadata, envelope checks).
   proc_.elapse(proc_.world().model().replication_msg_overhead);
@@ -246,23 +245,21 @@ void LogicalComm::send(int dst, int tag, std::span<const std::byte> bytes) {
   }
 }
 
-void LogicalComm::log_send(int dst, TagKey k, std::uint64_t seq,
+void LogicalComm::log_send(int dst, OutRecord& rec, std::uint64_t seq,
                            const support::Payload& payload) {
   bool reader = false;
   for (int j = 0; j < layout_.degree && !reader; ++j)
     reader = j != lane_ && !proc_.world().is_dead(layout_.phys_rank(dst, j));
-  auto& logs = shared_->send_log;
-  auto it = logs.find(k);
   if (!reader) {  // no lane of dst can ever NACK this lane for the stream
-    if (it != logs.end()) shared_->erase_log(it);
+    shared_->close_log(rec);
     return;
   }
-  // A fresh record starts at this seq: every earlier one was dropped.
-  if (it == logs.end()) it = logs.emplace(k, SendLog{seq, 0, {}}).first;
-  SendLog& log = it->second;
+  // A fresh log starts at this seq: every earlier one was dropped.
+  SendLog& log = rec.log == kNone ? shared_->open_log(rec, seq)
+                                  : shared_->logs[rec.log];
   log.next = seq + 1;
   if (seq < log.base) {  // every receiver lane already passed it
-    if (log.base <= log.next) logs.erase(it);
+    if (log.base <= log.next) shared_->close_log(rec);
     return;
   }
   log.entries.push_back(LoggedMsg{seq, payload});
@@ -272,6 +269,12 @@ void LogicalComm::log_send(int dst, TagKey k, std::uint64_t seq,
 // --- recv -------------------------------------------------------------------
 
 LogicalRequest LogicalComm::irecv(int src, int tag) {
+  REPMPI_CHECK_MSG(tag < kCollTagBase,
+                   "tag " << tag << " is in the collectives' tag space");
+  return post_irecv(src, tag);
+}
+
+LogicalRequest LogicalComm::post_irecv(int src, int tag) {
   REPMPI_CHECK_MSG(!in_section_,
                    "message passing inside an intra-parallel section "
                    "violates Definition 1");
@@ -284,7 +287,7 @@ LogicalRequest LogicalComm::irecv(int src, int tag) {
     req.phys = phys_->irecv(src, tag);
     return req;
   }
-  req.expected_seq = recv_seq_[key(src, tag)]++;
+  req.expected_seq = shared_->in[key(src, tag)].posted++;
   return req;
 }
 
@@ -299,26 +302,17 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
   }
 
   const TagKey k = key(req.src_logical, req.tag);
-  RecvState& ks = shared_->recv_state[k];
+  InRecord& rec = *shared_->in.find(k);  // irecv made it; only we insert
   for (;;) {
     // Deliver from the out-of-order stash when possible.
-    if (auto it = ks.stash.find(req.expected_seq); it != ks.stash.end()) {
-      req.data = std::move(it->second);
-      ks.stash.erase(it);
-      ks.delivered.insert(req.expected_seq);
-      const std::uint64_t floor = ks.floor;
-      while (ks.delivered.count(ks.floor)) {
-        ks.delivered.erase(ks.floor);
-        ++ks.floor;
+    if (rec.reorder != kNone) {
+      auto& stash = shared_->reorders[rec.reorder].stash;
+      if (auto it = stash.find(req.expected_seq); it != stash.end()) {
+        support::Payload data = std::move(it->second);
+        stash.erase(it);
+        deliver(req, k, rec, req.expected_seq, std::move(data));
+        return req.status;
       }
-      if (ks.floor != floor && ks.published() == ks.floor)
-        registry_->floor_advanced(proc_.world_rank(), k);
-      req.done = true;
-      req.status.source = req.src_logical;
-      req.status.tag = req.tag;
-      req.status.bytes = req.data.size();
-      req.status.failed = false;
-      return req.status;
     }
 
     // Pump one physical message for this (source, tag) stream. When we are
@@ -332,10 +326,10 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
                                   << " tag " << req.tag << " expected "
                                   << req.expected_seq << " designated lane "
                                   << d);
-    if (d != lane_ && ks.nacked_lane != d) {
-      ks.nack_floor = std::min(ks.nack_floor, ks.floor);
-      send_nack(req.src_logical, req.tag, ks.floor);
-      ks.nacked_lane = d;
+    if (d != lane_ && rec.nacked_lane != d) {
+      rec.nack_floor = std::min(rec.nack_floor, rec.floor);
+      send_nack(req.src_logical, req.tag, rec.floor);
+      rec.nacked_lane = d;
     }
     const int src_phys = layout_.phys_rank(req.src_logical, d);
     mpi::Request pump = phys_->irecv(src_phys, req.tag);
@@ -352,13 +346,46 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
     REPMPI_CHECK(raw.size() >= sizeof(MsgHeader));
     MsgHeader hdr;
     std::memcpy(&hdr, raw.data(), sizeof(hdr));
-    if (hdr.seq < ks.floor || ks.delivered.count(hdr.seq) ||
-        ks.stash.count(hdr.seq)) {
-      continue;  // duplicate from replay/cover overlap: drop
+    // A shared view past the header: the body is never copied.
+    support::Payload body = raw.suffix(sizeof(MsgHeader));
+    if (hdr.seq == req.expected_seq) {  // in order: no stash round trip
+      deliver(req, k, rec, hdr.seq, std::move(body));
+      return req.status;
     }
-    // Stash a shared view past the header — the body is never copied.
-    ks.stash.emplace(hdr.seq, raw.suffix(sizeof(MsgHeader)));
+    // Ahead of its turn: stash it, unless it is a duplicate from
+    // replay/cover overlap (already delivered or stashed), which is dropped.
+    if (hdr.seq < rec.floor) continue;
+    if (rec.reorder == kNone) rec.reorder = shared_->reorders.take();
+    Reorder& ro = shared_->reorders[rec.reorder];
+    if (!ro.delivered.contains(hdr.seq))
+      ro.stash.emplace(hdr.seq, std::move(body));
   }
+}
+
+void LogicalComm::deliver(LogicalRequest& req, TagKey k, InRecord& rec,
+                          std::uint64_t seq, support::Payload data) {
+  req.data = std::move(data);
+  req.done = true;
+  req.status.source = req.src_logical;
+  req.status.tag = req.tag;
+  req.status.bytes = req.data.size();
+  req.status.failed = false;
+  if (seq != rec.floor) {  // completes above the floor: remember it
+    if (rec.reorder == kNone) rec.reorder = shared_->reorders.take();
+    shared_->reorders[rec.reorder].delivered.insert(seq);
+    return;
+  }
+  ++rec.floor;
+  if (rec.reorder != kNone) {
+    Reorder& ro = shared_->reorders[rec.reorder];
+    while (ro.delivered.erase(rec.floor) != 0) ++rec.floor;
+    if (ro.delivered.empty() && ro.stash.empty()) {
+      shared_->reorders.give_back(rec.reorder);
+      rec.reorder = kNone;
+    }
+  }
+  if (rec.published() == rec.floor)
+    registry_->floor_advanced(proc_.world_rank(), k);
 }
 
 void LogicalComm::waitall(std::span<LogicalRequest> reqs) {
@@ -398,8 +425,8 @@ void LogicalComm::barrier() {
     const int tag = coll_tag_++;
     const int dst = (rank() + dist) % n;
     const int src = (rank() - dist + n) % n;
-    LogicalRequest rreq = irecv(src, tag);
-    send(dst, tag, {});
+    LogicalRequest rreq = post_irecv(src, tag);
+    post_send(dst, tag, {});
     wait(rreq);
   }
 }
@@ -430,15 +457,12 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
     const int dst_phys =
         layout.phys_rank(msg.requester_logical, msg.requester_lane);
     if (world.is_dead(dst_phys)) continue;
-    const auto it = shared.send_log.find(k);
-    // Seqs below the record's base are gone; without a record, every seq
-    // sent so far is. The trimming rule must never drop one a NACK asks for.
+    const OutRecord* rec = shared.out.find(k);
+    // Seqs below the log's base are gone; without a log, every seq sent so
+    // far is. The trimming rule must never drop one a NACK asks for.
     std::uint64_t base = 0;
-    if (it != shared.send_log.end()) {
-      base = it->second.base;
-    } else if (const auto s = shared.send_seq.find(k);
-               s != shared.send_seq.end()) {
-      base = s->second;
+    if (rec != nullptr) {
+      base = rec->log == kNone ? rec->sent : shared.logs[rec->log].base;
     }
     REPMPI_CHECK_MSG(msg.expected_seq >= base,
                      "NACK from world rank " << dst_phys << " for tag "
@@ -446,11 +470,12 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
                                              << msg.expected_seq
                                              << ", but the log starts at "
                                              << base);
-    if (it == shared.send_log.end()) continue;
+    if (rec == nullptr || rec->log == kNone) continue;
     // Snapshot the payloads before the first delay: while the agent yields,
-    // the main fiber may append to this log and trims may shrink or erase it.
+    // the main fiber may append to this log, trims may shrink or close it,
+    // and inserts may move `rec`.
     std::vector<support::Payload> replay;
-    for (const LoggedMsg& lm : it->second.entries) {
+    for (const LoggedMsg& lm : shared.logs[rec->log].entries) {
       if (lm.seq >= msg.expected_seq) replay.push_back(lm.payload);
     }
     for (support::Payload& payload : replay) {
@@ -469,7 +494,9 @@ LogicalComm::LogStats LogicalComm::log_stats(const mpi::World& world) {
   if (registry == nullptr) return out;
   for (const SharedState& s : registry->ranks()) {
     out.high_water += s.peak;
+    out.live += s.live;
     out.replayed += s.replayed;
+    out.streams += s.in.size();
   }
   return out;
 }

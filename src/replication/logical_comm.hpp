@@ -42,7 +42,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "replication/layout.hpp"
@@ -107,11 +106,13 @@ class LogicalComm {
   /// Lanes of `logical` whose replica has not been announced dead.
   std::vector<int> alive_lanes(int logical) const;
 
-  /// Host-side send-log statistics of a run, summed over physical ranks
-  /// (zero when no rank of `world` was replicated).
+  /// Host-side protocol-state statistics of a run, summed over physical
+  /// ranks (zero when no rank of `world` was replicated).
   struct LogStats {
     std::uint64_t high_water = 0;  ///< sum of each rank's peak live entries
+    std::uint64_t live = 0;        ///< logged entries still held at the end
     std::uint64_t replayed = 0;    ///< messages resent on NACKs
+    std::uint64_t streams = 0;     ///< receive-stream records held
   };
   static LogStats log_stats(const mpi::World& world);
 
@@ -127,6 +128,7 @@ class LogicalComm {
   mpi::Comm& replica_comm();
 
   // --- Logical point-to-point ---------------------------------------------
+  // Application tags lie in [0, kCollTagBase); the collectives own the rest.
 
   void send(int dst, int tag, std::span<const std::byte> bytes);
   LogicalRequest irecv(int src, int tag);
@@ -205,17 +207,88 @@ class LogicalComm {
            static_cast<std::uint32_t>(tag);
   }
 
-  /// Per-stream state is looked up on every message, so the stream tables
-  /// are hash maps, not trees: one mixed-key probe instead of an O(log n)
-  /// pointer chase per send/recv. None of them is ever iterated — all
-  /// access is keyed — so the unordered layout cannot perturb any
-  /// deterministic ordering.
-  struct TagKeyHash {
-    std::size_t operator()(TagKey k) const {
+  /// Handle into a Pool; kNone when no record is taken.
+  using Handle = std::uint32_t;
+  static constexpr Handle kNone = ~Handle{0};
+
+  /// Per-stream state is looked up on every message, and apps and
+  /// collectives use a fresh tag per call, so a stream carries about one
+  /// message and the tables grow with the run. Each table is a flat
+  /// open-addressing array of (key, record) slots: linear probing from the
+  /// mixed key, doubled at 3/4 load, never erased. No table is iterated, so
+  /// the layout cannot perturb any deterministic ordering. Growing moves
+  /// the records, so see SharedState for which references may be held.
+  template <class Rec>
+  class StreamTable {
+   public:
+    Rec* find(TagKey k) {
+      if (slots_.empty()) return nullptr;
+      for (std::size_t i = home(k);; i = (i + 1) & mask()) {
+        if (slots_[i].key == k) return &slots_[i].rec;
+        if (slots_[i].key == kEmpty) return nullptr;
+      }
+    }
+    const Rec* find(TagKey k) const {
+      return const_cast<StreamTable*>(this)->find(k);
+    }
+    /// The record of `k`, value-initialised on first use.
+    Rec& operator[](TagKey k) {
+      if (Rec* r = find(k)) return *r;
+      if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+      std::size_t i = home(k);
+      while (slots_[i].key != kEmpty) i = (i + 1) & mask();
+      slots_[i].key = k;
+      ++size_;
+      return slots_[i].rec;
+    }
+    std::size_t size() const { return size_; }
+
+   private:
+    /// No stream has this key: logical ranks are below 2^31.
+    static constexpr TagKey kEmpty = ~TagKey{0};
+    struct Slot {
+      TagKey key = kEmpty;
+      Rec rec{};
+    };
+    std::size_t mask() const { return slots_.size() - 1; }
+    std::size_t home(TagKey k) const {
       k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
       k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(k ^ (k >> 31));
+      return static_cast<std::size_t>(k ^ (k >> 31)) & mask();
     }
+    void grow() {
+      std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+      old.swap(slots_);
+      for (Slot& s : old) {
+        if (s.key == kEmpty) continue;
+        std::size_t i = home(s.key);
+        while (slots_[i].key != kEmpty) i = (i + 1) & mask();
+        slots_[i] = std::move(s);
+      }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
+  /// Records taken and given back by handle; given-back slots are reused
+  /// first, so a record's buffers outlive it and serve the next one.
+  template <class T>
+  struct Pool {
+    std::vector<T> items;
+    std::vector<Handle> free;
+
+    T& operator[](Handle h) { return items[h]; }
+    Handle take() {
+      if (free.empty()) {
+        items.emplace_back();
+        return static_cast<Handle>(items.size() - 1);
+      }
+      const Handle h = free.back();
+      free.pop_back();
+      return h;
+    }
+    void give_back(Handle h) { free.push_back(h); }
   };
 
   /// One sender lane's log of a stream (dst, tag). Entries are in seq
@@ -224,29 +297,44 @@ class LogicalComm {
   struct SendLog {
     std::uint64_t base = 0;
     /// One past the last seq sent (0 until a send since the record was
-    /// created: a floor can arrive before a lagging sender's first send).
+    /// opened: a floor can arrive before a lagging sender's first send).
     std::uint64_t next = 0;
     std::vector<LoggedMsg> entries;
   };
 
-  /// Per-(source, tag) in-order delivery state. `floor` is the lowest seq
-  /// not yet handed to the application; `delivered` tracks out-of-order
-  /// completions above the floor; `stash` buffers early arrivals.
-  struct RecvState {
-    std::uint64_t floor = 0;
+  /// Send stream (dst, tag): the next seq to send and its open log, if any.
+  struct OutRecord {
+    std::uint64_t sent = 0;
+    Handle log = kNone;
+  };
+  static_assert(sizeof(OutRecord) <= 16, "a send stream costs 16 B");
+
+  /// Out-of-order part of a receive stream, taken only while a message
+  /// arrived ahead of its turn (`stash`) or a wait completed above the
+  /// floor (`delivered`), and given back once both are empty.
+  struct Reorder {
     std::set<std::uint64_t> delivered;
     std::map<std::uint64_t, support::Payload> stash;
+  };
+
+  /// Receive stream (src, tag). `floor` is the lowest seq not yet handed to
+  /// the application.
+  struct InRecord {
+    std::uint64_t posted = 0;  ///< seq the next irecv of the stream expects
+    std::uint64_t floor = 0;
+    /// Floor carried by this lane's first NACK on the stream (max: none).
+    std::uint64_t nack_floor = ~std::uint64_t{0};
     /// Cover lane this stream has already NACKed (-1: none). A NACK is due
     /// whenever the designated sender is not our own lane and differs from
     /// this — the cover may have sent part of the stream before it learned
     /// of the death, so we must request a replay of the gap.
-    int nacked_lane = -1;
-    /// Floor carried by this lane's first NACK on the stream (max: none).
-    std::uint64_t nack_floor = ~std::uint64_t{0};
+    std::int32_t nacked_lane = -1;
+    Handle reorder = kNone;
 
     /// The floor the senders' logs are trimmed by: frozen at the first NACK.
     std::uint64_t published() const { return std::min(floor, nack_floor); }
   };
+  static_assert(sizeof(InRecord) <= 40, "a receive stream costs 40 B");
 
   /// Protocol state of one physical rank. The run's Registry owns it, so it
   /// outlives the rank's LogicalComm (on the stack of the rank's main): the
@@ -254,18 +342,37 @@ class LogicalComm {
   /// rank's main has returned. No locking is needed: the classic engine
   /// runs every fiber on one thread, and a sharded run lets other ranks
   /// touch this state only at window boundaries.
+  ///
+  /// Table growth moves records, so no reference into `out` or `logs` is
+  /// held across a yield: Registry::trim, run by another rank's floor
+  /// advance or at a window boundary, may open a log and insert into `out`.
+  /// Only the rank's own main fiber inserts into `in` and `reorders`, so
+  /// wait() may keep its stream's `in` record across the pump.
   struct SharedState {
-    std::unordered_map<TagKey, std::uint64_t, TagKeyHash> send_seq;
-    std::unordered_map<TagKey, SendLog, TagKeyHash> send_log;
-    std::unordered_map<TagKey, RecvState, TagKeyHash> recv_state;
+    StreamTable<OutRecord> out;
+    StreamTable<InRecord> in;
+    Pool<SendLog> logs;
+    Pool<Reorder> reorders;
     std::uint64_t live = 0;      ///< logged entries held now
     std::uint64_t peak = 0;      ///< high-water of `live`
     std::uint64_t replayed = 0;  ///< messages the agent resent on NACKs
 
-    /// Drops a stream's log record with every entry it holds.
-    void erase_log(decltype(send_log)::iterator it) {
-      live -= it->second.entries.size();
-      send_log.erase(it);
+    /// Opens a log for `rec` whose first kept seq is `base`.
+    SendLog& open_log(OutRecord& rec, std::uint64_t base) {
+      rec.log = logs.take();
+      SendLog& log = logs[rec.log];
+      log.base = base;
+      log.next = 0;
+      return log;
+    }
+    /// Drops `rec`'s log with every entry it holds.
+    void close_log(OutRecord& rec) {
+      if (rec.log == kNone) return;
+      auto& entries = logs[rec.log].entries;
+      live -= entries.size();
+      entries.clear();
+      logs.give_back(rec.log);
+      rec.log = kNone;
     }
   };
 
@@ -275,9 +382,28 @@ class LogicalComm {
   int designated_sender_lane(int src_logical) const;
   int lowest_alive_lane(int logical) const;
 
+  /// send/irecv for any tag: the collectives' entry points.
+  void post_send(int dst, int tag, std::span<const std::byte> bytes);
+  LogicalRequest post_irecv(int src, int tag);
+
+  template <support::TriviallyCopyable T>
+  void coll_send(int dst, int tag, std::span<const T> v) {
+    post_send(dst, tag, std::as_bytes(v));
+  }
+
+  template <support::TriviallyCopyable T>
+  void coll_recv(int src, int tag, std::span<T> out) {
+    LogicalRequest req = post_irecv(src, tag);
+    wait(req);
+    support::copy_into(req.data.span(), out);
+  }
+
   void send_nack(int src_logical, int tag, std::uint64_t expected);
-  void log_send(int dst, TagKey k, std::uint64_t seq,
+  void log_send(int dst, OutRecord& rec, std::uint64_t seq,
                 const support::Payload& payload);
+  /// Hands seq `seq` of stream `k` to `req` and advances the floor.
+  void deliver(LogicalRequest& req, TagKey k, InRecord& rec,
+               std::uint64_t seq, support::Payload data);
 
   /// Progress-agent body; static so it cannot touch the (stack-allocated)
   /// LogicalComm after the main process exits or crashes.
@@ -292,8 +418,6 @@ class LogicalComm {
   std::unique_ptr<mpi::Comm> phys_;     ///< physical-rank channel (app data)
   std::unique_ptr<mpi::Comm> control_;  ///< NACK/shutdown channel
   std::unique_ptr<mpi::Comm> replica_comm_;
-
-  std::unordered_map<TagKey, std::uint64_t, TagKeyHash> recv_seq_;
 
   Registry* registry_ = nullptr;  ///< null at degree 1
   SharedState* shared_ = nullptr;  ///< this rank's slot in the registry
@@ -317,7 +441,7 @@ void LogicalComm::bcast(std::span<T> data, int root) {
   while (mask < n) {
     if (vrank & mask) {
       const int src = ((vrank - mask) + root) % n;
-      recv_span(src, tag, data);
+      coll_recv(src, tag, data);
       break;
     }
     mask <<= 1;
@@ -326,7 +450,7 @@ void LogicalComm::bcast(std::span<T> data, int root) {
   while (mask > 0) {
     if (vrank + mask < n) {
       const int dst = ((vrank + mask) + root) % n;
-      send_span(dst, tag, std::span<const T>(data));
+      coll_send(dst, tag, std::span<const T>(data));
     }
     mask >>= 1;
   }
@@ -342,12 +466,12 @@ void LogicalComm::reduce(std::span<const T> in, std::span<T> out,
   std::vector<T> incoming(in.size());
   for (int mask = 1; mask < n; mask <<= 1) {
     if (vrank & mask) {
-      send_span(((vrank - mask) + root) % n, tag, std::span<const T>(acc));
+      coll_send(((vrank - mask) + root) % n, tag, std::span<const T>(acc));
       return;
     }
     const int vsrc = vrank + mask;
     if (vsrc < n) {
-      recv_span((vsrc + root) % n, tag, std::span<T>(incoming));
+      coll_recv((vsrc + root) % n, tag, std::span<T>(incoming));
       for (std::size_t i = 0; i < acc.size(); ++i)
         acc[i] = mpi::apply_op(op, acc[i], incoming[i]);
       proc_.compute(net::ComputeCost{static_cast<double>(acc.size()),
@@ -379,8 +503,8 @@ void LogicalComm::allgather(std::span<const T> mine, std::span<T> all) {
   const int prev = (rank() - 1 + n) % n;
   int have = rank();
   for (int step = 0; step < n - 1; ++step) {
-    LogicalRequest rreq = irecv(prev, tag);
-    send_span(next, tag,
+    LogicalRequest rreq = post_irecv(prev, tag);
+    coll_send(next, tag,
               std::span<const T>(all.subspan(
                   blk * static_cast<std::size_t>(have), blk)));
     wait(rreq);

@@ -19,8 +19,9 @@ constexpr std::uint64_t kLogicalChannel = 0x10;
 constexpr std::uint64_t kControlChannel = 0x11;
 constexpr std::uint64_t kReplicaChannelBase = 0x100000;
 
-/// Tag space: application tags must stay below kCollTagBase; the logical
-/// collectives allocate tags upward from there.
+/// Tag space: application tags must stay below kCollTagBase (LogicalComm's
+/// send and irecv reject the rest); the logical collectives allocate tags
+/// upward from there.
 constexpr int kCollTagBase = 1 << 20;
 constexpr int kControlTag = 1;
 

@@ -6,8 +6,10 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "apps/amg.hpp"
+#include "apps/hpccg.hpp"
 #include "apps/gtc.hpp"
 #include "apps/minighost.hpp"
 #include "apps/runner.hpp"
@@ -265,6 +267,64 @@ TEST(Amg, IntraSurvivesCrashInSmoother) {
   const double expect = nat.per_rank.at(0).rnorm;
   for (const auto& [rank, r] : intra.per_rank)
     EXPECT_DOUBLE_EQ(r.rnorm, expect) << rank;
+}
+
+// --- Replication protocol state ----------------------------------------------
+
+TEST(ProtocolState, FailureFreeRunsEndWithEverySendLogDrained) {
+  // Every message reaches every receiver lane, so each floor passes each
+  // logged seq and the trimming rule drops the whole log by the end.
+  HpccgParams hp;
+  hp.nx = hp.ny = hp.nz = 6;
+  hp.iterations = 4;
+  RunConfig cfg;
+  cfg.mode = RunMode::kReplicated;
+  cfg.num_logical = 4;
+  const RunResult hpccg_run =
+      run_app(cfg, [&](AppContext& ctx) { hpccg(ctx, hp); });
+  AmgParams ap;
+  ap.nx = ap.ny = ap.nz = 8;
+  ap.levels = 2;
+  ap.iterations = 4;
+  GtcParams gp;
+  gp.particles_per_rank = 1500;
+  gp.grid = 16;
+  gp.steps = 3;
+  MiniGhostParams mp;
+  mp.nx = mp.ny = mp.nz = 8;
+  mp.steps = 3;
+  struct AppRun {
+    std::string app;
+    int logical;
+    RunResult run;
+  };
+  const AppRun runs[] = {
+      {"hpccg", 4, hpccg_run},
+      {"amg", 3, run_amg(RunMode::kReplicated, 3, ap).run},
+      {"gtc", 3, run_gtc(RunMode::kReplicated, 3, gp).run},
+      {"minighost", 4, run_minighost(RunMode::kReplicated, 4, mp).run}};
+  for (const AppRun& r : runs) {
+    EXPECT_EQ(r.run.ranks_finished, 2 * r.logical) << r.app;
+    EXPECT_GT(r.run.send_log_high_water, 0u) << r.app;
+    EXPECT_EQ(r.run.send_log_live, 0u) << r.app;
+    EXPECT_EQ(r.run.replayed_sends, 0u) << r.app;
+  }
+}
+
+TEST(ProtocolState, SdrAmgHoldsOneReceiveStreamPerMessage) {
+  // AMG tags each halo exchange afresh and every collective call takes a
+  // new tag, so each (source, tag) stream carries one message: the
+  // receive-stream records grow with the message count, not with the peer
+  // count. Collectives on fixed streams (ROADMAP item 2 step 1) would
+  // bound them.
+  AmgParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.levels = 2;
+  p.iterations = 4;
+  const RunResult run = run_amg(RunMode::kReplicated, 3, p).run;
+  EXPECT_GT(run.net_messages, 0u);
+  EXPECT_EQ(run.recv_streams, run.net_messages);
+  EXPECT_EQ(run_amg(RunMode::kNative, 3, p).run.recv_streams, 0u);
 }
 
 }  // namespace

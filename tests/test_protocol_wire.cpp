@@ -1,5 +1,6 @@
 // Wire-rule tests for the replication protocol (replication/protocol.hpp as
-// implemented by LogicalComm): per-(source, tag) sequence enforcement,
+// implemented by LogicalComm): the tag-space split between applications and
+// collectives, per-(source, tag) sequence enforcement, out-of-order waits,
 // duplicate drop when a lagging cover re-sends messages the receiver already
 // got from the dead lane, and NACK-triggered replay idempotence across one
 // and two successive cover takeovers.
@@ -11,6 +12,8 @@
 
 #include "rep_test_harness.hpp"
 #include "replication/protocol.hpp"
+#include "reverse_wait_scenario.hpp"
+#include "support/error.hpp"
 
 namespace repmpi::rep {
 namespace {
@@ -25,6 +28,81 @@ TEST(ProtocolWire, ChannelAndTagSpacesAreDisjoint) {
   EXPECT_LT(kControlChannel, kReplicaChannelBase);
   EXPECT_GT(kCollTagBase, 0);
   EXPECT_LT(kControlTag, kCollTagBase);
+}
+
+TEST(ProtocolWire, ApplicationTagsInCollectiveSpaceAreRejected) {
+  // A tag at or above kCollTagBase would share a stream with some
+  // collective call, so the public verbs refuse it at every degree.
+  for (int degree : {1, 2}) {
+    RepFixture send_side(2, degree);
+    EXPECT_THROW(send_side.run([](mpi::Proc&, LogicalComm& comm) {
+      if (comm.rank() == 0) comm.send_value(1, kCollTagBase, 1);
+    }),
+                 support::InvariantError)
+        << "degree " << degree;
+    RepFixture recv_side(2, degree);
+    EXPECT_THROW(recv_side.run([](mpi::Proc&, LogicalComm& comm) {
+      if (comm.rank() == 1) comm.irecv(0, kCollTagBase);
+    }),
+                 support::InvariantError)
+        << "degree " << degree;
+  }
+  // The top application tag and the collectives' own tags still work.
+  RepFixture f(2, 2);
+  std::vector<int> got(4, 0);
+  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+    if (comm.rank() == 0) comm.send_value(1, kCollTagBase - 1, 7);
+    const int v = comm.rank() == 1 ? comm.recv_value<int>(0, kCollTagBase - 1)
+                                   : 0;
+    got[static_cast<std::size_t>(proc.world_rank())] =
+        comm.allreduce_value(v, mpi::ReduceOp::kSum);
+  });
+  EXPECT_EQ(got, (std::vector<int>{7, 7, 7, 7}));
+}
+
+/// Runs the reverse-wait scenario at `degree`; every receiver lane must get
+/// each request's own payload. Returns the run's protocol statistics.
+LogicalComm::LogStats run_reverse_waits(int degree, bool crash) {
+  RepFixture f(2, degree);
+  std::vector<std::vector<int>> got(
+      static_cast<std::size_t>(f.layout.num_physical()));
+  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+    repmpi::testing::reverse_wait_body(proc, comm, crash, got);
+  });
+  for (int lane = 0; lane < degree; ++lane) {
+    EXPECT_EQ(got[static_cast<std::size_t>(f.layout.phys_rank(1, lane))],
+              repmpi::testing::reverse_wait_want())
+        << "degree " << degree << " receiver lane " << lane;
+  }
+  return LogicalComm::log_stats(*f.world);
+}
+
+TEST(ProtocolWire, ReverseOrderWaitsDeliverEachSeqOnce) {
+  // Seqs 0-2 arrive ahead of their turn and are stashed; seq 3 completes
+  // above the floor; the last wait lifts the floor past all four. Both
+  // senders' logs are then trimmed empty.
+  for (int degree : {2, 3}) {
+    const LogicalComm::LogStats st = run_reverse_waits(degree, false);
+    EXPECT_EQ(st.live, 0u) << "degree " << degree;
+    EXPECT_EQ(st.replayed, 0u) << "degree " << degree;
+    EXPECT_EQ(st.streams, static_cast<std::uint64_t>(degree))
+        << "degree " << degree;
+  }
+}
+
+TEST(ProtocolWire, ReplayLandingOnPendingStashIsDroppedOnce) {
+  // The cover replays seqs 0 and 1 while receiver lane 1 still holds them
+  // in its stash: the copies are dropped, and the cover's mirrored seqs 2
+  // and 3 fill the rest. The orphan's NACK froze its published floor at 0
+  // (ROADMAP item 2 step 2), so each alive sender lane that could serve it
+  // keeps the whole stream; every other log is drained.
+  for (int degree : {2, 3}) {
+    const LogicalComm::LogStats st = run_reverse_waits(degree, true);
+    EXPECT_EQ(st.replayed, 2u) << "degree " << degree;
+    EXPECT_EQ(st.live, static_cast<std::uint64_t>(
+                           (degree - 1) * repmpi::testing::kReverseMsgs))
+        << "degree " << degree;
+  }
 }
 
 TEST(ProtocolWire, PerSourceTagStreamsSequenceIndependently) {

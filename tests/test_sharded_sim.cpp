@@ -19,6 +19,7 @@
 #include "late_crash_scenario.hpp"
 #include "net/machine_model.hpp"
 #include "net/topology.hpp"
+#include "reverse_wait_scenario.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/sharded_world.hpp"
 #include "support/error.hpp"
@@ -237,6 +238,43 @@ TEST(ShardInvarianceFaults, LateCrashReplaysFromTrimmedLogAtTwoShards) {
       testing::run_late_crash_ring(/*shards=*/2, /*crash=*/false);
   EXPECT_EQ(clean.replayed_sends, 0u);
   EXPECT_LT(clean.send_log_high_water, 32u);
+}
+
+TEST(ShardInvarianceFaults, ReverseOrderWaitsAtTwoShards) {
+  // test_protocol_wire's out-of-order scenarios at shards=2, failure-free
+  // and with a replay landing on a pending stash: receiver lanes on one
+  // shard stash, deliver and publish floors that trim logs of senders on
+  // the other, at window boundaries.
+  for (int degree : {2, 3}) {
+    for (bool crash : {false, true}) {
+      apps::RunConfig cfg;
+      cfg.mode = apps::RunMode::kReplicated;
+      cfg.num_logical = 2;
+      cfg.degree = degree;
+      cfg.shards = 2;
+      std::vector<std::vector<int>> got(
+          static_cast<std::size_t>(cfg.num_physical()));
+      const apps::RunResult r = apps::run_app(cfg, [&](apps::AppContext& ctx) {
+        testing::reverse_wait_body(ctx.proc, ctx.comm, crash, got);
+      });
+      const std::string at = "degree " + std::to_string(degree) +
+                             (crash ? " with crash" : " failure-free");
+      const rep::ReplicaLayout layout{2, degree};
+      for (int lane = 0; lane < degree; ++lane)
+        EXPECT_EQ(got[static_cast<std::size_t>(layout.phys_rank(1, lane))],
+                  testing::reverse_wait_want())
+            << at << ", receiver lane " << lane;
+      EXPECT_EQ(r.shards, 2) << at;
+      EXPECT_EQ(r.ranks_crashed, crash ? 1 : 0) << at;
+      EXPECT_EQ(r.replayed_sends, crash ? 2u : 0u) << at;
+      EXPECT_EQ(r.send_log_live,
+                crash ? static_cast<std::uint64_t>(
+                            (degree - 1) * testing::kReverseMsgs)
+                      : 0u)
+          << at;
+      EXPECT_EQ(r.recv_streams, static_cast<std::uint64_t>(degree)) << at;
+    }
+  }
 }
 
 }  // namespace
