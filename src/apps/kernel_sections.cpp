@@ -1,5 +1,7 @@
 #include "apps/kernel_sections.hpp"
 
+#include <array>
+#include <memory_resource>
 #include <numeric>
 #include <vector>
 
@@ -19,6 +21,22 @@ struct Ranges {
     return n * static_cast<std::size_t>(i) / static_cast<std::size_t>(parts);
   }
   std::size_t end(int i) const { return begin(i + 1); }
+};
+
+/// Per-task partial results and task ids of a reduction section. They live
+/// in a stack buffer up to the evaluated granularities (the buffer holds 64
+/// tasks), so such a section allocates nothing; larger counts spill to the
+/// heap.
+struct TaskSlots {
+  explicit TaskSlots(int num_tasks)
+      : partial(static_cast<std::size_t>(num_tasks), 0.0, &arena),
+        indices(static_cast<std::size_t>(num_tasks), &arena) {}
+
+  alignas(double)
+      std::array<std::byte, 64 * (sizeof(double) + sizeof(int))> buf;
+  std::pmr::monotonic_buffer_resource arena{buf.data(), buf.size()};
+  std::pmr::vector<double> partial;
+  std::pmr::vector<int> indices;
 };
 }  // namespace
 
@@ -63,10 +81,11 @@ double ddot_section(AppContext& ctx, const std::string& phase,
         [&] { return kernels::ddot(x, y, &out); }));
     return out;
   }
-  std::vector<double> partial(static_cast<std::size_t>(num_tasks), 0.0);
+  TaskSlots slots(num_tasks);
+  std::pmr::vector<double>& partial = slots.partial;
   // Task index travels as an `in` argument (never transferred; every replica
   // holds identical copies, which keeps re-execution deterministic).
-  std::vector<int> indices(static_cast<std::size_t>(num_tasks));
+  std::pmr::vector<int>& indices = slots.indices;
   const Ranges r{x.size(), num_tasks};
   {
     Section section(ctx.intra);
@@ -130,8 +149,9 @@ double grid_sum_section(AppContext& ctx, const std::string& phase,
     return out;
   }
   num_tasks = std::min(num_tasks, g.nz);
-  std::vector<double> partial(static_cast<std::size_t>(num_tasks), 0.0);
-  std::vector<int> indices(static_cast<std::size_t>(num_tasks));
+  TaskSlots slots(num_tasks);
+  std::pmr::vector<double>& partial = slots.partial;
+  std::pmr::vector<int>& indices = slots.indices;
   const Ranges r{static_cast<std::size_t>(g.nz), num_tasks};
   {
     Section section(ctx.intra);

@@ -9,7 +9,6 @@ namespace repmpi::intra {
 
 namespace {
 constexpr std::size_t kMaxTasksPerSection = 1024;
-constexpr std::size_t kMaxArgsPerTask = 8;
 
 /// FNV-1a over a byte span — used by the consistency verifier.
 std::uint64_t checksum(std::span<const std::byte> bytes, std::uint64_t h) {
@@ -34,14 +33,16 @@ void Runtime::section_begin() {
   maybe_crash(fault::CrashSite::kSectionEntry);
 }
 
-int Runtime::register_task(TaskFn fn, std::vector<ArgSpec> args) {
+int Runtime::register_task(TaskFn fn, std::span<const ArgSpec> args) {
   REPMPI_CHECK_MSG(in_section_, "register_task outside a section");
   REPMPI_CHECK(args.size() <= kMaxArgsPerTask);
-  defs_.push_back(TaskDef{std::move(fn), std::move(args)});
+  TaskDef& def = defs_.emplace_back(TaskDef{std::move(fn)});
+  std::copy(args.begin(), args.end(), def.specs.begin());
+  def.num_args = args.size();
   return static_cast<int>(defs_.size()) - 1;
 }
 
-void Runtime::launch(int task_type, std::vector<Binding> bindings,
+void Runtime::launch(int task_type, std::span<const Binding> bindings,
                      double weight) {
   REPMPI_CHECK_MSG(in_section_, "launch outside a section");
   REPMPI_CHECK_MSG(task_type >= 0 &&
@@ -49,18 +50,16 @@ void Runtime::launch(int task_type, std::vector<Binding> bindings,
                    "unknown task type " << task_type);
   REPMPI_CHECK(tasks_.size() < kMaxTasksPerSection);
   const TaskDef& def = defs_[static_cast<std::size_t>(task_type)];
-  REPMPI_CHECK_MSG(bindings.size() == def.args.size(),
-                   "task type " << task_type << " expects " << def.args.size()
+  REPMPI_CHECK_MSG(bindings.size() == def.num_args,
+                   "task type " << task_type << " expects " << def.num_args
                                 << " args, got " << bindings.size());
-  Task t;
+  Task& t = tasks_.emplace_back();
   t.def = task_type;
   t.weight = weight;
-  t.bindings.reserve(bindings.size());
-  for (const Binding& b : bindings) {
-    t.bindings.emplace_back(static_cast<std::byte*>(b.ptr), b.bytes);
+  for (std::size_t a = 0; a < bindings.size(); ++a) {
+    t.bindings[a] = {static_cast<std::byte*>(bindings[a].ptr),
+                     bindings[a].bytes};
   }
-  t.inout_copies.resize(bindings.size());
-  tasks_.push_back(std::move(t));
 }
 
 int Runtime::update_tag(std::size_t task_index, std::size_t arg_index) const {
@@ -125,8 +124,9 @@ void Runtime::make_inout_copies(Task& t) {
   const bool rollback_possible =
       config_.faults != nullptr && !config_.faults->empty();
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-  for (std::size_t a = 0; a < def.args.size(); ++a) {
-    if (def.args[a].tag != ArgTag::kInOut) continue;
+  if (rollback_possible) t.inout_copies.resize(def.num_args);
+  for (std::size_t a = 0; a < def.num_args; ++a) {
+    if (def.specs[a].tag != ArgTag::kInOut) continue;
     const auto src = t.bindings[a];
     if (rollback_possible) t.inout_copies[a].assign(src.begin(), src.end());
     const double dt = comm_.proc().world().model().memcpy_time(src.size());
@@ -137,9 +137,9 @@ void Runtime::make_inout_copies(Task& t) {
 
 void Runtime::restore_inout_copies(Task& t) {
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-  for (std::size_t a = 0; a < def.args.size(); ++a) {
-    if (def.args[a].tag != ArgTag::kInOut) continue;
-    if (t.inout_copies[a].empty()) continue;
+  for (std::size_t a = 0; a < def.num_args; ++a) {
+    if (def.specs[a].tag != ArgTag::kInOut) continue;
+    if (a >= t.inout_copies.size() || t.inout_copies[a].empty()) continue;
     std::memcpy(t.bindings[a].data(), t.inout_copies[a].data(),
                 t.bindings[a].size());
     comm_.proc().elapse(
@@ -152,7 +152,7 @@ void Runtime::execute_task(Task& t, bool is_reexecution) {
   // value of every inout argument (Fig. 2's true-dependence hazard).
   if (is_reexecution) restore_inout_copies(t);
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-  TaskArgs args(&def.args, t.bindings);
+  TaskArgs args(def.args(), {t.bindings.data(), def.num_args});
   const net::ComputeCost cost = def.fn(args);
   comm_.proc().compute(cost);
   ++stats_.tasks_executed;
@@ -161,8 +161,8 @@ void Runtime::execute_task(Task& t, bool is_reexecution) {
   // Silent-data-corruption injection (models a bit flip escaping hardware
   // detection): flip a bit in the first writable output byte.
   if (config_.faults && config_.faults->should_corrupt(comm_.proc())) {
-    for (std::size_t a = 0; a < def.args.size(); ++a) {
-      if (def.args[a].tag == ArgTag::kIn || t.bindings[a].empty()) continue;
+    for (std::size_t a = 0; a < def.num_args; ++a) {
+      if (def.specs[a].tag == ArgTag::kIn || t.bindings[a].empty()) continue;
       t.bindings[a][0] ^= std::byte{0x10};
       ++stats_.sdc_injected;
       break;
@@ -176,13 +176,13 @@ void Runtime::execute_task_shared(Task& t) {
   // kShared protocol would ship between replicas.
   std::span<std::byte> outs[kMaxArgsPerTask];
   std::size_t n = 0;
-  for (std::size_t a = 0; a < def.args.size(); ++a) {
-    if (def.args[a].tag != ArgTag::kIn) outs[n++] = t.bindings[a];
+  for (std::size_t a = 0; a < def.num_args; ++a) {
+    if (def.specs[a].tag != ArgTag::kIn) outs[n++] = t.bindings[a];
   }
   const net::ComputeCost cost = config_.share->shared(
       "intra.alllocal.task", std::span<const std::span<std::byte>>(outs, n),
       [&]() -> net::ComputeCost {
-        TaskArgs args(&def.args, t.bindings);
+        TaskArgs args(def.args(), {t.bindings.data(), def.num_args});
         return def.fn(args);
       });
   comm_.proc().compute(cost);
@@ -193,12 +193,12 @@ void Runtime::send_updates(const Task& t, const std::vector<int>& lanes) {
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
   const std::size_t ti = static_cast<std::size_t>(&t - tasks_.data());
   mpi::Comm& rc = comm_.replica_comm();
-  for (std::size_t a = 0; a < def.args.size(); ++a) {
-    if (def.args[a].tag == ArgTag::kIn) continue;
+  for (std::size_t a = 0; a < def.num_args; ++a) {
+    if (def.specs[a].tag == ArgTag::kIn) continue;
     maybe_crash(fault::CrashSite::kBetweenArgSends, static_cast<int>(a));
     for (int lane : lanes) {
       if (lane == comm_.lane()) continue;
-      rc.isend(lane, update_tag(ti, a), t.bindings[a]);
+      rc.send(lane, update_tag(ti, a), t.bindings[a]);
       stats_.update_bytes_sent +=
           static_cast<std::int64_t>(t.bindings[a].size());
     }
@@ -208,10 +208,10 @@ void Runtime::send_updates(const Task& t, const std::vector<int>& lanes) {
 void Runtime::post_update_recvs(Task& t, std::size_t task_index) {
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
   mpi::Comm& rc = comm_.replica_comm();
-  t.recv_reqs.clear();
-  for (std::size_t a = 0; a < def.args.size(); ++a) {
-    if (def.args[a].tag == ArgTag::kIn) continue;
-    t.recv_reqs.push_back(rc.irecv(t.lane, update_tag(task_index, a)));
+  std::size_t r = 0;
+  for (std::size_t a = 0; a < def.num_args; ++a) {
+    if (def.specs[a].tag == ArgTag::kIn) continue;
+    t.recv_reqs[r++] = rc.irecv(t.lane, update_tag(task_index, a));
   }
 }
 
@@ -224,8 +224,8 @@ bool Runtime::collect_update(Task& t) {
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
   mpi::Comm& rc = comm_.replica_comm();
   std::size_t r = 0;
-  for (std::size_t a = 0; a < def.args.size(); ++a) {
-    if (def.args[a].tag == ArgTag::kIn) continue;
+  for (std::size_t a = 0; a < def.num_args; ++a) {
+    if (def.specs[a].tag == ArgTag::kIn) continue;
     mpi::Status st = rc.wait(t.recv_reqs[r]);
     if (st.failed) return false;
     support::copy_into(
@@ -242,7 +242,8 @@ void Runtime::section_end() {
   mpi::Proc& proc = comm_.proc();
   const double t_start = proc.now();
 
-  std::vector<int> lanes = comm_.alive_lanes(comm_.rank());
+  comm_.alive_lanes(comm_.rank(), lanes_);
+  const std::vector<int>& lanes = lanes_;
   const bool shared = config_.mode == Mode::kShared && lanes.size() > 1 &&
                       !tasks_.empty();
 
@@ -332,14 +333,6 @@ void Runtime::section_end() {
   stats_.section_time += proc.now() - t_start;
 }
 
-void Runtime::run_section(TaskFn fn, std::vector<ArgSpec> args,
-                          const std::vector<std::vector<Binding>>& launches) {
-  section_begin();
-  const int id = register_task(std::move(fn), std::move(args));
-  for (const auto& bindings : launches) launch(id, bindings);
-  section_end();
-}
-
 void Runtime::verify_consistency() {
   // Exchange a checksum of every out/inout binding between alive lanes and
   // compare: at section exit all replicas must hold identical state
@@ -347,18 +340,18 @@ void Runtime::verify_consistency() {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const Task& t : tasks_) {
     const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-    for (std::size_t a = 0; a < def.args.size(); ++a) {
-      if (def.args[a].tag == ArgTag::kIn) continue;
+    for (std::size_t a = 0; a < def.num_args; ++a) {
+      if (def.specs[a].tag == ArgTag::kIn) continue;
       h = checksum(t.bindings[a], h);
     }
   }
   mpi::Comm& rc = comm_.replica_comm();
   const int tag = update_tag(kMaxTasksPerSection - 1, kMaxArgsPerTask - 1);
-  std::vector<int> lanes = comm_.alive_lanes(comm_.rank());
-  for (int lane : lanes) {
-    if (lane != comm_.lane()) rc.isend(lane, tag, support::as_bytes_of(h));
+  comm_.alive_lanes(comm_.rank(), lanes_);
+  for (int lane : lanes_) {
+    if (lane != comm_.lane()) rc.send(lane, tag, support::as_bytes_of(h));
   }
-  for (int lane : lanes) {
+  for (int lane : lanes_) {
     if (lane == comm_.lane()) continue;
     mpi::Request req = rc.irecv(lane, tag);
     mpi::Status st = rc.wait(req);
@@ -378,8 +371,8 @@ void Runtime::verify_outputs_for_sdc(const std::vector<int>& lanes) {
   std::size_t hashed_bytes = 0;
   for (const Task& t : tasks_) {
     const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-    for (std::size_t a = 0; a < def.args.size(); ++a) {
-      if (def.args[a].tag == ArgTag::kIn) continue;
+    for (std::size_t a = 0; a < def.num_args; ++a) {
+      if (def.specs[a].tag == ArgTag::kIn) continue;
       h = checksum(t.bindings[a], h);
       hashed_bytes += t.bindings[a].size();
     }
@@ -391,7 +384,7 @@ void Runtime::verify_outputs_for_sdc(const std::vector<int>& lanes) {
   mpi::Comm& rc = comm_.replica_comm();
   const int tag = update_tag(kMaxTasksPerSection - 1, kMaxArgsPerTask - 2);
   for (int lane : lanes) {
-    if (lane != comm_.lane()) rc.isend(lane, tag, support::as_bytes_of(h));
+    if (lane != comm_.lane()) rc.send(lane, tag, support::as_bytes_of(h));
   }
   for (int lane : lanes) {
     if (lane == comm_.lane()) continue;

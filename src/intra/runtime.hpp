@@ -33,8 +33,10 @@
 // same application code therefore produces all three bars of the paper's
 // plots.
 
+#include <array>
 #include <cstdint>
-#include <memory>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "fault/failure.hpp"
@@ -100,23 +102,32 @@ class Runtime {
   void section_begin();
 
   /// Paper: Intra_Task_register(f, tags...). Valid inside an open section;
-  /// returns the task-type id used by launch().
-  int register_task(TaskFn fn, std::vector<ArgSpec> args);
+  /// returns the task-type id used by launch(). At most kMaxArgsPerTask
+  /// arguments; the specs are copied.
+  int register_task(TaskFn fn, std::span<const ArgSpec> args);
+  int register_task(TaskFn fn, std::initializer_list<ArgSpec> args) {
+    return register_task(std::move(fn),
+                         std::span<const ArgSpec>(args.begin(), args.size()));
+  }
 
   /// Paper: Intra_Task_launch(id, vars...). Binds memory to a registered
-  /// task type and queues the task. `weight` is an optional relative cost
+  /// task type and queues the task; the bindings are copied into the task
+  /// record. The body later receives a TaskArgs view of that record, valid
+  /// only during the body call. `weight` is an optional relative cost
   /// estimate used by SchedulePolicy::kWeighted (ignored otherwise).
-  void launch(int task_type, std::vector<Binding> bindings,
+  void launch(int task_type, std::span<const Binding> bindings,
               double weight = 1.0);
+  void launch(int task_type, std::initializer_list<Binding> bindings,
+              double weight = 1.0) {
+    launch(task_type,
+           std::span<const Binding>(bindings.begin(), bindings.size()),
+           weight);
+  }
 
   /// Paper: Intra_Section_end(). Runs the protocol of Algorithm 1; on
   /// return, all alive replicas of this logical rank hold identical values
   /// in every out/inout binding.
   void section_end();
-
-  /// Convenience: a whole section in one call.
-  void run_section(TaskFn fn, std::vector<ArgSpec> args,
-                   const std::vector<std::vector<Binding>>& launches);
 
   bool in_section() const { return in_section_; }
   const IntraStats& stats() const { return stats_; }
@@ -127,17 +138,23 @@ class Runtime {
  private:
   struct TaskDef {
     TaskFn fn;
-    std::vector<ArgSpec> args;
+    std::array<ArgSpec, kMaxArgsPerTask> specs{};
+    std::size_t num_args = 0;
+    std::span<const ArgSpec> args() const { return {specs.data(), num_args}; }
   };
 
+  /// One launched task. Bindings and update receives are held inline, so a
+  /// section allocates nothing per task once tasks_ has grown.
   struct Task {
     int def = -1;
     double weight = 1.0;
-    std::vector<std::span<std::byte>> bindings;
+    std::array<std::span<std::byte>, kMaxArgsPerTask> bindings{};
+    /// One per non-in arg (remote tasks), in argument order.
+    std::array<mpi::Request, kMaxArgsPerTask> recv_reqs{};
     /// Pre-images of inout arguments (Fig. 2): filled lazily on first
-    /// receive; restored before any (re-)execution.
+    /// receive; restored before any (re-)execution. Sized only under a
+    /// fault plan, the only case in which a pre-image is read back.
     std::vector<support::Buffer> inout_copies;
-    std::vector<mpi::Request> recv_reqs;  ///< one per non-in arg (remote tasks)
     int lane = -1;  ///< assigned lane
     bool done = false;
     bool inout_copied = false;  ///< pre-image charge taken (Alg.1 l.37)
@@ -171,6 +188,7 @@ class Runtime {
   bool in_section_ = false;
   std::vector<TaskDef> defs_;
   std::vector<Task> tasks_;
+  std::vector<int> lanes_;  ///< alive lanes at section_end (reused)
   std::uint64_t section_seq_ = 0;
   IntraStats stats_;
 };

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "net/machine_model.hpp"
 #include "support/buffer.hpp"
@@ -31,12 +30,18 @@ struct ArgSpec {
   std::size_t elem_size = 1;
 };
 
-/// A task's view of its bound arguments.
+/// Upper bound on a task's arguments. The runtime holds a task's bindings
+/// and its update receives inline up to this count, so launching a task
+/// costs no heap allocation.
+inline constexpr std::size_t kMaxArgsPerTask = 8;
+
+/// A task's view of its bound arguments. It refers to the runtime's task
+/// record and is valid only during the task-body call it is passed to.
 class TaskArgs {
  public:
-  TaskArgs(const std::vector<ArgSpec>* specs,
-           std::vector<std::span<std::byte>> bindings)
-      : specs_(specs), bindings_(std::move(bindings)) {}
+  TaskArgs(std::span<const ArgSpec> specs,
+           std::span<const std::span<std::byte>> bindings)
+      : specs_(specs), bindings_(bindings) {}
 
   std::size_t count() const { return bindings_.size(); }
 
@@ -81,13 +86,11 @@ class TaskArgs {
     return s[0];
   }
 
-  const ArgSpec& spec(std::size_t i) const {
-    return (*specs_)[i];
-  }
+  const ArgSpec& spec(std::size_t i) const { return specs_[i]; }
 
  private:
-  const std::vector<ArgSpec>* specs_;
-  std::vector<std::span<std::byte>> bindings_;
+  std::span<const ArgSpec> specs_;
+  std::span<const std::span<std::byte>> bindings_;
 };
 
 /// Task body: performs the real computation on its arguments and returns its

@@ -176,13 +176,12 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
 
 mpi::Comm& LogicalComm::replica_comm() { return *replica_comm_; }
 
-std::vector<int> LogicalComm::alive_lanes(int logical) const {
-  std::vector<int> lanes;
+void LogicalComm::alive_lanes(int logical, std::vector<int>& out) const {
+  out.clear();
   for (int k = 0; k < layout_.degree; ++k) {
     if (!proc_.world().is_dead(layout_.phys_rank(logical, k)))
-      lanes.push_back(k);
+      out.push_back(k);
   }
-  return lanes;
 }
 
 int LogicalComm::lowest_alive_lane(int logical) const {
@@ -438,7 +437,7 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
                              SharedState& shared) {
   const auto& model = world.model();
   for (;;) {
-    auto st = std::make_shared<mpi::RequestState>();
+    auto st = mpi::make_request_state();
     st->is_recv = true;
     st->owner = ctx.pid();
     st->comm_channel = kControlChannel;

@@ -40,6 +40,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <set>
 #include <string>
 #include <vector>
@@ -103,8 +104,9 @@ class LogicalComm {
   mpi::Proc& proc() { return proc_; }
   const ReplicaLayout& layout() const { return layout_; }
 
-  /// Lanes of `logical` whose replica has not been announced dead.
-  std::vector<int> alive_lanes(int logical) const;
+  /// Fills `out` with the lanes of `logical` whose replica has not been
+  /// announced dead (the caller's vector keeps its capacity).
+  void alive_lanes(int logical, std::vector<int>& out) const;
 
   /// Host-side protocol-state statistics of a run, summed over physical
   /// ranks (zero when no rank of `world` was replicated).
@@ -423,6 +425,9 @@ class LogicalComm {
   SharedState* shared_ = nullptr;  ///< this rank's slot in the registry
   sim::Pid agent_pid_ = sim::kNoPid;
   int coll_tag_ = kCollTagBase;
+  /// Backs reduce()'s accumulator and receive block; it keeps freed blocks
+  /// for the next call, so a steady-state reduction allocates nothing.
+  std::pmr::unsynchronized_pool_resource reduce_pool_;
   bool in_section_ = false;
 };
 
@@ -462,8 +467,8 @@ void LogicalComm::reduce(std::span<const T> in, std::span<T> out,
   const int n = size();
   const int tag = coll_tag_++;
   const int vrank = (rank() - root + n) % n;
-  std::vector<T> acc(in.begin(), in.end());
-  std::vector<T> incoming(in.size());
+  std::pmr::vector<T> acc(in.begin(), in.end(), &reduce_pool_);
+  std::pmr::vector<T> incoming(in.size(), &reduce_pool_);
   for (int mask = 1; mask < n; mask <<= 1) {
     if (vrank & mask) {
       coll_send(((vrank - mask) + root) % n, tag, std::span<const T>(acc));
@@ -484,9 +489,8 @@ void LogicalComm::reduce(std::span<const T> in, std::span<T> out,
 template <support::TriviallyCopyable T>
 void LogicalComm::allreduce(std::span<const T> in, std::span<T> out,
                             mpi::ReduceOp op) {
-  std::vector<T> tmp(in.size());
-  reduce(in, std::span<T>(tmp), op, 0);
-  if (rank() == 0) std::copy(tmp.begin(), tmp.end(), out.begin());
+  // Only the root's `out` is written by reduce; bcast then fills the rest.
+  reduce(in, out, op, 0);
   bcast(out, 0);
 }
 

@@ -59,7 +59,7 @@ void Comm::send_payload(int dst, int tag, support::Payload payload) {
 Request Comm::post_recv_impl(std::uint64_t channel, int src, int tag) {
   REPMPI_CHECK_MSG(src == kAnySource || (src >= 0 && src < size()),
                    "recv from invalid rank " << src);
-  auto st = std::make_shared<RequestState>();
+  auto st = make_request_state();
   st->is_recv = true;
   st->owner = proc_->world().pid_of(proc_->world_rank());
   st->comm_channel = channel;
@@ -78,7 +78,7 @@ Request Comm::isend(int dst, int tag, std::span<const std::byte> bytes) {
   send_impl(channel_, dst, tag, bytes);
   // Eager protocol: the payload has been captured, so the send request is
   // complete as soon as the CPU overhead has been charged.
-  auto st = std::make_shared<RequestState>();
+  auto st = make_request_state();
   st->done = true;
   st->cost_charged = true;
   return Request(std::move(st));

@@ -14,6 +14,7 @@
 #include "sim/simulator.hpp"
 #include "simmpi/types.hpp"
 #include "support/payload.hpp"
+#include "support/recycling_allocator.hpp"
 
 namespace repmpi::mpi {
 
@@ -37,6 +38,14 @@ struct RequestState {
   int match_tag = kAnyTag;
   int match_world_src = kAnySource;
 };
+
+/// Makes a request state. Its block (the state plus its shared_ptr control
+/// block) comes from a thread-local free list, so a steady-state message
+/// allocates no request; see support/recycling_allocator.hpp.
+inline std::shared_ptr<RequestState> make_request_state() {
+  return std::allocate_shared<RequestState>(
+      support::RecyclingAllocator<RequestState>{});
+}
 
 class Request {
  public:

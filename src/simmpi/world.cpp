@@ -15,7 +15,7 @@ World::World(sim::Simulator& sim, net::Network& network, int num_ranks)
   REPMPI_CHECK(num_ranks > 0);
   REPMPI_CHECK_MSG(network.topology().num_processes() >= num_ranks,
                    "topology has fewer slots than ranks");
-  ranks_.resize(static_cast<std::size_t>(num_ranks));
+  ranks_ = std::vector<RankState>(static_cast<std::size_t>(num_ranks));
   phases_.resize(static_cast<std::size_t>(num_ranks));
   announced_.assign(static_cast<std::size_t>(num_ranks), 0);
   shard_ranks_.resize(1);
@@ -31,7 +31,7 @@ World::World(ShardRouter& router, int num_ranks)
   REPMPI_CHECK(num_ranks > 0);
   REPMPI_CHECK_MSG(router.shard_net(0).topology().num_processes() >= num_ranks,
                    "topology has fewer slots than ranks");
-  ranks_.resize(static_cast<std::size_t>(num_ranks));
+  ranks_ = std::vector<RankState>(static_cast<std::size_t>(num_ranks));
   phases_.resize(static_cast<std::size_t>(num_ranks));
   const auto shards = static_cast<std::size_t>(router.num_shards());
   announced_.assign(shards * static_cast<std::size_t>(num_ranks), 0);
@@ -187,7 +187,8 @@ void World::announce_on_shard(int world_rank, int shard) {
   for (int dst_rank : shard_ranks_[static_cast<std::size_t>(shard)]) {
     auto& dst = ranks_[static_cast<std::size_t>(dst_rank)];
     std::vector<PostedRecv> victims;
-    for (auto it = dst.posted_exact.begin(); it != dst.posted_exact.end();) {
+    auto& exact = dst.posted_exact;
+    for (auto it = exact.map.begin(); it != exact.map.end();) {
       auto& bucket = it->second;
       for (auto qit = bucket.begin(); qit != bucket.end();) {
         if (qit->req->match_world_src == world_rank) {
@@ -197,7 +198,7 @@ void World::announce_on_shard(int world_rank, int shard) {
           ++qit;
         }
       }
-      it = bucket.empty() ? dst.posted_exact.erase(it) : std::next(it);
+      it = bucket.empty() ? exact.close(it) : std::next(it);
     }
     for (auto qit = dst.posted_wild.begin(); qit != dst.posted_wild.end();) {
       if (qit->req->match_world_src == world_rank) {
@@ -297,8 +298,8 @@ void World::deliver(int dst_world, Envelope env) {
   // Exact-bucket candidate: the minimum-post-seq receive with this envelope's
   // exact (channel, src, tag) is the bucket front.
   auto bucket_it =
-      rs.posted_exact.find(key_of(env.channel, env.src, env.tag));
-  const PostedRecv* exact = bucket_it != rs.posted_exact.end()
+      rs.posted_exact.map.find(key_of(env.channel, env.src, env.tag));
+  const PostedRecv* exact = bucket_it != rs.posted_exact.map.end()
                                 ? &bucket_it->second.front()
                                 : nullptr;
 
@@ -316,7 +317,7 @@ void World::deliver(int dst_world, Envelope env) {
       (wild_it == rs.posted_wild.end() || exact->seq < wild_it->seq)) {
     std::shared_ptr<RequestState> req = std::move(bucket_it->second.front().req);
     bucket_it->second.pop_front();
-    if (bucket_it->second.empty()) rs.posted_exact.erase(bucket_it);
+    if (bucket_it->second.empty()) rs.posted_exact.close(bucket_it);
     complete_recv(*req, std::move(env));
     return;
   }
@@ -327,8 +328,8 @@ void World::deliver(int dst_world, Envelope env) {
     return;
   }
 
-  rs.unexpected[key_of(env.channel, env.src, env.tag)].push_back(
-      std::move(env));
+  rs.unexpected.open(key_of(env.channel, env.src, env.tag))
+      .push_back(std::move(env));
   ++rs.unexpected_count;
 }
 
@@ -362,12 +363,12 @@ void World::post_recv(int dst_world, int match_world_src,
 
   // Unexpected queue first, in arrival order (MPI matching rule).
   if (exact) {
-    auto it = rs.unexpected.find(
+    auto it = rs.unexpected.map.find(
         key_of(req->comm_channel, req->match_source, req->match_tag));
-    if (it != rs.unexpected.end()) {
+    if (it != rs.unexpected.map.end()) {
       Envelope env = std::move(it->second.front());
       it->second.pop_front();
-      if (it->second.empty()) rs.unexpected.erase(it);
+      if (it->second.empty()) rs.unexpected.close(it);
       --rs.unexpected_count;
       complete_recv(*req, std::move(env));
       return;
@@ -375,18 +376,19 @@ void World::post_recv(int dst_world, int match_world_src,
   } else if (rs.unexpected_count > 0) {
     // Wildcard: the earliest arrival among matching buckets (bucket fronts
     // are each bucket's earliest; Envelope::seq orders across buckets).
-    auto best = rs.unexpected.end();
-    for (auto it = rs.unexpected.begin(); it != rs.unexpected.end(); ++it) {
+    auto& buckets = rs.unexpected.map;
+    auto best = buckets.end();
+    for (auto it = buckets.begin(); it != buckets.end(); ++it) {
       if (matches(*req, it->second.front()) &&
-          (best == rs.unexpected.end() ||
+          (best == buckets.end() ||
            it->second.front().seq < best->second.front().seq)) {
         best = it;
       }
     }
-    if (best != rs.unexpected.end()) {
+    if (best != buckets.end()) {
       Envelope env = std::move(best->second.front());
       best->second.pop_front();
-      if (best->second.empty()) rs.unexpected.erase(best);
+      if (best->second.empty()) rs.unexpected.close(best);
       --rs.unexpected_count;
       complete_recv(*req, std::move(env));
       return;
@@ -402,8 +404,9 @@ void World::post_recv(int dst_world, int match_world_src,
 
   PostedRecv entry{rs.next_post_seq++, std::move(req)};
   if (exact) {
-    rs.posted_exact[key_of(entry.req->comm_channel, entry.req->match_source,
-                           entry.req->match_tag)]
+    rs.posted_exact
+        .open(key_of(entry.req->comm_channel, entry.req->match_source,
+                     entry.req->match_tag))
         .push_back(std::move(entry));
   } else {
     rs.posted_wild.push_back(std::move(entry));
@@ -414,11 +417,12 @@ std::size_t World::purge_unexpected(int dst_world, std::uint64_t channel,
                                     int src) {
   auto& rs = ranks_[static_cast<std::size_t>(dst_world)];
   std::size_t purged = 0;
-  for (auto it = rs.unexpected.begin(); it != rs.unexpected.end();) {
+  auto& buckets = rs.unexpected.map;
+  for (auto it = buckets.begin(); it != buckets.end();) {
     if (it->first.channel == channel &&
         (src == kAnySource || it->first.src == src)) {
       purged += it->second.size();
-      it = rs.unexpected.erase(it);
+      it = rs.unexpected.close(it);
     } else {
       ++it;
     }

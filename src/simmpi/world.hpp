@@ -305,21 +305,89 @@ class World {
     std::shared_ptr<RequestState> req;
   };
 
+  /// One bucket's FIFO: a vector read from `head`. Draining it resets it to
+  /// the start of its storage, so a bucket that is reused never allocates
+  /// again (a std::deque walks off its chunk every few messages). A bucket
+  /// that never drains drops its consumed prefix once that is at least
+  /// half the vector, so it holds at most twice its live entries.
+  template <class T>
+  struct Fifo {
+    std::vector<T> items;
+    std::size_t head = 0;
+
+    bool empty() const { return head == items.size(); }
+    std::size_t size() const { return items.size() - head; }
+    T& front() { return items[head]; }
+    auto begin() { return items.begin() + static_cast<std::ptrdiff_t>(head); }
+    auto end() { return items.end(); }
+    void push_back(T v) { items.push_back(std::move(v)); }
+    /// Callers move the front entry out first; its husk stays until the
+    /// next reset or prefix drop.
+    void pop_front() {
+      if (++head == items.size()) {
+        clear();
+      } else if (head >= 32 && 2 * head >= items.size()) {
+        items.erase(items.begin(), begin());
+        head = 0;
+      }
+    }
+    auto erase(typename std::vector<T>::iterator it) {
+      return items.erase(it);
+    }
+    void clear() {
+      items.clear();
+      head = 0;
+    }
+  };
+
+  template <class T>
+  using BucketMap = std::unordered_map<MatchKey, Fifo<T>, MatchKeyHash>;
+
+  /// A bucket map plus the emptied buckets it retired. Nearly every message
+  /// opens a bucket under a fresh key and drains it again, so a drained
+  /// bucket's hash node — with its FIFO's storage — is kept (up to
+  /// kMaxSpare) and re-keyed by the next new key instead of being freed.
+  template <class T>
+  struct Buckets {
+    static constexpr std::size_t kMaxSpare = 64;
+    BucketMap<T> map;
+    std::vector<typename BucketMap<T>::node_type> spare;
+
+    /// The bucket for `key`, opened on a recycled node when the key is new.
+    Fifo<T>& open(const MatchKey& key) {
+      if (auto it = map.find(key); it != map.end()) return it->second;
+      if (spare.empty()) return map[key];
+      auto node = std::move(spare.back());
+      spare.pop_back();
+      node.key() = key;
+      return map.insert(std::move(node)).position->second;
+    }
+
+    /// Removes the bucket at `it` (dropping anything still in it) and
+    /// returns the iterator past it.
+    typename BucketMap<T>::iterator close(
+        typename BucketMap<T>::iterator it) {
+      if (spare.size() >= kMaxSpare) return map.erase(it);
+      const auto next = std::next(it);
+      it->second.clear();
+      spare.push_back(map.extract(it));
+      return next;
+    }
+  };
+
   struct RankState {
     sim::Pid pid = sim::kNoPid;
     bool dead = false;  // crash happened (announced view lives in announced_)
     /// Exact-match posted receives, bucketed by (channel, src, tag); each
-    /// bucket is FIFO in post order. Buckets are erased when drained.
-    std::unordered_map<MatchKey, std::deque<PostedRecv>, MatchKeyHash>
-        posted_exact;
+    /// bucket is FIFO in post order. Buckets are closed when drained.
+    Buckets<PostedRecv> posted_exact;
     /// Receives with a wildcard source and/or tag, in post order.
     std::deque<PostedRecv> posted_wild;
     std::uint64_t next_post_seq = 0;
     /// Unexpected envelopes, bucketed by (channel, src, tag); each bucket is
     /// FIFO in arrival order, and Envelope::seq gives the global arrival
     /// order for wildcard scans.
-    std::unordered_map<MatchKey, std::deque<Envelope>, MatchKeyHash>
-        unexpected;
+    Buckets<Envelope> unexpected;
     std::uint64_t next_arrival_seq = 0;
     std::size_t unexpected_count = 0;
     std::uint64_t next_xsend_seq = 0;  ///< internode send order (sharded)

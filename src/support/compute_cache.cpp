@@ -49,31 +49,46 @@ void ComputeCache::release_buffer(Buffer&& b) {
   }
 }
 
-void ComputeCache::erase(
-    std::unordered_map<Key, Entry, KeyHash>::iterator it) {
-  total_bytes_ -= it->second.bytes;
-  for (Buffer& b : it->second.outputs) release_buffer(std::move(b));
-  fifo_.erase(it->second.fifo_it);
-  map_.erase(it);
+void ComputeCache::erase(Map::iterator it) {
+  Entry& e = it->second;
+  total_bytes_ -= e.bytes;
+  for (Buffer& b : e.outputs) release_buffer(std::move(b));
+  e.outputs.clear();  // keeps capacity
+  if (spare_entries_.size() < kMaxSpareEntries) {
+    spare_fifo_.splice(spare_fifo_.end(), fifo_, e.fifo_it);
+    spare_entries_.push_back(map_.extract(it));
+  } else {
+    fifo_.erase(e.fifo_it);
+    map_.erase(it);
+  }
 }
 
 void ComputeCache::insert(const Key& key,
                           std::span<const std::span<std::byte>> outs,
                           const net::ComputeCost& cost) {
-  Entry e;
-  e.cost = cost;
-  e.consumers_left = degree_ - 1;
-  e.outputs.reserve(outs.size());
+  Entry* e = nullptr;
+  if (spare_entries_.empty()) {
+    e = &map_.try_emplace(key).first->second;
+    fifo_.push_back(key);
+  } else {
+    Map::node_type node = std::move(spare_entries_.back());
+    spare_entries_.pop_back();
+    node.key() = key;
+    e = &map_.insert(std::move(node)).position->second;
+    spare_fifo_.front() = key;
+    fifo_.splice(fifo_.end(), spare_fifo_, spare_fifo_.begin());
+  }
+  e->cost = cost;
+  e->consumers_left = degree_ - 1;
+  e->bytes = 0;
   for (const auto& s : outs) {
     Buffer b = acquire_buffer();
     b.assign(s.begin(), s.end());
-    e.outputs.push_back(std::move(b));
-    e.bytes += s.size();
+    e->outputs.push_back(std::move(b));
+    e->bytes += s.size();
   }
-  total_bytes_ += e.bytes;
-  fifo_.push_back(key);
-  e.fifo_it = std::prev(fifo_.end());
-  map_.emplace(key, std::move(e));
+  total_bytes_ += e->bytes;
+  e->fifo_it = std::prev(fifo_.end());
   // Byte-cap backstop: oldest pending entries go first. Evicted entries
   // simply miss again on the lagging sibling (it recomputes) — correctness
   // never depends on residency.

@@ -242,9 +242,11 @@ class ComputeCache {
   static bool worth_publishing(const net::ComputeCost& cost,
                                std::size_t bytes);
   static constexpr std::size_t kMinAdaptiveBytes = 64u << 10;
+  using Map = std::unordered_map<Key, Entry, KeyHash>;
+
   void insert(const Key& key, std::span<const std::span<std::byte>> outs,
               const net::ComputeCost& cost);
-  void erase(std::unordered_map<Key, Entry, KeyHash>::iterator it);
+  void erase(Map::iterator it);
 
   /// Recycled entry buffers. Entries churn at steady state (insert on miss,
   /// erase once every sibling consumed), and their outputs are MB-scale
@@ -261,8 +263,14 @@ class ComputeCache {
   bool verify_;
   ComputeCacheStats stats_;
   std::vector<Buffer> buffer_pool_;
-  std::unordered_map<Key, Entry, KeyHash> map_;
+  Map map_;
   std::list<Key> fifo_;  ///< insertion order for the byte-cap backstop
+  /// Retired entries' map nodes (each keeping its outputs vector's
+  /// capacity) and FIFO list nodes, re-keyed by the next inserts, so a
+  /// steady-state publish allocates nothing. Bounded by kMaxSpareEntries.
+  static constexpr std::size_t kMaxSpareEntries = 64;
+  std::vector<Map::node_type> spare_entries_;
+  std::list<Key> spare_fifo_;
   std::size_t total_bytes_ = 0;
 };
 

@@ -176,6 +176,56 @@ TEST(ComputeCache, ByteCapEvictsOldestPendingEntries) {
   EXPECT_EQ(w[1], 1.0);
 }
 
+TEST(ComputeCache, ByteCapEvictionStaysOldestFirstOverRecycledEntries) {
+  // Retired entries are kept and re-keyed by later publishes. Whatever node
+  // an entry lands in, the byte cap must still evict the oldest pending
+  // entries first, and a hit must return that step's bytes. Regions are
+  // 64 KiB: the producer reports one flop per byte, so it publishes; the
+  // sibling's recompute reports none, so a miss does not republish and the
+  // resident set can be read off the sibling's hits.
+  constexpr std::size_t kDoubles = 8192;
+  constexpr double kBytes = kDoubles * sizeof(double);
+  ComputeCache cache(2, /*max_bytes=*/3 * kDoubles * sizeof(double));
+  ComputeClient producer(&cache, 0);
+  ComputeClient sibling(&cache, 0);
+  std::vector<double> v(kDoubles), w(kDoubles);
+  const auto produce = [&](double base) {
+    producer.shared("p", {std::as_writable_bytes(std::span(v))}, [&] {
+      fill(v, base, nullptr);
+      return net::ComputeCost{kBytes, kBytes};
+    });
+  };
+  int recomputed = 0;
+  const auto consume = [&](double base) {
+    std::fill(w.begin(), w.end(), -1.0);
+    sibling.shared("p", {std::as_writable_bytes(std::span(w))}, [&] {
+      fill(w, base, &recomputed);
+      return net::ComputeCost{};
+    });
+    EXPECT_EQ(w[1], base + 1);
+  };
+
+  // Churn: three entries published, then consumed, twenty times over.
+  double base = 0;
+  for (int round = 0; round < 20; ++round, base += 3) {
+    for (int k = 0; k < 3; ++k) produce(base + k);
+    for (int k = 0; k < 3; ++k) consume(base + k);
+  }
+  EXPECT_EQ(recomputed, 0);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.pending_entries(), 0u);
+
+  // Six pending entries against a cap of three: the first three go.
+  for (int k = 0; k < 6; ++k) produce(base + k);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(cache.pending_entries(), 3u);
+  for (int k = 0; k < 3; ++k) consume(base + k);
+  EXPECT_EQ(recomputed, 3);  // evicted: the sibling recomputed them
+  for (int k = 3; k < 6; ++k) consume(base + k);
+  EXPECT_EQ(recomputed, 3);  // resident: served the producer's bytes
+  EXPECT_EQ(cache.pending_entries(), 0u);
+}
+
 TEST(ComputeCache, VerifyModeAcceptsDeterministicRegions) {
   ScopedEnv env("REPMPI_VERIFY_SHARED_COMPUTE", "1");
   ComputeCache cache(2);

@@ -11,6 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <latch>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "apps/runner.hpp"
 #include "net/network.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/request.hpp"
 #include "simmpi/world.hpp"
 #include "support/compute_cache.hpp"
 #include "support/payload.hpp"
@@ -343,6 +347,59 @@ TEST(PayloadPool, CrossThreadStress) {
   // The original is still intact after all threads dropped their refs.
   EXPECT_EQ(shared.size(), kBig);
   EXPECT_EQ(std::memcmp(shared.data(), bytes.data(), kBig), 0);
+}
+
+TEST(RequestPool, CrossThreadStress) {
+  // Request states come from thread-local free lists. Each thread makes
+  // requests and hands copies to the next thread in a ring; the maker drops
+  // its copies first, so the last reference — and with it the block — is
+  // released on the receiving thread. Every field must survive, and the
+  // released blocks must feed the receiving thread's later requests.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::vector<std::shared_ptr<mpi::RequestState>>> inbox(
+      kThreads);
+  std::latch handed_over(kThreads);
+  std::latch makers_dropped(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int tn = 0; tn < kThreads; ++tn) {
+    threads.emplace_back([&, tn] {
+      std::vector<std::shared_ptr<mpi::RequestState>> mine;
+      auto& next = inbox[static_cast<std::size_t>((tn + 1) % kThreads)];
+      for (int i = 0; i < kPerThread; ++i) {
+        auto st = mpi::make_request_state();
+        st->match_tag = tn * kPerThread + i;
+        st->data = support::Payload(support::as_bytes_of(i));
+        mine.push_back(st);
+        next.push_back(std::move(st));  // read by its owner after the latch
+      }
+      handed_over.arrive_and_wait();
+      mine.clear();
+      makers_dropped.arrive_and_wait();
+
+      const int prev = (tn + kThreads - 1) % kThreads;
+      std::set<const void*> released;
+      auto& got = inbox[static_cast<std::size_t>(tn)];
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto& st = got[static_cast<std::size_t>(i)];
+        if (st.use_count() != 1 || st->match_tag != prev * kPerThread + i ||
+            support::from_buffer<int>(st->data) != i) {
+          ++failures;
+        }
+        released.insert(st.get());
+      }
+      got.clear();  // last references: the blocks land in this thread's list
+      std::size_t reused = 0;
+      for (int i = 0; i < kPerThread; ++i) {
+        mine.push_back(mpi::make_request_state());
+        reused += released.count(mine.back().get());
+      }
+      if (reused != released.size()) ++failures;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

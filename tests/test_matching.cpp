@@ -131,6 +131,37 @@ TEST(Matching, DeepUnexpectedQueueMatchesByTag) {
   EXPECT_TRUE(ok);
 }
 
+TEST(Matching, DeepSingleKeyBucketsStayFifo) {
+  // Hundreds of entries under one key, in both queues: the bucket drops its
+  // consumed prefix several times while it drains, and must keep post and
+  // arrival order throughout.
+  constexpr int kDepth = 300;
+  MpiFixture f(2);
+  std::vector<int> unexpected_order, posted_order;
+  f.run([&](Proc& proc, Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i < kDepth; ++i) comm.send_value(1, 4, i);
+      comm.recv_value<int>(1, 9);  // receiver has posted its receives
+      for (int i = 0; i < kDepth; ++i) comm.send_value(1, 5, i);
+    } else {
+      proc.elapse(1.0);  // the tag-4 messages all arrive unexpected
+      for (int i = 0; i < kDepth; ++i)
+        unexpected_order.push_back(comm.recv_value<int>(0, 4));
+      std::vector<Request> reqs;
+      for (int i = 0; i < kDepth; ++i) reqs.push_back(comm.irecv(0, 5));
+      comm.send_value(0, 9, 0);
+      for (Request& r : reqs) {
+        comm.wait(r);
+        posted_order.push_back(support::from_buffer<int>(r.state().data));
+      }
+    }
+  });
+  std::vector<int> expected(kDepth);
+  for (int i = 0; i < kDepth; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(unexpected_order, expected);
+  EXPECT_EQ(posted_order, expected);
+}
+
 TEST(Matching, PerPairFifoNonOvertakingMixedSizes) {
   // A huge message followed by a tiny one on the same (src, dst, tag): the
   // tiny one's wire time is shorter but it must not overtake (network FIFO
@@ -281,6 +312,119 @@ TEST(Matching, TeardownWithPostedReceivesOutstanding) {
     }
   };
   EXPECT_NO_THROW(run());
+}
+
+TEST(Matching, RecycledBucketsNeverLeakStaleEntries) {
+  // Every round uses fresh tags, so buckets are drained, recycled and
+  // re-keyed over and over: after plain drains, after purge_unexpected
+  // closed a bucket that still held a message, and after a death
+  // announcement emptied more buckets at once than the spare list keeps.
+  // Post order, arrival order and wildcard priority must hold every round.
+  constexpr int kRounds = 150;
+  constexpr int kDeadWaits = 100;
+  constexpr int kCtl = 1;  // go signals and end-of-data markers
+  MpiFixture f(4);
+  int post_order_rounds = 0;
+  int arrival_rounds = 0;
+  std::size_t purged = 0;
+  int failed = 0;
+  int survivor = -1;
+  auto value = [](Request& r) {
+    return support::from_buffer<int>(r.state().data);
+  };
+  f.run([&](Proc& proc, Comm& comm) {
+    // Exact, wildcard, exact posted before the three messages arrive: they
+    // complete in post order.
+    auto post_order_round = [&](int t, int r) {
+      if (comm.rank() == 0) {
+        Request a = comm.irecv(1, t);
+        Request b = comm.irecv(kAnySource, t);
+        Request c = comm.irecv(1, t);
+        comm.send_value(1, kCtl, r);
+        comm.wait(a);
+        comm.wait(b);
+        comm.wait(c);
+        EXPECT_EQ(value(a), 3 * r);
+        EXPECT_EQ(value(b), 3 * r + 1);
+        EXPECT_EQ(value(c), 3 * r + 2);
+        ++post_order_rounds;
+      } else if (comm.rank() == 1) {
+        EXPECT_EQ(comm.recv_value<int>(0, kCtl), r);
+        for (int k = 0; k < 3; ++k) comm.send_value(0, t, 3 * r + k);
+      }
+    };
+
+    for (int r = 0; r < kRounds; ++r) post_order_round(10000 + r, r);
+
+    // Unexpected messages, matched in arrival order; every tenth round rank
+    // 2's message is purged instead of received.
+    for (int r = 0; r < kRounds; ++r) {
+      const int t = 20000 + 4 * r;
+      const bool purge = r % 10 == 0;
+      if (comm.rank() == 0) {
+        comm.send_value(1, kCtl, r);
+        comm.send_value(2, kCtl, r);
+        EXPECT_EQ(comm.recv_value<int>(1, kCtl), r);
+        EXPECT_EQ(comm.recv_value<int>(2, kCtl), r);
+        Request x = comm.irecv(kAnySource, t);
+        comm.wait(x);
+        EXPECT_EQ(x.state().status.source, 1);
+        EXPECT_EQ(value(x), r);
+        Request y = comm.irecv(1, kAnyTag);
+        comm.wait(y);
+        EXPECT_EQ(y.state().status.tag, t + 1);
+        EXPECT_EQ(value(y), -r);
+        if (purge) {
+          purged += proc.world().purge_unexpected(proc.world_rank(),
+                                                  comm.channel(), 2);
+        } else {
+          Request z = comm.irecv(2, t);
+          comm.wait(z);
+          EXPECT_EQ(value(z), 1000 + r);
+        }
+        ++arrival_rounds;
+      } else if (comm.rank() == 1) {
+        EXPECT_EQ(comm.recv_value<int>(0, kCtl), r);
+        comm.send_value(0, t, r);
+        comm.send_value(0, t + 1, -r);
+        comm.send_value(0, kCtl, r);
+      } else if (comm.rank() == 2) {
+        EXPECT_EQ(comm.recv_value<int>(0, kCtl), r);
+        proc.elapse(1e-3);  // arrives after rank 1's message on tag t
+        comm.send_value(0, purge ? t + 2 : t, 1000 + r);
+        comm.send_value(0, kCtl, r);
+      }
+    }
+
+    // Rank 3 dies while rank 0 waits on it under many fresh tags; the
+    // receive from rank 1 posted among them survives.
+    if (comm.rank() == 0) {
+      std::vector<Request> doomed;
+      for (int k = 0; k < kDeadWaits; ++k)
+        doomed.push_back(comm.irecv(3, 30000 + k));
+      Request alive = comm.irecv(1, 30000);
+      comm.send_value(3, kCtl, 0);
+      for (Request& d : doomed) failed += comm.wait(d).failed ? 1 : 0;
+      comm.send_value(1, kCtl, 0);
+      comm.wait(alive);
+      survivor = value(alive);
+    } else if (comm.rank() == 1) {
+      comm.recv_value<int>(0, kCtl);
+      comm.send_value(0, 30000, 77);
+    } else if (comm.rank() == 3) {
+      comm.recv_value<int>(0, kCtl);
+      proc.world().crash(proc.world_rank());
+      proc.elapse(10.0);
+    }
+
+    // The buckets the death emptied are re-keyed with nothing left in them.
+    for (int r = 0; r < kRounds; ++r) post_order_round(40000 + r, r);
+  });
+  EXPECT_EQ(post_order_rounds, 2 * kRounds);
+  EXPECT_EQ(arrival_rounds, kRounds);
+  EXPECT_EQ(purged, static_cast<std::size_t>(kRounds / 10));
+  EXPECT_EQ(failed, kDeadWaits);
+  EXPECT_EQ(survivor, 77);
 }
 
 // --- Focused waits (zero-heap wakeup contract) ------------------------------
