@@ -165,7 +165,7 @@ bool write_report(const std::string& path,
   }
   out << "{\n  \"schema\": \"repmpi-bench-report/1\",\n  \"partial\": "
       << (partial ? "true" : "false") << ",\n  \"host_backend\": \""
-      << kernels::to_string(kernels::process_default_backend())
+      << kernels::to_string(kernels::active_backend())
       << "\",\n  \"benches\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const BenchOutcome& o = outcomes[i];
@@ -266,7 +266,7 @@ int driver(int argc, char** argv) {
                 << kernels::to_string(kernels::detect_backend()) << ")\n";
       return 2;
     }
-    kernels::set_process_default_backend(requested);
+    kernels::set_active_backend(requested);
   }
   if (opt.get_bool("help", false)) {
     print_usage();

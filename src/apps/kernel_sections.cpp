@@ -12,6 +12,10 @@ using intra::Binding;
 using intra::Section;
 using intra::TaskArgs;
 
+// A task body captures at most 16 bytes, e.g. one pointer to a local struct
+// of its arguments: std::function (libstdc++) stores that inline, so
+// registering the task allocates nothing.
+
 namespace {
 /// Splits n items into `parts` near-equal contiguous ranges.
 struct Ranges {
@@ -53,14 +57,19 @@ void waxpby_section(AppContext& ctx, const std::string& phase, double alpha,
         [&] { return kernels::waxpby(alpha, x, beta, y, w); }));
     return;
   }
+  const struct {
+    double alpha, beta;
+    std::span<const double> x, y;
+    std::span<double> w;
+  } k{alpha, beta, x, y, w};
   Section section(ctx.intra);
   const int id = ctx.intra.register_task(
-      [alpha, beta, x, y, w](TaskArgs& a) -> net::ComputeCost {
+      [&k](TaskArgs& a) -> net::ComputeCost {
         // The range is identified by the out binding's offset within w.
         auto wt = a.get<double>(0);
-        const std::size_t off = static_cast<std::size_t>(wt.data() - w.data());
-        return kernels::waxpby(alpha, x.subspan(off, wt.size()), beta,
-                               y.subspan(off, wt.size()), wt);
+        const auto off = static_cast<std::size_t>(wt.data() - k.w.data());
+        return kernels::waxpby(k.alpha, k.x.subspan(off, wt.size()), k.beta,
+                               k.y.subspan(off, wt.size()), wt);
       },
       {{out_tag, sizeof(double)}});
   const Ranges r{w.size(), num_tasks};
@@ -86,15 +95,18 @@ double ddot_section(AppContext& ctx, const std::string& phase,
   // Task index travels as an `in` argument (never transferred; every replica
   // holds identical copies, which keeps re-execution deterministic).
   std::pmr::vector<int>& indices = slots.indices;
-  const Ranges r{x.size(), num_tasks};
+  const struct {
+    std::span<const double> x, y;
+    Ranges r;
+  } k{x, y, {x.size(), num_tasks}};
   {
     Section section(ctx.intra);
     const int id = ctx.intra.register_task(
-        [x, y, &r](TaskArgs& a) -> net::ComputeCost {
+        [&k](TaskArgs& a) -> net::ComputeCost {
           const int t = a.scalar_in<int>(0);
-          const std::size_t b = r.begin(t);
-          const std::size_t e = r.end(t);
-          return kernels::ddot(x.subspan(b, e - b), y.subspan(b, e - b),
+          const std::size_t b = k.r.begin(t);
+          const std::size_t e = k.r.end(t);
+          return kernels::ddot(k.x.subspan(b, e - b), k.y.subspan(b, e - b),
                                &a.scalar<double>(1));
         },
         {{ArgTag::kIn, sizeof(int)}, {ArgTag::kOut, sizeof(double)}});
@@ -120,14 +132,18 @@ void sparsemv_section(AppContext& ctx, const std::string& phase,
         [&] { return kernels::sparsemv(a, x, y); }));
     return;
   }
+  const struct {
+    const kernels::CsrMatrix& a;
+    std::span<const double> x;
+    std::span<double> y;
+  } k{a, x, y};
   Section section(ctx.intra);
   const int id = ctx.intra.register_task(
-      [&a, x, y](TaskArgs& ta) -> net::ComputeCost {
+      [&k](TaskArgs& ta) -> net::ComputeCost {
         auto yt = ta.get<double>(0);
-        const auto r0 =
-            static_cast<std::int64_t>(yt.data() - y.data());
+        const auto r0 = static_cast<std::int64_t>(yt.data() - k.y.data());
         return kernels::sparsemv_range(
-            a, x, y, r0, r0 + static_cast<std::int64_t>(yt.size()));
+            k.a, k.x, k.y, r0, r0 + static_cast<std::int64_t>(yt.size()));
       },
       {{ArgTag::kOut, sizeof(double)}});
   const Ranges r{static_cast<std::size_t>(a.rows()), num_tasks};

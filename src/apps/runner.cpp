@@ -1,7 +1,6 @@
 #include "apps/runner.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -180,27 +179,11 @@ RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,
                 << cfg.num_domains
                 << " domains; falling back to same-domain placement");
   }
-  // Rank fibers execute on the engine's worker threads: install the run's
-  // kernel backend on each worker, and deposit the workers' thread-local
-  // kernel timing totals back to the calling thread when they exit.
-  std::mutex totals_mu;
-  kernels::KernelTotals totals;
-  machine.set_worker_hook([&cfg, &totals_mu, &totals](int) {
-    auto scope = std::make_shared<kernels::ScopedBackend>(cfg.backend);
-    const kernels::KernelTotals before = kernels::kernel_totals();
-    return [scope, before, &totals_mu, &totals] {
-      kernels::KernelTotals delta = kernels::kernel_totals();
-      delta -= before;
-      const std::lock_guard<std::mutex> lock(totals_mu);
-      totals += delta;
-    };
-  });
   RankOutputs out(layout.num_physical());
   machine.world().launch(
       make_rank_main(cfg, layout, /*cache=*/nullptr, app, out));
   arm_faults(cfg, machine.world());
   machine.run();
-  kernels::add_kernel_totals(totals);
 
   RunResult res;
   res.placement_fallback = fell_back;
@@ -233,10 +216,6 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
   const rep::ReplicaLayout layout{cfg.num_logical, cfg.effective_degree()};
   REPMPI_CHECK_MSG(cfg.shards >= 0, "negative shard count " << cfg.shards);
   if (cfg.shards > 0) return run_app_sharded(cfg, app, layout);
-
-  // Classic path: all rank fibers run on this thread, so one thread-local
-  // install covers the whole run.
-  const kernels::ScopedBackend backend_scope(cfg.backend);
 
   sim::Simulator sim;
   bool fell_back = false;

@@ -20,7 +20,6 @@
 
 #include "fault/failure.hpp"
 #include "intra/runtime.hpp"
-#include "kernels/backend.hpp"
 #include "net/machine_model.hpp"
 #include "replication/layout.hpp"
 #include "replication/logical_comm.hpp"
@@ -46,6 +45,9 @@ const char* to_string(RunMode mode);
 /// Paper-style labels for plot rows ("Open MPI", "SDR-MPI", "intra").
 const char* paper_label(RunMode mode);
 
+/// One run's machine and protocol. The host kernel backend is not part of
+/// it: that is a process-wide setting (kernels::set_active_backend) that
+/// changes host wall-clock only, never a simulated result.
 struct RunConfig {
   RunMode mode = RunMode::kNative;
   int num_logical = 4;
@@ -78,13 +80,6 @@ struct RunConfig {
   /// sharded (it never affects simulated results either way, and its
   /// decisions read no clock, only the config and modelled costs).
   int shards = 0;
-  /// Host kernel backend for this run's batch kernels (SpMV, stencil, PIC,
-  /// vector ops). kAuto = the process default (best supported by CPUID).
-  /// Simulated results are bit-identical under every backend — the SIMD
-  /// paths preserve the scalar accumulation order per output element — so
-  /// this only changes host wall-clock. Installed thread-locally on every
-  /// thread that executes rank fibers, including sharded-engine workers.
-  kernels::Backend backend = kernels::Backend::kAuto;
 
   int effective_degree() const {
     return mode == RunMode::kNative ? 1 : degree;
@@ -103,7 +98,8 @@ struct RunConfig {
   int num_physical() const { return num_logical * effective_degree(); }
 };
 
-/// Everything an application main needs.
+/// Everything an application main needs. Its kernels dispatch through the
+/// process-wide backend on whichever thread runs the rank (kernels/backend.hpp).
 struct AppContext {
   mpi::Proc& proc;
   rep::LogicalComm& comm;

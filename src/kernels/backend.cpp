@@ -25,12 +25,8 @@ bool cpu_has_avx2() {
 #endif
 }
 
-/// Process default, resolved lazily (first use detects the CPU). Encoded as
-/// int: 0 = not yet detected.
-std::atomic<int> g_default{0};
-
-/// The calling thread's installed ops table; null = follow process default.
-thread_local const BackendOps* t_ops = nullptr;
+/// The process-wide ops table; null until first use detects the CPU.
+std::atomic<const BackendOps*> g_active{nullptr};
 
 /// -1 = consult the environment on first use; 0/1 = resolved or overridden.
 std::atomic<int> g_verify{-1};
@@ -83,28 +79,8 @@ Backend detect_backend() {
   return backend_supported(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
 }
 
-Backend process_default_backend() {
-  int v = g_default.load(std::memory_order_relaxed);
-  if (v == 0) {
-    v = static_cast<int>(detect_backend());
-    g_default.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<Backend>(v);
-}
-
-void set_process_default_backend(Backend b) {
-  if (b == Backend::kAuto) {
-    g_default.store(static_cast<int>(detect_backend()),
-                    std::memory_order_relaxed);
-    return;
-  }
-  REPMPI_CHECK_MSG(backend_supported(b), "kernel backend '" << to_string(b)
-                       << "' is not supported on this host");
-  g_default.store(static_cast<int>(b), std::memory_order_relaxed);
-}
-
 const BackendOps& backend_ops(Backend b) {
-  if (b == Backend::kAuto) b = process_default_backend();
+  if (b == Backend::kAuto) b = detect_backend();
   REPMPI_CHECK_MSG(backend_supported(b), "kernel backend '" << to_string(b)
                        << "' is not supported on this host");
   switch (b) {
@@ -118,17 +94,17 @@ const BackendOps& backend_ops(Backend b) {
 }
 
 const BackendOps& active_ops() {
-  return t_ops != nullptr ? *t_ops : backend_ops(process_default_backend());
+  const BackendOps* ops = g_active.load();
+  if (ops != nullptr) return *ops;
+  // First use detects the CPU, unless a concurrent setter got there first.
+  const BackendOps& detected = backend_ops(Backend::kAuto);
+  return g_active.compare_exchange_strong(ops, &detected) ? detected : *ops;
 }
 
 Backend active_backend() { return active_ops().kind; }
 
-ScopedBackend::ScopedBackend(Backend b) : prev_(t_ops) {
-  t_ops = &backend_ops(b);
-}
-
-ScopedBackend::~ScopedBackend() {
-  t_ops = static_cast<const BackendOps*>(prev_);
+void set_active_backend(Backend b) {
+  g_active.store(&backend_ops(b));
 }
 
 bool verify_backend_active() {
@@ -158,10 +134,6 @@ void verify_backend_match(const char* kernel, const double* got,
 }
 
 KernelTotals kernel_totals() { return t_kernel_totals; }
-
-void add_kernel_totals(const KernelTotals& delta) {
-  t_kernel_totals += delta;
-}
 
 KernelTimer::~KernelTimer() {
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

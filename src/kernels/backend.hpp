@@ -22,12 +22,11 @@
 // abort on the first differing bit — the same recompute-and-compare
 // discipline as REPMPI_VERIFY_SHARED_COMPUTE.
 //
-// Selection: the process default is CPUID-detected (best compiled backend
-// the host supports); repmpi_bench --backend= overrides it process-wide and
-// RunConfig::backend overrides it per run (apps/runner installs a
-// ScopedBackend on every thread that executes rank fibers, including
-// sharded-engine workers). The active backend is thread-local, matching the
-// substrate's thread-confinement contract.
+// Selection: one process-wide backend. It starts as detect_backend() (the
+// best compiled backend the host supports) and repmpi_bench --backend=
+// replaces it with set_active_backend() before any run starts. Every thread
+// reads the same table, sharded-engine workers included, so nothing is
+// installed per run or per thread.
 
 #include <chrono>
 #include <cstddef>
@@ -40,7 +39,7 @@
 namespace repmpi::kernels {
 
 enum class Backend : int {
-  kAuto = 0,    ///< resolve to the process default at use
+  kAuto = 0,    ///< resolve to detect_backend() at use
   kScalar = 1,  ///< bit-exact reference, always compiled
   kAvx2 = 2,    ///< 4-wide doubles (compiled when the toolchain has -mavx2)
 };
@@ -56,27 +55,13 @@ bool backend_supported(Backend b);
 /// Best supported backend: avx2 > scalar.
 Backend detect_backend();
 
-/// Process-wide default, used by threads with no ScopedBackend installed.
-/// Starts as detect_backend(); never returns kAuto.
-Backend process_default_backend();
-/// Overrides the default (kAuto re-arms detection). REPMPI_CHECKs support.
-void set_process_default_backend(Backend b);
-
-/// The calling thread's active backend (resolved; never kAuto).
+/// The process-wide backend (resolved; never kAuto).
 Backend active_backend();
-
-/// Installs a backend on the calling thread for the scope's lifetime
-/// (kAuto = the process default). REPMPI_CHECKs that it is supported.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(Backend b);
-  ~ScopedBackend();
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  const void* prev_;
-};
+/// Replaces the process-wide backend; kAuto selects detect_backend().
+/// REPMPI_CHECKs that the backend is supported on this host. Meant to be
+/// called before runs start; a switch during a run is race-free and changes
+/// no result bit, since every backend computes the scalar reference's bits.
+void set_active_backend(Backend b);
 
 /// One batched-execution entry point per kernel family. All pointers are
 /// non-null in every table; public kernel APIs (sparse/stencil/pic/
@@ -108,9 +93,9 @@ struct BackendOps {
                double dt, const Field2D& ex, const Field2D& ey);
 };
 
-/// Ops table of the calling thread's active backend.
+/// Ops table of the process-wide backend.
 const BackendOps& active_ops();
-/// Ops table for a specific backend (kAuto = process default); REPMPI_CHECKs
+/// Ops table for a specific backend (kAuto = detect_backend()); REPMPI_CHECKs
 /// that it is supported on this host.
 const BackendOps& backend_ops(Backend b);
 
@@ -129,10 +114,11 @@ void verify_backend_match(const char* kernel, const double* got,
 // --- Host-side kernel timing counters --------------------------------------
 //
 // Thread-local nanosecond totals per kernel family, mirroring
-// sim::substrate_totals(): perfbench snapshots them around each round and
-// reports the deltas as its kernels.spmv_s / kernels.vector_s /
-// kernels.share probes. Work done on other threads (sharded-engine
-// workers) is deposited back with add_kernel_totals().
+// sim::substrate_totals(): perfbench snapshots them around each classic-
+// engine round and reports the deltas as its kernels.spmv_s /
+// kernels.vector_s / kernels.share probes. Kernel time spent on
+// sharded-engine workers stays in those workers' totals; it never reaches
+// the thread that called run_app.
 
 enum class KernelFamily : int {
   kSpmv = 0,
@@ -146,11 +132,6 @@ enum class KernelFamily : int {
 struct KernelTotals {
   std::uint64_t ns[static_cast<int>(KernelFamily::kCount)] = {};
 
-  KernelTotals& operator+=(const KernelTotals& o) {
-    for (int i = 0; i < static_cast<int>(KernelFamily::kCount); ++i)
-      ns[i] += o.ns[i];
-    return *this;
-  }
   KernelTotals& operator-=(const KernelTotals& o) {
     for (int i = 0; i < static_cast<int>(KernelFamily::kCount); ++i)
       ns[i] -= o.ns[i];
@@ -158,8 +139,8 @@ struct KernelTotals {
   }
 };
 
+/// The calling thread's totals.
 KernelTotals kernel_totals();
-void add_kernel_totals(const KernelTotals& delta);
 
 /// RAII wall-clock accumulation into the calling thread's totals.
 class KernelTimer {

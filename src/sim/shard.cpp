@@ -74,15 +74,6 @@ void ShardedEngine::on_barrier() noexcept {
 
 void ShardedEngine::worker(int s) {
   t_current_shard = s;
-  std::function<void()> finalize;
-  if (worker_hook_) {
-    try {
-      finalize = worker_hook_(s);
-    } catch (...) {
-      record_exception(std::current_exception());
-      abort_.store(true, std::memory_order_relaxed);
-    }
-  }
   Simulator& sim = *sims_[static_cast<std::size_t>(s)];
   for (;;) {
     barrier_.arrive_and_wait();
@@ -103,13 +94,6 @@ void ShardedEngine::worker(int s) {
       sim.terminate_processes();
     } catch (...) {
       if (!error_) error_ = std::current_exception();
-    }
-  }
-  if (finalize) {
-    try {
-      finalize();
-    } catch (...) {
-      record_exception(std::current_exception());
     }
   }
   t_current_shard = 0;

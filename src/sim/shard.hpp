@@ -26,6 +26,10 @@
 // own thread before exiting, so fiber stacks never unwind cross-thread.
 // When all queues drain normally, parked-but-live processes across all
 // shards are reported as a single DeadlockError.
+//
+// Workers install no per-thread state for the fibers they run: the kernel
+// backend is process-wide, and the kernel timing those fibers accrue
+// (kernels::kernel_totals) stays in the worker threads' totals.
 
 #include <atomic>
 #include <barrier>
@@ -74,15 +78,6 @@ class ShardedEngine {
     boundary_hook_ = std::move(hook);
   }
 
-  /// Per-worker-thread lifecycle hook: called once on each worker thread
-  /// before it starts executing windows, returning a finalizer that runs on
-  /// the same thread after its shard is drained and terminated. Lets the
-  /// caller install thread-local state for the fibers this worker runs
-  /// (e.g. the kernel backend) and collect thread-local counters on the way
-  /// out. Either function may be empty.
-  using WorkerHook = std::function<std::function<void()>(int shard)>;
-  void set_worker_hook(WorkerHook hook) { worker_hook_ = std::move(hook); }
-
   /// Drives all shards to completion. Rethrows the first worker/hook
   /// exception; throws DeadlockError when live processes remain parked
   /// across the drained shards. One-shot.
@@ -105,7 +100,6 @@ class ShardedEngine {
   WindowClock clock_;
   std::barrier<BarrierHook> barrier_;
   std::function<void(Time)> boundary_hook_;
-  WorkerHook worker_hook_;
   bool stop_ = false;             ///< written only in on_barrier (serial)
   std::atomic<bool> abort_{false};
   bool ran_ = false;

@@ -98,10 +98,6 @@ thread_local Simulator* t_entering_sim = nullptr;
 
 SubstrateTotals substrate_totals() { return t_totals; }
 
-void add_substrate_events(std::uint64_t n) { t_totals.events += n; }
-
-void add_substrate_messages(std::uint64_t n) { t_totals.messages += n; }
-
 void add_substrate(const SubstrateTotals& delta) { t_totals += delta; }
 
 // ---------------------------------------------------------------------------
@@ -191,8 +187,7 @@ Simulator::~Simulator() {
 }
 
 void Simulator::flush_totals() {
-  const SubstrateTotals cur{events_executed_, messages_, fiber_switches_,
-                            heap_bypass_, wakeups_elided_};
+  const SubstrateTotals cur = counters();
   SubstrateTotals delta = cur;
   delta -= flushed_;
   t_totals += delta;

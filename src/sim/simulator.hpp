@@ -69,27 +69,35 @@ namespace repmpi::sim {
 
 class Simulator;
 
-/// Per-*thread* substrate throughput totals, accumulated across every
-/// Simulator (events) and Network (messages) instance that ran on the
-/// calling thread. The bench driver snapshots these around each bench for
-/// the JSON report's event/message counts, and perfbench around each round
-/// for its sim.* probes; because a bench executes entirely on one worker
-/// thread, concurrent benches never see each other's counts. Drivers that
-/// fan simulations out to their own worker pool (the sweep bench) diff
-/// these totals around each run *on the worker thread that ran it*, then
-/// deposit the sum back on their own thread with add_substrate_*.
-/// Simulator::counters() is the per-instance alternative for callers that
-/// hold the simulator itself.
+/// Substrate counters of one Simulator or of one thread. The instance
+/// snapshot (Simulator::counters(), ShardedMachine::counters()) holds
+/// everything that simulator executed, the messages its attached Network(s)
+/// reported, its fiber-stack pool's reuse and the event engine's fast-path
+/// hits: the per-run API for drivers that own many concurrent simulators.
+///
+/// substrate_totals() holds the same counters summed per *thread* over every
+/// Simulator that ran on the calling thread. The bench driver snapshots them
+/// around each bench for the JSON report's event/message counts, and
+/// perfbench around each round for its sim.* probes; because a bench
+/// executes entirely on one worker thread, concurrent benches never see
+/// each other's counts. Drivers that fan simulations out to their own worker
+/// pool (the sweep bench) diff these totals around each run *on the worker
+/// thread that ran it*, then deposit the sum back on their own thread with
+/// add_substrate().
 struct SubstrateTotals {
-  std::uint64_t events = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t fiber_switches = 0;   ///< control transfers into fibers
-  std::uint64_t heap_bypass = 0;      ///< events that skipped the timed queue
-  std::uint64_t wakeups_elided = 0;   ///< focused waits: wakes never issued
+  std::uint64_t events = 0;            ///< DES events executed
+  std::uint64_t messages = 0;          ///< simulated messages transferred
+  std::uint64_t stacks_allocated = 0;  ///< fiber stacks mmap'ed
+  std::uint64_t stacks_reused = 0;     ///< fiber stacks served from the pool
+  std::uint64_t fiber_switches = 0;    ///< control transfers into fibers
+  std::uint64_t heap_bypass = 0;       ///< ready-lane (same-time) events
+  std::uint64_t wakeups_elided = 0;    ///< focused waits: wakes never issued
 
   SubstrateTotals& operator+=(const SubstrateTotals& o) {
     events += o.events;
     messages += o.messages;
+    stacks_allocated += o.stacks_allocated;
+    stacks_reused += o.stacks_reused;
     fiber_switches += o.fiber_switches;
     heap_bypass += o.heap_bypass;
     wakeups_elided += o.wakeups_elided;
@@ -98,6 +106,8 @@ struct SubstrateTotals {
   SubstrateTotals& operator-=(const SubstrateTotals& o) {
     events -= o.events;
     messages -= o.messages;
+    stacks_allocated -= o.stacks_allocated;
+    stacks_reused -= o.stacks_reused;
     fiber_switches -= o.fiber_switches;
     heap_bypass -= o.heap_bypass;
     wakeups_elided -= o.wakeups_elided;
@@ -106,26 +116,9 @@ struct SubstrateTotals {
 };
 
 SubstrateTotals substrate_totals();
-void add_substrate_events(std::uint64_t n);
-void add_substrate_messages(std::uint64_t n);
 /// Deposits a whole cross-thread delta at once (sweep-style drivers that
 /// run simulations on worker threads and attribute totals to their own).
 void add_substrate(const SubstrateTotals& delta);
-
-/// Instance-local substrate counters, snapshot via Simulator::counters():
-/// everything this simulator executed, plus the message count its attached
-/// Network(s) reported, the fiber-stack pool's reuse statistics, and the
-/// event-engine fast-path hit counts. The per-run snapshot API for drivers
-/// that own many concurrent simulators.
-struct SubstrateCounters {
-  std::uint64_t events = 0;            ///< DES events executed
-  std::uint64_t messages = 0;          ///< simulated messages transferred
-  std::uint64_t stacks_allocated = 0;  ///< fiber stacks mmap'ed
-  std::uint64_t stacks_reused = 0;     ///< fiber stacks served from the pool
-  std::uint64_t fiber_switches = 0;    ///< control transfers into fibers
-  std::uint64_t heap_bypass = 0;       ///< ready-lane (same-time) events
-  std::uint64_t wakeups_elided = 0;    ///< focused waits: wakes never issued
-};
 
 /// Thrown inside a simulated process when it is killed; the process body must
 /// let it propagate (the thread wrapper catches it). RAII cleanup runs as the
@@ -249,7 +242,7 @@ class Simulator {
   /// wakeups. Monotonic over the simulator's lifetime; callers running many
   /// simulators concurrently diff snapshots per run instead of reading the
   /// thread-local process totals.
-  SubstrateCounters counters() const {
+  SubstrateTotals counters() const {
     return {events_executed_, messages_,       stacks_allocated_,
             stacks_reused_,   fiber_switches_, heap_bypass_,
             wakeups_elided_};

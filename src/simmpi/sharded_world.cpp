@@ -113,18 +113,9 @@ void ShardedMachine::at_boundary(sim::Time window_end) {
   }
 }
 
-sim::SubstrateCounters ShardedMachine::counters() const {
-  sim::SubstrateCounters total;
-  for (int s = 0; s < num_shards(); ++s) {
-    const sim::SubstrateCounters c = engine_.shard(s).counters();
-    total.events += c.events;
-    total.messages += c.messages;
-    total.stacks_allocated += c.stacks_allocated;
-    total.stacks_reused += c.stacks_reused;
-    total.fiber_switches += c.fiber_switches;
-    total.heap_bypass += c.heap_bypass;
-    total.wakeups_elided += c.wakeups_elided;
-  }
+sim::SubstrateTotals ShardedMachine::counters() const {
+  sim::SubstrateTotals total;
+  for (int s = 0; s < num_shards(); ++s) total += engine_.shard(s).counters();
   return total;
 }
 

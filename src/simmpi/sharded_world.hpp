@@ -53,14 +53,8 @@ class ShardedMachine final : public ShardRouter {
   /// Drives the engine to completion (after World::launch).
   void run();
 
-  /// Forwarded to the engine: per-worker-thread lifecycle hook (install
-  /// thread-local state before windows run, collect counters after).
-  void set_worker_hook(sim::ShardedEngine::WorkerHook hook) {
-    engine_.set_worker_hook(std::move(hook));
-  }
-
   /// Aggregates across all shards (valid on the owning thread after run()).
-  sim::SubstrateCounters counters() const;
+  sim::SubstrateTotals counters() const;
   net::NetworkStats net_stats() const;
   Stats stats() const;
 

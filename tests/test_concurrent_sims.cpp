@@ -236,7 +236,7 @@ TEST(ConcurrentSims, SwitchFingerprintsIdenticalAcrossThreads) {
 // Instance-local counters and thread-local totals.
 // ---------------------------------------------------------------------------
 
-TEST(SubstrateCounters, InstanceSnapshotCoversEventsAndMessages) {
+TEST(SubstrateTotals, InstanceSnapshotCoversEventsAndMessages) {
   sim::Simulator sim;
   std::uint64_t net_messages = 0;
   {
@@ -254,7 +254,7 @@ TEST(SubstrateCounters, InstanceSnapshotCoversEventsAndMessages) {
     net_messages = network.stats().messages;
     // World must unwind its fibers before the network goes away.
   }
-  const sim::SubstrateCounters c = sim.counters();
+  const sim::SubstrateTotals c = sim.counters();
   EXPECT_EQ(c.events, sim.events_executed());
   EXPECT_GT(c.events, 0u);
   EXPECT_EQ(c.messages, net_messages);
@@ -262,7 +262,7 @@ TEST(SubstrateCounters, InstanceSnapshotCoversEventsAndMessages) {
   EXPECT_GT(c.stacks_allocated, 0u);
 }
 
-TEST(SubstrateCounters, TotalsAreThreadLocal) {
+TEST(SubstrateTotals, TotalsAreThreadLocal) {
   const sim::SubstrateTotals before = sim::substrate_totals();
   (void)switch_fingerprint();  // a full sim on this thread
   const sim::SubstrateTotals after = sim::substrate_totals();
@@ -275,6 +275,33 @@ TEST(SubstrateCounters, TotalsAreThreadLocal) {
     EXPECT_EQ(other.events, 0u);
     EXPECT_EQ(other.messages, 0u);
   }).join();
+}
+
+TEST(SubstrateTotals, InstanceSnapshotFlushesIntoTheThreadTotals) {
+  // The thread totals are the instance snapshots summed: a run adds exactly
+  // its simulator's counters, every field included.
+  const sim::SubstrateTotals before = sim::substrate_totals();
+  sim::SubstrateTotals snap;
+  {
+    sim::Simulator sim;
+    for (int i = 0; i < 3; ++i) {
+      sim.spawn("p" + std::to_string(i),
+                [](sim::Context& c) { c.delay(1e-6 * (c.pid() + 1)); });
+    }
+    sim.run();
+    snap = sim.counters();
+  }
+  sim::SubstrateTotals delta = sim::substrate_totals();
+  delta -= before;
+  EXPECT_GT(snap.events, 0u);
+  EXPECT_EQ(snap.stacks_allocated, 3u);
+  EXPECT_EQ(delta.events, snap.events);
+  EXPECT_EQ(delta.messages, snap.messages);
+  EXPECT_EQ(delta.stacks_allocated, snap.stacks_allocated);
+  EXPECT_EQ(delta.stacks_reused, snap.stacks_reused);
+  EXPECT_EQ(delta.fiber_switches, snap.fiber_switches);
+  EXPECT_EQ(delta.heap_bypass, snap.heap_bypass);
+  EXPECT_EQ(delta.wakeups_elided, snap.wakeups_elided);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,13 +318,13 @@ TEST(StackPool, ReusesStacksAcrossSpawnWaves) {
   };
   spawn_wave(0);
   sim.run();
-  const sim::SubstrateCounters first = sim.counters();
+  const sim::SubstrateTotals first = sim.counters();
   EXPECT_EQ(first.stacks_allocated, 4u);
   EXPECT_EQ(first.stacks_reused, 0u);
 
   spawn_wave(1);  // dynamic respawn (the replica-restart pattern)
   sim.run();
-  const sim::SubstrateCounters second = sim.counters();
+  const sim::SubstrateTotals second = sim.counters();
   EXPECT_EQ(second.stacks_allocated, 4u);  // no new mmaps
   EXPECT_EQ(second.stacks_reused, 4u);
 }

@@ -1,6 +1,6 @@
-// Steady-state heap traffic of the hot paths: an intra section, a replicated
-// section through the ComputeCache, point-to-point streams and a logical
-// allreduce. This binary replaces the global operator new with a counting
+// Steady-state heap traffic of the hot paths: an intra section, the HPCCG
+// kernel-section wrappers, a replicated section through the ComputeCache,
+// point-to-point streams and a logical allreduce. This binary replaces the global operator new with a counting
 // one, runs each loop past its warm-up and pins the allocations per
 // iteration (or per message) that the loop makes from then on.
 
@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "apps/kernel_sections.hpp"
 #include "intra/runtime.hpp"
 #include "mpi_test_harness.hpp"
 #include "rep_test_harness.hpp"
@@ -107,6 +109,41 @@ TEST(HotPathAllocs, SharedSectionOfEightTasksAllocatesNothing) {
   });
   EXPECT_GT(received, 0);  // the update path ran
   EXPECT_EQ(w.per_iteration(), 0.0);
+}
+
+TEST(HotPathAllocs, KernelSectionWrappersAllocateNothing) {
+  // waxpby, ddot and sparsemv in a degree-2 shared section each: the task
+  // body, its registration and the update transfer reuse storage.
+  const kernels::CsrMatrix a =
+      kernels::build_grid_matrix(kernels::Stencil::k7pt, 4, 4, 8, false, false);
+  const apps::RunConfig cfg;
+  for (const int kernel : {0, 1, 2}) {
+    testing::RepFixture f(1, 2);
+    AllocWindow w(200);
+    f.run([&](mpi::Proc& proc, rep::LogicalComm& comm) {
+      intra::Runtime rt(comm, {});
+      support::ComputeClient share;
+      apps::AppContext ctx{proc, comm, rt, cfg, share, support::Rng(1)};
+      const std::vector<double> halo(a.vector_len(), 0.5);
+      const std::vector<double> v(static_cast<std::size_t>(a.rows()), 0.5);
+      std::vector<double> out(v.size());
+      double dot = 0;
+      w.run(proc.world_rank() == 0, [&](int) {
+        if (kernel == 0) {
+          apps::waxpby_section(ctx, "waxpby", 2.0, v, 0.5, v, out, true);
+        } else if (kernel == 1) {
+          dot = apps::ddot_section(ctx, "ddot", v, v, true);
+        } else {
+          apps::sparsemv_section(ctx, "sparsemv", a, halo, out, true);
+        }
+      });
+      EXPECT_EQ(rt.mode(), intra::Runtime::Mode::kShared);
+      if (kernel == 1) {
+        EXPECT_EQ(dot, 0.25 * static_cast<double>(v.size()));
+      }
+    });
+    EXPECT_EQ(w.per_iteration(), 0.0) << "kernel " << kernel;
+  }
 }
 
 TEST(HotPathAllocs, ReplicatedSectionThroughComputeCacheAllocatesNothing) {

@@ -1,14 +1,15 @@
-// Pluggable kernel backends (kernels/backend.hpp): runtime dispatch
-// mechanics, bitwise scalar-vs-SIMD equivalence for every kernel family on
+// Pluggable kernel backends (kernels/backend.hpp): the process-wide
+// selection, bitwise scalar-vs-SIMD equivalence for every kernel family on
 // randomized and edge-shaped inputs, the REPMPI_VERIFY_BACKEND
-// recompute-and-compare mode across all four apps, and backend-agnosticism
-// of the end-to-end virtual-time results (including ComputeCache sharing
-// and the sharded engine's worker-thread install).
+// recompute-and-compare mode across all four apps, backend-agnosticism of
+// the end-to-end virtual-time results (including ComputeCache sharing and
+// sharded-engine workers), and the thread-local kernel timing totals.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -47,6 +48,22 @@ void expect_bits_eq(std::span<const double> want, std::span<const double> got,
         << " want=" << want[i] << " got=" << got[i];
   }
 }
+
+/// Sets the process-wide backend for the scope's lifetime and restores the
+/// previous one on exit. The tests of this binary run one at a time, so no
+/// run observes a switch.
+class UseBackend {
+ public:
+  explicit UseBackend(Backend b) : prev_(kernels::active_backend()) {
+    kernels::set_active_backend(b);
+  }
+  ~UseBackend() { kernels::set_active_backend(prev_); }
+  UseBackend(const UseBackend&) = delete;
+  UseBackend& operator=(const UseBackend&) = delete;
+
+ private:
+  Backend prev_;
+};
 
 /// Random vector with denormal / zero / negative-zero lanes sprinkled in:
 /// the values most likely to expose a SIMD path that flushes or renormalizes
@@ -96,32 +113,39 @@ TEST(BackendDispatch, AutoResolvesToAvx2WhereSupported) {
   EXPECT_EQ(kernels::detect_backend(), want);
 }
 
-TEST(BackendDispatch, ScopedBackendInstallsAndRestores) {
-  const Backend outer = kernels::active_backend();
-  {
-    const kernels::ScopedBackend scalar(Backend::kScalar);
-    EXPECT_EQ(kernels::active_backend(), Backend::kScalar);
-    EXPECT_EQ(kernels::active_ops().kind, Backend::kScalar);
-    for (Backend b : simd_backends()) {
-      const kernels::ScopedBackend simd(b);
-      EXPECT_EQ(kernels::active_backend(), b);
-      EXPECT_EQ(kernels::active_ops().kind, b);
-    }
-    EXPECT_EQ(kernels::active_backend(), Backend::kScalar);
-  }
-  EXPECT_EQ(kernels::active_backend(), outer);
-  // kAuto resolves to the process default rather than installing "auto".
-  const kernels::ScopedBackend aut(Backend::kAuto);
-  EXPECT_EQ(kernels::active_backend(), kernels::process_default_backend());
+TEST(BackendDispatch, ActiveBackendStartsAtTheDetectedOne) {
+  EXPECT_EQ(kernels::active_backend(), kernels::detect_backend());
+  EXPECT_EQ(kernels::active_ops().kind, kernels::detect_backend());
 }
 
-TEST(BackendDispatch, ProcessDefaultGovernsThreadsWithoutScopes) {
-  kernels::set_process_default_backend(Backend::kScalar);
-  Backend seen = Backend::kAuto;
-  std::thread([&seen] { seen = kernels::active_backend(); }).join();
-  EXPECT_EQ(seen, Backend::kScalar);
-  kernels::set_process_default_backend(Backend::kAuto);  // re-arm detection
-  EXPECT_EQ(kernels::process_default_backend(), kernels::detect_backend());
+TEST(BackendDispatch, SetActiveBackendIsProcessWide) {
+  const Backend outer = kernels::active_backend();
+  std::vector<Backend> all = simd_backends();
+  all.insert(all.begin(), Backend::kScalar);
+  for (Backend b : all) {
+    kernels::set_active_backend(b);
+    EXPECT_EQ(kernels::active_backend(), b);
+    EXPECT_EQ(kernels::active_ops().kind, b);
+    // Every other thread reads the same table, with nothing installed.
+    Backend seen = Backend::kAuto;
+    std::thread([&seen] { seen = kernels::active_ops().kind; }).join();
+    EXPECT_EQ(seen, b);
+  }
+  // kAuto resolves to the detected backend rather than storing "auto".
+  kernels::set_active_backend(Backend::kAuto);
+  EXPECT_EQ(kernels::active_backend(), kernels::detect_backend());
+  kernels::set_active_backend(outer);
+}
+
+TEST(BackendDispatch, SetActiveBackendRejectsAnUnsupportedOne) {
+  const Backend outer = kernels::active_backend();
+  EXPECT_THROW(kernels::set_active_backend(static_cast<Backend>(99)),
+               support::InvariantError);
+  if (!kernels::backend_supported(Backend::kAvx2)) {
+    EXPECT_THROW(kernels::set_active_backend(Backend::kAvx2),
+                 support::InvariantError);
+  }
+  EXPECT_EQ(kernels::active_backend(), outer);
 }
 
 TEST(BackendDispatch, OpsTableKindMatchesRequest) {
@@ -133,8 +157,8 @@ TEST(BackendDispatch, OpsTableKindMatchesRequest) {
 
 // ---------------------------------------------------------------------------
 // Bitwise scalar-vs-SIMD equivalence, kernel family by kernel family. All
-// calls go through the public kernel entry points under a ScopedBackend, so
-// the dispatch seam itself is on the tested path.
+// calls go through the public kernel entry points under UseBackend, so the
+// dispatch seam itself is on the tested path.
 // ---------------------------------------------------------------------------
 
 TEST(BackendBitwise, VectorOps) {
@@ -154,14 +178,14 @@ TEST(BackendBitwise, VectorOps) {
       std::vector<double> alias_want = x, alias_got = x;
       double dot_want = 0, dot_got = 0;
       {
-        const kernels::ScopedBackend scope(Backend::kScalar);
+        const UseBackend use(Backend::kScalar);
         kernels::waxpby(alpha, x, beta, y, w_want);
         kernels::axpy(alpha, x, axpy_want);
         kernels::ddot(x, y, &dot_want);
         kernels::waxpby(alpha, alias_want, beta, y, alias_want);  // w == x
       }
       {
-        const kernels::ScopedBackend scope(b);
+        const UseBackend use(b);
         kernels::waxpby(alpha, x, beta, y, w_got);
         kernels::axpy(alpha, x, axpy_got);
         kernels::ddot(x, y, &dot_got);
@@ -201,14 +225,14 @@ TEST(BackendBitwise, CsrRowGatherStructured) {
             std::vector<double> want(static_cast<std::size_t>(a.rows()));
             std::vector<double> got(want.size(), -7.0);
             {
-              const kernels::ScopedBackend scope(Backend::kScalar);
+              const UseBackend use(Backend::kScalar);
               kernels::csr_row_gather(
                   kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz,
                                                       lower, upper),
                   x, want, 0, a.rows());
             }
             {
-              const kernels::ScopedBackend scope(b);
+              const UseBackend use(b);
               kernels::csr_row_gather(a, x, got, 0, a.rows());
               // Sub-range starting at an odd row: the SIMD run boundary
               // lands mid-plane.
@@ -243,13 +267,13 @@ TEST(BackendBitwise, CsrRowGatherUnstructuredAndEmptyRows) {
   std::vector<double> want(static_cast<std::size_t>(a.rows()), -7.0);
   std::vector<double> got(want.size(), -7.0);
   {
-    const kernels::ScopedBackend scope(Backend::kScalar);
+    const UseBackend use(Backend::kScalar);
     kernels::csr_row_gather(a, x, want, 0, a.rows());
   }
   EXPECT_EQ(want[0], 0.0);  // empty row sums to exactly zero
   EXPECT_EQ(want[2], 0.0);
   for (Backend b : simd_backends()) {
-    const kernels::ScopedBackend scope(b);
+    const UseBackend use(b);
     kernels::csr_row_gather(a, x, got, 0, a.rows());
     expect_bits_eq(want, got, "unstructured gather", b);
   }
@@ -286,12 +310,12 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
           const std::vector<double> x = edge_vector(a.vector_len(), rng);
           std::vector<double> want(static_cast<std::size_t>(a.rows()));
           {
-            const kernels::ScopedBackend scope(Backend::kScalar);
+            const UseBackend use(Backend::kScalar);
             kernels::csr_row_gather(ref, x, want, 0, ref.rows());
           }
           for (Backend b : backends) {
             std::vector<double> got(want.size(), -7.0);
-            const kernels::ScopedBackend scope(b);
+            const UseBackend use(b);
             kernels::csr_row_gather(a, x, got, 0, a.rows());
             expect_bits_eq(want, got, "table-only gather", b);
           }
@@ -335,11 +359,11 @@ TEST(BackendBitwise, Stencil27) {
 
       kernels::Grid3D want(s.nx, s.ny, s.nz), got(s.nx, s.ny, s.nz);
       {
-        const kernels::ScopedBackend scope(Backend::kScalar);
+        const UseBackend use(Backend::kScalar);
         kernels::stencil27(in, want);
       }
       {
-        const kernels::ScopedBackend scope(b);
+        const UseBackend use(b);
         // Split into ranges so the z-range entry point is covered too.
         kernels::stencil27_range(in, got, 0, s.nz / 2 + 1);
         kernels::stencil27_range(in, got, s.nz / 2 + 1, s.nz);
@@ -372,11 +396,11 @@ TEST(BackendBitwise, PicChargeDeposit) {
   for (Backend b : simd_backends()) {
     kernels::Field2D want(16, 12), got(16, 12);
     {
-      const kernels::ScopedBackend scope(Backend::kScalar);
+      const UseBackend use(Backend::kScalar);
       kernels::charge_deposit(p, 0, p.count(), lx, ly, want);
     }
     {
-      const kernels::ScopedBackend scope(b);
+      const UseBackend use(b);
       kernels::charge_deposit(p, 0, p.count(), lx, ly, got);
       // Sub-range deposits accumulate identically too (odd split point).
       kernels::Field2D split(16, 12);
@@ -401,12 +425,12 @@ TEST(BackendBitwise, PicPushMultiStep) {
     // Several steps so divergence anywhere would compound and be caught.
     for (int step = 0; step < 3; ++step) {
       {
-        const kernels::ScopedBackend scope(Backend::kScalar);
+        const UseBackend use(Backend::kScalar);
         kernels::push(want.x, want.y, want.vx, want.vy, want.rho, lx, ly,
                       0.05, ex, ey);
       }
       {
-        const kernels::ScopedBackend scope(b);
+        const UseBackend use(b);
         kernels::push(got.x, got.y, got.vx, got.vy, got.rho, lx, ly, 0.05, ex,
                       ey);
       }
@@ -450,13 +474,13 @@ TEST(BackendVerifyMode, AllFourAppsPassRecomputeAndCompare) {
   // degrees 2 and 3 (same configurations as SharedComputeVerifyMode, so the
   // ComputeCache sharing paths are live under verification as well).
   ScopedVerifyBackend verify;
+  const UseBackend use(kernels::detect_backend());
   ASSERT_TRUE(kernels::verify_backend_active());
   for (const int degree : {2, 3}) {
     apps::RunConfig cfg;
     cfg.mode = apps::RunMode::kReplicated;
     cfg.num_logical = 2;
     cfg.degree = degree;
-    cfg.backend = kernels::detect_backend();
 
     apps::HpccgParams hp;
     hp.nx = hp.ny = hp.nz = 8;
@@ -488,7 +512,6 @@ TEST(BackendVerifyMode, AllFourAppsPassRecomputeAndCompare) {
   intra.mode = apps::RunMode::kIntra;
   intra.num_logical = 2;
   intra.degree = 2;
-  intra.backend = kernels::detect_backend();
   apps::HpccgParams hp;
   hp.nx = hp.ny = hp.nz = 8;
   hp.iterations = 2;
@@ -502,23 +525,29 @@ TEST(BackendVerifyMode, AllFourAppsPassRecomputeAndCompare) {
 struct AppOutcome {
   apps::RunResult run;
   double value = 0;
+  /// The backend each physical rank's kernels dispatched through.
+  std::vector<Backend> seen;
 };
 
 AppOutcome run_hpccg(Backend backend, int shards = 0) {
+  const UseBackend use(backend);
   apps::RunConfig cfg;
   cfg.mode = apps::RunMode::kIntra;
   cfg.num_logical = 2;
   cfg.degree = 2;
-  cfg.backend = backend;
   cfg.shards = shards;
   apps::HpccgParams p;
   p.nx = p.ny = p.nz = 8;
   p.iterations = 3;
   AppOutcome out;
+  out.seen.assign(static_cast<std::size_t>(cfg.num_physical()),
+                  Backend::kAuto);
   out.run = apps::run_app(cfg, [&](apps::AppContext& ctx) {
     const apps::HpccgResult r = apps::hpccg(ctx, p);
-    // One writer: under sharding the ranks run on different threads.
-    if (ctx.proc.world_rank() == 0) out.value = r.xsum + r.rnorm;
+    // One writer per slot: under sharding the ranks run on other threads.
+    const int wr = ctx.proc.world_rank();
+    out.seen[static_cast<std::size_t>(wr)] = kernels::active_backend();
+    if (wr == 0) out.value = r.xsum + r.rnorm;
   });
   return out;
 }
@@ -548,14 +577,61 @@ TEST(BackendEndToEnd, ComputeCacheSharingBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(BackendEndToEnd, ShardedWorkersInstallTheRunBackend) {
+TEST(BackendEndToEnd, ShardedWorkersSeeTheProcessWideBackend) {
   const std::vector<Backend> simd = simd_backends();
   if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this build/host";
-  // Rank fibers execute on engine worker threads; cfg.backend must reach
-  // them through the worker hook, and results must match the scalar run.
+  // Rank fibers execute on engine worker threads, which install nothing:
+  // they read the process-wide table, and results match the scalar run.
   const AppOutcome scalar = run_hpccg(Backend::kScalar, /*shards=*/1);
   const AppOutcome vec = run_hpccg(simd.back(), /*shards=*/2);
   expect_same_outcome(scalar, vec);
+  for (Backend b : scalar.seen) EXPECT_EQ(b, Backend::kScalar);
+  for (Backend b : vec.seen) EXPECT_EQ(b, simd.back());
+}
+
+// ---------------------------------------------------------------------------
+// Kernel timing totals (perfbench's kernels.* probes read them)
+// ---------------------------------------------------------------------------
+
+std::uint64_t family_ns(const kernels::KernelTotals& t,
+                        kernels::KernelFamily f) {
+  return t.ns[static_cast<int>(f)];
+}
+
+TEST(KernelTotals, ClassicRunAdvancesOnlyTheCallingThread) {
+  // A second thread holds its snapshot across the run: the totals are
+  // thread-local, so its counts must not move.
+  kernels::KernelTotals other_before, other_after;
+  std::latch snapped(1), ran(1);
+  std::thread other([&] {
+    other_before = kernels::kernel_totals();
+    snapped.count_down();
+    ran.wait();
+    other_after = kernels::kernel_totals();
+  });
+  snapped.wait();
+  const kernels::KernelTotals before = kernels::kernel_totals();
+  run_hpccg(kernels::detect_backend());
+  const kernels::KernelTotals after = kernels::kernel_totals();
+  ran.count_down();
+  other.join();
+
+  for (auto f : {kernels::KernelFamily::kSpmv, kernels::KernelFamily::kVector}) {
+    EXPECT_GT(family_ns(after, f), family_ns(before, f))
+        << "family " << static_cast<int>(f);
+  }
+  for (int f = 0; f < static_cast<int>(kernels::KernelFamily::kCount); ++f) {
+    EXPECT_EQ(other_after.ns[f], other_before.ns[f]) << "family " << f;
+  }
+}
+
+TEST(KernelTotals, ShardedRunKeepsKernelTimeOnItsWorkers) {
+  const kernels::KernelTotals before = kernels::kernel_totals();
+  run_hpccg(kernels::detect_backend(), /*shards=*/2);
+  const kernels::KernelTotals after = kernels::kernel_totals();
+  for (int f = 0; f < static_cast<int>(kernels::KernelFamily::kCount); ++f) {
+    EXPECT_EQ(after.ns[f], before.ns[f]) << "family " << f;
+  }
 }
 
 }  // namespace
