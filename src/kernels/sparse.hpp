@@ -33,7 +33,9 @@ inline double diag_weight(Stencil stencil) {
 /// constant halo strides rows + dy*nx + dx (2*plane + dy*nx + dx) when a
 /// neighbor exists. Built once per matrix; ~11 KiB. Public because the
 /// kernel backends (kernels/backend.hpp) take one boundary-class Table as
-/// the unit of batched row execution.
+/// the unit of batched row execution: csr_row_gather hands a whole run of
+/// rows of one (z, y) class to the class's x-interior table and then
+/// recomputes the x-edge cells with their own tables.
 struct StencilTables {
   struct Table {
     std::int64_t off[27];
@@ -111,9 +113,13 @@ std::shared_ptr<const CsrMatrix> grid_matrix_cached(Stencil stencil, int nx,
 
 /// acc[i] = Σ_k val(r0+i, k) * x[col(r0+i, k)] in CSR entry order for rows
 /// [r0, r1) — the row-gather shared by sparsemv and the Jacobi smoother.
-/// Table-only operators walk their stride tables; explicit ones take the
-/// general CSR walk. The accumulation order (and hence every output bit)
-/// is the same either way.
+/// Table-only operators walk their stride tables: the full grid rows of
+/// each (z, y) boundary class in one batched call, the x-edge cells
+/// overwritten with their own class's chain (partial rows at r0/r1, rows
+/// too short to gain and rows next to either end of x go row by row).
+/// Explicit operators take the general CSR walk. The accumulation order
+/// (and hence every output bit) is the same either way, and no read
+/// leaves x[0, vector_len).
 void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
                     std::span<double> acc, std::int64_t r0, std::int64_t r1);
 

@@ -1,15 +1,20 @@
 // Pluggable kernel backends (kernels/backend.hpp): the process-wide
 // selection, bitwise scalar-vs-SIMD equivalence for every kernel family on
-// randomized and edge-shaped inputs, the REPMPI_VERIFY_BACKEND
+// randomized and edge-shaped inputs (the SpMV gather's run-level path at
+// every sub-range offset and against guard pages), the REPMPI_VERIFY_BACKEND
 // recompute-and-compare mode across all four apps, backend-agnosticism of
 // the end-to-end virtual-time results (including ComputeCache sharing and
 // sharded-engine workers), and the thread-local kernel timing totals.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,6 +41,13 @@ using kernels::Backend;
 std::vector<Backend> simd_backends() {
   if (kernels::backend_supported(Backend::kAvx2)) return {Backend::kAvx2};
   return {};
+}
+
+/// Scalar first, then every SIMD backend this host runs.
+std::vector<Backend> all_backends() {
+  std::vector<Backend> all = simd_backends();
+  all.insert(all.begin(), Backend::kScalar);
+  return all;
 }
 
 void expect_bits_eq(std::span<const double> want, std::span<const double> got,
@@ -120,9 +132,7 @@ TEST(BackendDispatch, ActiveBackendStartsAtTheDetectedOne) {
 
 TEST(BackendDispatch, SetActiveBackendIsProcessWide) {
   const Backend outer = kernels::active_backend();
-  std::vector<Backend> all = simd_backends();
-  all.insert(all.begin(), Backend::kScalar);
-  for (Backend b : all) {
+  for (Backend b : all_backends()) {
     kernels::set_active_backend(b);
     EXPECT_EQ(kernels::active_backend(), b);
     EXPECT_EQ(kernels::active_ops().kind, b);
@@ -201,52 +211,162 @@ TEST(BackendBitwise, VectorOps) {
   }
 }
 
+struct GridShape {
+  int nx, ny, nz;
+};
+
+// Table-only shapes for the row gather: long y-runs of full rows (16^3,
+// 8^3, 32x32x8), odd row lengths whose runs end in vector tails (17x5x3,
+// 33x4x3), and rows too short for a run (4^3, 5x7x4, 5x4x6; 4x3x3 has
+// 2-wide interiors, 3x3x3 is all boundary classes).
+constexpr GridShape kGatherShapes[] = {
+    {16, 16, 16}, {8, 8, 8}, {32, 32, 8}, {17, 5, 3}, {33, 4, 3},
+    {4, 4, 4},    {5, 7, 4}, {5, 4, 6},   {4, 3, 3},  {3, 3, 3}};
+
+std::string shape_name(kernels::Stencil st, const GridShape& s, bool lower,
+                       bool upper) {
+  return std::string(st == kernels::Stencil::k27pt ? "27pt " : "7pt ") +
+         std::to_string(s.nx) + "x" + std::to_string(s.ny) + "x" +
+         std::to_string(s.nz) + " lower=" + std::to_string(lower) +
+         " upper=" + std::to_string(upper);
+}
+
+/// Gathers rows [r0, r1) of `a` on backend b and compares them with the
+/// same rows of `want` (the explicit-CSR walk over every row).
+void expect_range_matches(const kernels::CsrMatrix& a,
+                          std::span<const double> x,
+                          const std::vector<double>& want, std::int64_t r0,
+                          std::int64_t r1, Backend b, const std::string& what) {
+  std::vector<double> got(static_cast<std::size_t>(r1 - r0), -7.0);
+  {
+    const UseBackend use(b);
+    kernels::csr_row_gather(a, x, got, r0, r1);
+  }
+  const double* const w = want.data() + r0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(w[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << what << " backend=" << kernels::to_string(b) << " rows [" << r0
+        << ", " << r1 << ") row " << r0 + static_cast<std::int64_t>(i);
+  }
+}
+
+/// The explicit-CSR reference for every row of a shape.
+std::vector<double> explicit_gather(kernels::Stencil st, const GridShape& s,
+                                    bool lower, bool upper,
+                                    std::span<const double> x) {
+  const kernels::CsrMatrix ref =
+      kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
+  std::vector<double> want(static_cast<std::size_t>(ref.rows()));
+  const UseBackend use(Backend::kScalar);
+  kernels::csr_row_gather(ref, x, want, 0, ref.rows());
+  return want;
+}
+
 TEST(BackendBitwise, CsrRowGatherStructured) {
-  support::Rng rng(0x5eedULL);
-  struct Shape {
-    int nx, ny, nz;
-  };
-  // 5x4x6 has interior runs long enough for full vectors plus tails; 3x3x3
-  // is all boundary classes; 4x3x3 gives 2-wide interior runs (pure tail).
-  const Shape shapes[] = {{5, 4, 6}, {3, 3, 3}, {4, 3, 3}};
-  for (Backend b : simd_backends()) {
+  // The table-only gather against the explicit-CSR walk. It batches whole
+  // rows of one (z, y) class and overwrites their x-edge cells; partial
+  // rows at r0/r1 keep a per-row walk. Ranges start and end at every
+  // offset 0..nx of the first row, a mid-plane row and the last row, on
+  // every backend.
+  support::Rng rng(0x2b0cULL);
+  for (const GridShape& s : kGatherShapes) {
     for (const kernels::Stencil st :
          {kernels::Stencil::k7pt, kernels::Stencil::k27pt}) {
       for (const bool lower : {false, true}) {
         for (const bool upper : {false, true}) {
-          for (const Shape& s : shapes) {
-            const kernels::CsrMatrix a =
-                kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
-            std::vector<double> x(a.vector_len());
-            for (double& v : x) v = rng.uniform(-2.0, 2.0);
-            x[0] = 1e-310;
-
-            // Reference: the explicit-CSR form through the general walk.
-            std::vector<double> want(static_cast<std::size_t>(a.rows()));
-            std::vector<double> got(want.size(), -7.0);
-            {
-              const UseBackend use(Backend::kScalar);
-              kernels::csr_row_gather(
-                  kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz,
-                                                      lower, upper),
-                  x, want, 0, a.rows());
-            }
-            {
-              const UseBackend use(b);
-              kernels::csr_row_gather(a, x, got, 0, a.rows());
-              // Sub-range starting at an odd row: the SIMD run boundary
-              // lands mid-plane.
-              const std::int64_t r0 = a.rows() / 3 | 1;
-              std::vector<double> part(static_cast<std::size_t>(a.rows() - r0));
-              kernels::csr_row_gather(a, x, part, r0, a.rows());
-              for (std::size_t i = 0; i < part.size(); ++i) {
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                              want[static_cast<std::size_t>(r0) + i]),
-                          std::bit_cast<std::uint64_t>(part[i]))
-                    << "sub-range backend=" << kernels::to_string(b);
+          const kernels::CsrMatrix a =
+              kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
+          ASSERT_NE(a.tables, nullptr);
+          const std::vector<double> x = edge_vector(a.vector_len(), rng);
+          const std::vector<double> want =
+              explicit_gather(st, s, lower, upper, x);
+          const std::string what = shape_name(st, s, lower, upper);
+          const std::int64_t rows = a.rows();
+          const std::int64_t nx = s.nx;
+          const std::int64_t plane = nx * s.ny;
+          // A window spans a partial row, a plane of full rows and another
+          // partial row.
+          const std::int64_t window = plane + 2 * nx;
+          const std::int64_t mid_row = ((s.nz / 2) * s.ny + s.ny / 2) * nx;
+          for (Backend b : all_backends()) {
+            expect_range_matches(a, x, want, 0, rows, b, what);
+            for (const std::int64_t anchor : {std::int64_t{0}, mid_row,
+                                              rows - nx}) {
+              for (std::int64_t k = 0; k <= nx; ++k) {
+                const std::int64_t edge = anchor + k;
+                expect_range_matches(a, x, want, edge,
+                                     std::min(rows, edge + window), b, what);
+                expect_range_matches(a, x, want,
+                                     std::max<std::int64_t>(0, edge - window),
+                                     edge, b, what);
               }
             }
-            expect_bits_eq(want, got, "csr_row_gather", b);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// n doubles placed flush against an inaccessible page on one side (low:
+/// x[-1] faults; high: x[n] faults), with a second guard page on the other
+/// side of the mapping.
+class GuardedVector {
+ public:
+  GuardedVector(std::size_t n, bool flush_high) : n_(n) {
+    page_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t data = (n * sizeof(double) + page_ - 1) / page_ * page_;
+    bytes_ = data + 2 * page_;
+    void* const m = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    REPMPI_CHECK(m != MAP_FAILED);
+    base_ = static_cast<char*>(m);
+    REPMPI_CHECK(mprotect(base_, page_, PROT_NONE) == 0);
+    REPMPI_CHECK(mprotect(base_ + page_ + data, page_, PROT_NONE) == 0);
+    data_ = flush_high
+                ? reinterpret_cast<double*>(base_ + page_ + data) - n
+                : reinterpret_cast<double*>(base_ + page_);
+  }
+  ~GuardedVector() { munmap(base_, bytes_); }
+  GuardedVector(const GuardedVector&) = delete;
+  GuardedVector& operator=(const GuardedVector&) = delete;
+
+  std::span<double> span() { return {data_, n_}; }
+
+ private:
+  std::size_t n_, page_ = 0, bytes_ = 0;
+  char* base_ = nullptr;
+  double* data_ = nullptr;
+};
+
+TEST(BackendBitwise, CsrRowGatherNeverReadsOutsideTheMultiplicand) {
+  // A run's edge lanes read the x-interior table one cell past the row;
+  // next to the first and last element of x that would leave the vector.
+  // With x flush against a PROT_NONE page such a read faults, in Release
+  // builds too. Full range plus ranges that start or end in the first and
+  // last rows, on every backend.
+  support::Rng rng(0x9a4dULL);
+  for (const GridShape& s : kGatherShapes) {
+    for (const bool lower : {false, true}) {
+      for (const bool upper : {false, true}) {
+        const kernels::CsrMatrix a = kernels::build_grid_matrix(
+            kernels::Stencil::k27pt, s.nx, s.ny, s.nz, lower, upper);
+        const std::vector<double> init = edge_vector(a.vector_len(), rng);
+        const std::vector<double> want =
+            explicit_gather(kernels::Stencil::k27pt, s, lower, upper, init);
+        const std::string what =
+            shape_name(kernels::Stencil::k27pt, s, lower, upper);
+        const std::int64_t rows = a.rows();
+        for (const bool flush_high : {false, true}) {
+          GuardedVector gx(a.vector_len(), flush_high);
+          std::copy(init.begin(), init.end(), gx.span().begin());
+          for (Backend b : all_backends()) {
+            expect_range_matches(a, gx.span(), want, 0, rows, b, what);
+            expect_range_matches(a, gx.span(), want, 0, rows - 1, b, what);
+            expect_range_matches(a, gx.span(), want, 1, rows, b, what);
+            expect_range_matches(a, gx.span(), want, s.nx, rows - s.nx, b,
+                                 what);
           }
         }
       }
@@ -288,8 +408,6 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
     int nx, ny, nz;
   };
   const Shape shapes[] = {{5, 4, 6}, {3, 3, 3}, {4, 3, 3}, {32, 32, 64}};
-  std::vector<Backend> backends = simd_backends();
-  backends.insert(backends.begin(), Backend::kScalar);
   for (const kernels::Stencil st :
        {kernels::Stencil::k7pt, kernels::Stencil::k27pt}) {
     for (const bool lower : {false, true}) {
@@ -313,7 +431,7 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
             const UseBackend use(Backend::kScalar);
             kernels::csr_row_gather(ref, x, want, 0, ref.rows());
           }
-          for (Backend b : backends) {
+          for (Backend b : all_backends()) {
             std::vector<double> got(want.size(), -7.0);
             const UseBackend use(b);
             kernels::csr_row_gather(a, x, got, 0, a.rows());
