@@ -131,7 +131,6 @@ class Runtime {
 
   bool in_section() const { return in_section_; }
   const IntraStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = IntraStats{}; }
   rep::LogicalComm& comm() { return comm_; }
   Mode mode() const { return config_.mode; }
 

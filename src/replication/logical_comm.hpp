@@ -483,13 +483,16 @@ void LogicalComm::reduce(std::span<const T> in, std::span<T> out,
                                      3.0 * acc.size() * sizeof(T)});
     }
   }
+  REPMPI_CHECK_MSG(out.size() >= acc.size(), "reduce output span too small");
   std::copy(acc.begin(), acc.end(), out.begin());
 }
 
 template <support::TriviallyCopyable T>
 void LogicalComm::allreduce(std::span<const T> in, std::span<T> out,
                             mpi::ReduceOp op) {
-  // Only the root's `out` is written by reduce; bcast then fills the rest.
+  // Only the root's `out` is written by reduce; bcast then fills the rest,
+  // so every rank's `out` must hold the whole result.
+  REPMPI_CHECK_MSG(out.size() >= in.size(), "allreduce output span too small");
   reduce(in, out, op, 0);
   bcast(out, 0);
 }

@@ -1,17 +1,13 @@
 #pragma once
 
-// Communicator: the user-facing messaging interface of the MPI substrate.
+// Communicator: the point-to-point messaging interface of the MPI substrate.
 //
 // A Comm is a per-process value object (cheap to copy) describing a group of
-// world ranks plus this process's rank within it. Point-to-point verbs follow
-// MPI semantics (blocking/nonblocking, wildcards, per-pair FIFO). Collectives
-// are built from p2p using standard algorithms (dissemination barrier,
-// binomial bcast/reduce, ring allgather, pairwise alltoall) so their cost
-// emerges from the network model rather than being asserted.
-//
-// Collective traffic travels on a shadow channel (the communicator's channel
-// id with the top bit set) so it can never match user receives, including
-// wildcard ones.
+// world ranks plus this process's rank within it. Its verbs follow MPI
+// point-to-point semantics (blocking/nonblocking, wildcards, per-pair FIFO);
+// the channel id keeps communicators' traffic apart. Collectives live one
+// layer up, in rep::LogicalComm, built over fault-tolerant logical p2p as
+// SDR-MPI does.
 
 #include <cstdint>
 #include <span>
@@ -42,13 +38,7 @@ class Comm {
   int world_rank_of(int comm_rank) const {
     return members_[static_cast<std::size_t>(comm_rank)];
   }
-  const std::vector<int>& members() const { return members_; }
   Proc& proc() const { return *proc_; }
-
-  /// True when the peer has been announced dead by the failure detector.
-  bool peer_dead(int comm_rank) const {
-    return proc_->world().is_dead(world_rank_of(comm_rank));
-  }
 
   // --- Point-to-point ------------------------------------------------------
 
@@ -92,294 +82,16 @@ class Comm {
     return st;
   }
 
-  // --- Collectives ---------------------------------------------------------
-
-  void barrier();
-
-  /// Broadcasts root's buffer to all ranks (resizes on non-roots).
-  void bcast_bytes(support::Buffer& buf, int root);
-
-  template <support::TriviallyCopyable T>
-  void bcast(std::span<T> data, int root) {
-    support::Buffer buf;
-    if (rank() == root) buf = support::make_buffer(std::span<const T>(data));
-    bcast_bytes(buf, root);
-    if (rank() != root)
-      support::copy_into(std::span<const std::byte>(buf), data);
-  }
-
-  template <support::TriviallyCopyable T>
-  T bcast_value(T v, int root) {
-    bcast(std::span<T>(&v, 1), root);
-    return v;
-  }
-
-  /// Element-wise reduction of `in` into `out` at root (out ignored
-  /// elsewhere, may be empty there).
-  template <support::TriviallyCopyable T>
-  void reduce(std::span<const T> in, std::span<T> out, ReduceOp op, int root);
-
-  template <support::TriviallyCopyable T>
-  void allreduce(std::span<const T> in, std::span<T> out, ReduceOp op);
-
-  template <support::TriviallyCopyable T>
-  T allreduce_value(T v, ReduceOp op) {
-    T out{};
-    allreduce(std::span<const T>(&v, 1), std::span<T>(&out, 1), op);
-    return out;
-  }
-
-  /// Gathers equal-size contributions; `all` (root only) holds size()*n
-  /// elements in rank order.
-  template <support::TriviallyCopyable T>
-  void gather(std::span<const T> mine, std::span<T> all, int root);
-
-  template <support::TriviallyCopyable T>
-  void allgather(std::span<const T> mine, std::span<T> all);
-
-  template <support::TriviallyCopyable T>
-  void scatter(std::span<const T> all, std::span<T> mine, int root);
-
-  /// Personalized all-to-all: block i of `in` goes to rank i.
-  template <support::TriviallyCopyable T>
-  void alltoall(std::span<const T> in, std::span<T> out);
-
-  /// Combined send+receive (deadlock-free shift patterns).
-  template <support::TriviallyCopyable T>
-  Status sendrecv(int dst, int send_tag, std::span<const T> send_data,
-                  int src, int recv_tag, std::span<T> recv_data) {
-    Request r = irecv(src, recv_tag);
-    send_span(dst, send_tag, send_data);
-    Status st = wait(r);
-    if (!st.failed)
-      support::copy_into(std::span<const std::byte>(r.state().data),
-                         recv_data);
-    return st;
-  }
-
-  /// Inclusive prefix reduction: out[i] on rank r combines in[i] of ranks
-  /// 0..r (linear chain; deterministic combine order).
-  template <support::TriviallyCopyable T>
-  void scan(std::span<const T> in, std::span<T> out, ReduceOp op);
-
-  /// Reduce + scatter of equal blocks: `mine` receives block rank() of the
-  /// element-wise reduction of everyone's `in` (size() * mine.size()).
-  template <support::TriviallyCopyable T>
-  void reduce_scatter(std::span<const T> in, std::span<T> mine, ReduceOp op) {
-    REPMPI_CHECK(in.size() >= mine.size() * static_cast<std::size_t>(size()));
-    std::vector<T> full(in.size());
-    reduce(in, std::span<T>(full), op, 0);
-    scatter(std::span<const T>(full), mine, 0);
-  }
-
-  // --- Communicator management --------------------------------------------
-
-  /// Collective: groups ranks by `color`; within a group, ranks order by
-  /// (key, old rank). All members must call it (same call sequence).
-  Comm split(int color, int key);
-
-  /// Collective: clone with a fresh channel.
-  Comm dup();
-
   /// Deterministically derives a child channel id — all members compute the
   /// same value locally.
   static std::uint64_t derive_channel(std::uint64_t parent,
                                       std::uint64_t salt);
 
  private:
-  // Collective-internal p2p on the shadow channel.
-  static constexpr std::uint64_t kInternalBit = 1ULL << 63;
-
-  void coll_send(int dst, int tag, std::span<const std::byte> bytes);
-  Request coll_irecv(int src, int tag);
-  support::Payload coll_recv(int src, int tag);
-  int next_coll_tag() { return coll_seq_++; }
-
-  // Charges the CPU cost of combining n elements of size `elem` in a
-  // reduction step.
-  void charge_combine(std::size_t n, std::size_t elem_size);
-
-  Request post_recv_impl(std::uint64_t channel, int src, int tag);
-  void send_impl(std::uint64_t channel, int dst, int tag,
-                 std::span<const std::byte> bytes);
-
-  template <support::TriviallyCopyable T>
-  void combine_into(std::span<T> acc, std::span<const T> other, ReduceOp op) {
-    for (std::size_t i = 0; i < acc.size(); ++i)
-      acc[i] = apply_op(op, acc[i], other[i]);
-    charge_combine(acc.size(), sizeof(T));
-  }
-
   Proc* proc_ = nullptr;
   std::uint64_t channel_ = 0;
   std::vector<int> members_;
   int my_rank_ = -1;
-  int coll_seq_ = 0;
-  std::uint64_t derive_count_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Collective templates
-// ---------------------------------------------------------------------------
-
-template <support::TriviallyCopyable T>
-void Comm::reduce(std::span<const T> in, std::span<T> out, ReduceOp op,
-                  int root) {
-  const int n = size();
-  const int tag = next_coll_tag();
-  // Rotate so the algorithm always reduces toward virtual rank 0.
-  const int vrank = (rank() - root + n) % n;
-  std::vector<T> acc(in.begin(), in.end());
-
-  // Binomial tree: in round k, virtual ranks with bit k set send to
-  // (vrank - 2^k) and exit; others receive if a partner exists.
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (vrank & mask) {
-      const int dst = ((vrank - mask) + root) % n;
-      coll_send(dst, tag, std::as_bytes(std::span<const T>(acc)));
-      return;  // non-roots are done after sending
-    }
-    const int vsrc = vrank + mask;
-    if (vsrc < n) {
-      const int src = (vsrc + root) % n;
-      const support::Payload buf = coll_recv(src, tag);
-      combine_into(std::span<T>(acc), support::typed_view<T>(buf.span()), op);
-    }
-  }
-  REPMPI_CHECK(rank() == root);
-  REPMPI_CHECK_MSG(out.size() >= acc.size(), "reduce output span too small");
-  std::copy(acc.begin(), acc.end(), out.begin());
-}
-
-template <support::TriviallyCopyable T>
-void Comm::allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  // Reduce-to-0 followed by broadcast: deterministic combine order, which
-  // matters for replica consistency (send-determinism).
-  std::vector<T> tmp(in.size());
-  reduce(in, std::span<T>(tmp), op, 0);
-  if (rank() == 0) std::copy(tmp.begin(), tmp.end(), out.begin());
-  bcast(out, 0);
-}
-
-template <support::TriviallyCopyable T>
-void Comm::gather(std::span<const T> mine, std::span<T> all, int root) {
-  const int tag = next_coll_tag();
-  if (rank() == root) {
-    REPMPI_CHECK(all.size() >= mine.size() * static_cast<std::size_t>(size()));
-    std::copy(mine.begin(), mine.end(),
-              all.begin() + static_cast<std::ptrdiff_t>(
-                                mine.size() * static_cast<std::size_t>(rank())));
-    std::vector<Request> reqs;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      reqs.push_back(coll_irecv(r, tag));
-    }
-    waitall(reqs);
-    std::size_t idx = 0;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      auto& st = reqs[idx].state();
-      support::copy_into(
-          std::span<const std::byte>(st.data),
-          all.subspan(mine.size() * static_cast<std::size_t>(r), mine.size()));
-      ++idx;
-    }
-  } else {
-    coll_send(root, tag, std::as_bytes(mine));
-  }
-}
-
-template <support::TriviallyCopyable T>
-void Comm::allgather(std::span<const T> mine, std::span<T> all) {
-  // Ring algorithm: n-1 steps, each rank forwards the block it received in
-  // the previous step.
-  const int n = size();
-  const int tag = next_coll_tag();
-  const std::size_t blk = mine.size();
-  REPMPI_CHECK(all.size() >= blk * static_cast<std::size_t>(n));
-  std::copy(mine.begin(), mine.end(),
-            all.begin() + static_cast<std::ptrdiff_t>(
-                              blk * static_cast<std::size_t>(rank())));
-  const int next = (rank() + 1) % n;
-  const int prev = (rank() - 1 + n) % n;
-  int have = rank();  // block we forward next
-  for (int step = 0; step < n - 1; ++step) {
-    Request rreq = coll_irecv(prev, tag + step);
-    coll_send(next, tag + step,
-              std::as_bytes(all.subspan(blk * static_cast<std::size_t>(have),
-                                        blk)));
-    wait(rreq);
-    have = (have - 1 + n) % n;
-    support::copy_into(std::span<const std::byte>(rreq.state().data),
-                       all.subspan(blk * static_cast<std::size_t>(have), blk));
-  }
-  coll_seq_ += n;  // tags tag..tag+n-2 consumed
-}
-
-template <support::TriviallyCopyable T>
-void Comm::scan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  const int tag = next_coll_tag();
-  std::vector<T> acc(in.begin(), in.end());
-  if (rank() > 0) {
-    const support::Payload buf = coll_recv(rank() - 1, tag);
-    const auto prev = support::typed_view<T>(buf.span());
-    for (std::size_t i = 0; i < acc.size(); ++i)
-      acc[i] = apply_op(op, prev[i], acc[i]);
-    charge_combine(acc.size(), sizeof(T));
-  }
-  if (rank() < size() - 1)
-    coll_send(rank() + 1, tag, std::as_bytes(std::span<const T>(acc)));
-  std::copy(acc.begin(), acc.end(), out.begin());
-}
-
-template <support::TriviallyCopyable T>
-void Comm::scatter(std::span<const T> all, std::span<T> mine, int root) {
-  const int tag = next_coll_tag();
-  const std::size_t blk = mine.size();
-  if (rank() == root) {
-    REPMPI_CHECK(all.size() >= blk * static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      coll_send(r, tag,
-                std::as_bytes(all.subspan(blk * static_cast<std::size_t>(r),
-                                          blk)));
-    }
-    std::copy(all.begin() + static_cast<std::ptrdiff_t>(
-                                blk * static_cast<std::size_t>(root)),
-              all.begin() + static_cast<std::ptrdiff_t>(
-                                blk * static_cast<std::size_t>(root) + blk),
-              mine.begin());
-  } else {
-    const support::Payload buf = coll_recv(root, tag);
-    support::copy_into(buf.span(), mine);
-  }
-}
-
-template <support::TriviallyCopyable T>
-void Comm::alltoall(std::span<const T> in, std::span<T> out) {
-  const int n = size();
-  const int tag = next_coll_tag();
-  const std::size_t blk = in.size() / static_cast<std::size_t>(n);
-  REPMPI_CHECK(in.size() == blk * static_cast<std::size_t>(n) &&
-               out.size() >= in.size());
-  // Own block copies locally; others via pairwise rounds (r = 1..n-1).
-  std::copy(in.begin() + static_cast<std::ptrdiff_t>(
-                             blk * static_cast<std::size_t>(rank())),
-            in.begin() + static_cast<std::ptrdiff_t>(
-                             blk * static_cast<std::size_t>(rank()) + blk),
-            out.begin() + static_cast<std::ptrdiff_t>(
-                              blk * static_cast<std::size_t>(rank())));
-  for (int r = 1; r < n; ++r) {
-    const int dst = (rank() + r) % n;
-    const int src = (rank() - r + n) % n;
-    Request rreq = coll_irecv(src, tag);
-    coll_send(dst, tag,
-              std::as_bytes(in.subspan(blk * static_cast<std::size_t>(dst),
-                                       blk)));
-    wait(rreq);
-    support::copy_into(std::span<const std::byte>(rreq.state().data),
-                       out.subspan(blk * static_cast<std::size_t>(src), blk));
-  }
-}
 
 }  // namespace repmpi::mpi

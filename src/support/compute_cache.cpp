@@ -6,9 +6,6 @@ namespace repmpi::support {
 
 namespace {
 thread_local ComputeCacheStats g_totals;
-}  // namespace
-
-ComputeCacheStats compute_cache_totals() { return g_totals; }
 
 void add_compute_cache_totals(const ComputeCacheStats& s) {
   g_totals.hits += s.hits;
@@ -18,6 +15,9 @@ void add_compute_cache_totals(const ComputeCacheStats& s) {
   g_totals.shared_bytes += s.shared_bytes;
   g_totals.uncached += s.uncached;
 }
+}  // namespace
+
+ComputeCacheStats compute_cache_totals() { return g_totals; }
 
 bool ComputeCache::worth_publishing(const net::ComputeCost& cost,
                                     std::size_t bytes) {

@@ -40,8 +40,8 @@
 // only by that run's fibers, which all live on one OS thread (the
 // simulator's thread-confinement contract) — so the cache needs no lock.
 // The process-wide totals below are thread-local, mirroring
-// sim::substrate_totals(); drivers that fan runs across worker threads
-// deposit per-run deltas back with add_compute_cache_totals().
+// sim::substrate_totals(): each cache adds its stats to its own thread's
+// totals when it is destroyed.
 //
 // This header also provides FifoMemo, the generic mutex-protected FIFO
 // memo used by the *cross-run* kernel caches (grid matrices, particle
@@ -162,7 +162,6 @@ struct ComputeCacheStats {
 /// sim::substrate_totals(): a bench runs on one worker thread, so its
 /// before/after delta is exact.
 ComputeCacheStats compute_cache_totals();
-void add_compute_cache_totals(const ComputeCacheStats& s);
 
 class ComputeCache {
  public:

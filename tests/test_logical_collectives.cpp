@@ -1,14 +1,17 @@
 // Parameterized sweep of the LogicalComm collectives over (logical size x
-// replication degree), plus failure cases: lane crashes before and during
-// collectives must leave all survivors with the correct, identical value.
+// replication degree), plus scale, timing and argument checks, plus failure
+// cases: lane crashes before and during collectives must leave all
+// survivors with the correct, identical value.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
 
 #include "rep_test_harness.hpp"
+#include "support/error.hpp"
 
 namespace repmpi::rep {
 namespace {
@@ -102,6 +105,73 @@ TEST_P(LogicalCollectives, AllgatherValues) {
   for (const auto& [r, all] : got) {
     for (int i = 0; i < n; ++i)
       EXPECT_EQ(all[static_cast<std::size_t>(i)], 100 + i);
+  }
+}
+
+TEST(LogicalCollectivesScale, AllreduceSixtyFourRanks) {
+  for (int d : {1, 2}) {
+    RepFixture f(64, d);
+    std::map<int, double> got;
+    f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+      got[proc.world_rank()] = comm.allreduce_value(
+          static_cast<double>(comm.rank()), mpi::ReduceOp::kSum);
+    });
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(64 * d));
+    for (const auto& [r, v] : got)
+      EXPECT_DOUBLE_EQ(v, 64.0 * 63.0 / 2.0) << "degree " << d;
+  }
+}
+
+TEST(LogicalCollectivesTiming, BcastScalesLogarithmically) {
+  // Binomial bcast over 16 logical ranks takes ~log2(16) = 4 latency
+  // steps, clearly below a linear fan-out, with or without replicas.
+  net::MachineModel m;
+  m.net_latency = 1e-5;
+  m.net_bandwidth = 1e12;
+  m.send_overhead = 0;
+  m.recv_overhead = 0;
+  m.replication_msg_overhead = 0;
+  m.mem_bandwidth = 1e18;
+  m.intranode_latency = 1e-5;  // make every hop equal for simple counting
+  m.intranode_bandwidth = 1e12;
+  for (int d : {1, 2}) {
+    RepFixture f(16, d, m);
+    sim::Time finish = 0;
+    f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+      comm.bcast_value(comm.rank() == 0 ? 1.0 : 0.0, 0);
+      finish = std::max(finish, proc.now());
+    });
+    EXPECT_LT(finish, 8 * 1e-5) << "degree " << d;
+    EXPECT_GT(finish, 3 * 1e-5) << "degree " << d;
+  }
+}
+
+TEST(LogicalCollectivesArgs, ShortOutputThrowsInsteadOfOverrunning) {
+  // `out` views the first element (or, off the reduce root, none) of a
+  // 4-element buffer; the rest are guards that a reduction of three
+  // elements must not touch.
+  for (int d : {1, 2}) {
+    for (bool all : {true, false}) {
+      std::map<int, std::vector<double>> bufs;
+      RepFixture f(4, d);
+      EXPECT_THROW(f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+        const std::vector<double> in(3, 1.0);
+        auto& buf = bufs[proc.world_rank()] = std::vector<double>(4, -1.0);
+        const std::span<double> out = std::span<double>(buf).first(
+            all || comm.rank() == 0 ? 1 : 0);
+        if (all)
+          comm.allreduce(std::span<const double>(in), out,
+                         mpi::ReduceOp::kSum);
+        else
+          comm.reduce(std::span<const double>(in), out, mpi::ReduceOp::kSum,
+                      0);
+      }),
+                   support::Error)
+          << "degree " << d << (all ? " allreduce" : " reduce");
+      for (const auto& [r, buf] : bufs)
+        for (std::size_t i = 1; i < buf.size(); ++i)
+          EXPECT_EQ(buf[i], -1.0) << "rank " << r << " degree " << d;
+    }
   }
 }
 

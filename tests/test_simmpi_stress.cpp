@@ -1,6 +1,6 @@
 // Stress and determinism tests for the MPI substrate: randomized traffic
-// patterns verified against a sequential oracle, larger rank counts, and
-// bit-reproducibility of whole simulations.
+// patterns verified against a sequential oracle, many coexisting
+// communicators, and bit-reproducibility of whole simulations.
 
 #include <gtest/gtest.h>
 
@@ -63,16 +63,6 @@ TEST(Stress, RandomizedPairwiseTrafficMatchesOracle) {
   }
 }
 
-TEST(Stress, SixtyFourRanksAllreduce) {
-  MpiFixture f(64, /*cores_per_node=*/4);
-  std::vector<double> got(64, 0.0);
-  f.run([&](Proc&, Comm& comm) {
-    got[static_cast<std::size_t>(comm.rank())] = comm.allreduce_value(
-        static_cast<double>(comm.rank()), ReduceOp::kSum);
-  });
-  for (double v : got) EXPECT_DOUBLE_EQ(v, 64.0 * 63.0 / 2.0);
-}
-
 TEST(Stress, WholeSimulationIsBitReproducible) {
   // Ten rounds of ring shifts with round-dependent offsets and payloads:
   // every rank sends and receives exactly one message per round, so the
@@ -124,19 +114,35 @@ TEST(Stress, LargePayloadRoundTrip) {
 }
 
 TEST(Stress, ManyCommunicatorsCoexist) {
-  // Split the world repeatedly and use every derived communicator: channel
-  // ids must never collide (messages stay within their comm).
+  // Overlapping communicators built the way LogicalComm builds its replica
+  // comm (derived channel + explicit members): channel ids must never
+  // collide, so messages stay within their comm.
   MpiFixture f(8);
   std::vector<int> ok(8, 0);
-  f.run([&](Proc&, Comm& comm) {
+  f.run([&](Proc& proc, Comm& world) {
+    const int me = world.rank();
+    auto group = [](auto in_group) {
+      std::vector<int> members;
+      for (int r = 0; r < 8; ++r)
+        if (in_group(r)) members.push_back(r);
+      return members;
+    };
+    const auto parity = group([me](int r) { return r % 2 == me % 2; });
+    const auto half = group([me](int r) { return r / 4 == me / 4; });
     std::vector<Comm> comms;
-    comms.push_back(comm.dup());
-    comms.push_back(comm.split(comm.rank() % 2, comm.rank()));
-    comms.push_back(comm.split(comm.rank() / 4, comm.rank()));
-    comms.push_back(comms[1].dup());
+    comms.emplace_back(proc, Comm::derive_channel(world.channel(), 0),
+                       group([](int) { return true; }));
+    comms.emplace_back(proc, Comm::derive_channel(world.channel(), 10 + me % 2),
+                       parity);
+    comms.emplace_back(proc, Comm::derive_channel(world.channel(), 20 + me / 4),
+                       half);
+    comms.emplace_back(proc, Comm::derive_channel(comms[1].channel(), 0),
+                       parity);
     bool good = true;
     for (std::size_t c = 0; c < comms.size(); ++c) {
       Comm& sub = comms[c];
+      for (std::size_t o = 0; o < c; ++o)
+        good = good && sub.channel() != comms[o].channel();
       // Ring exchange within each comm with identical tags everywhere:
       // only the channel can disambiguate.
       const int next = (sub.rank() + 1) % sub.size();
@@ -149,9 +155,17 @@ TEST(Stress, ManyCommunicatorsCoexist) {
         good = false;
       }
     }
-    ok[static_cast<std::size_t>(comm.rank())] = good ? 1 : 0;
+    ok[static_cast<std::size_t>(me)] = good ? 1 : 0;
   });
   for (int o : ok) EXPECT_EQ(o, 1);
+}
+
+TEST(Stress, DerivedChannelIdsAreStable) {
+  // Replica channels come from derive_channel; its ids keep the top bit
+  // clear and must not change from one version to the next.
+  EXPECT_EQ(Comm::derive_channel(1, 0), 0x64d971771b652c20ULL);
+  EXPECT_EQ(Comm::derive_channel(1, 1), 0x3eeb8da1658eec67ULL);
+  EXPECT_EQ(Comm::derive_channel(1, 7), 0x05e7bb0f12278575ULL);
 }
 
 }  // namespace
