@@ -365,11 +365,13 @@ int driver(int argc, char** argv) {
   // watcher enforces --timeout-sec: a bench past its per-bench wall
   // deadline is reported as a failed entry (status 124) in a partial
   // report and the driver exits 124 — a hung simulation costs its cell,
-  // not the whole report.
+  // not the whole report. SIGUSR1, sent to the watcher alone once the pool
+  // drains, ends its wait at once instead of at the next poll tick.
   sigset_t watch_set;
   sigemptyset(&watch_set);
   sigaddset(&watch_set, SIGINT);
   sigaddset(&watch_set, SIGTERM);
+  sigaddset(&watch_set, SIGUSR1);
   pthread_sigmask(SIG_BLOCK, &watch_set, nullptr);
 
   using BenchClock = std::chrono::steady_clock;
@@ -465,6 +467,7 @@ int driver(int argc, char** argv) {
     pool.wait();
   }
   all_done.store(true, std::memory_order_release);
+  pthread_kill(watcher.native_handle(), SIGUSR1);
   watcher.join();
   pthread_sigmask(SIG_UNBLOCK, &watch_set, nullptr);
 

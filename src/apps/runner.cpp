@@ -186,7 +186,6 @@ RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,
   machine.run();
 
   RunResult res;
-  res.placement_fallback = fell_back;
   res.job_failed = machine.world().job_failed();
   res.job_failed_time = machine.world().job_failed_time();
   res.job_failed_logical = machine.world().job_failed_logical();
@@ -252,7 +251,6 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
   sim.run();
 
   RunResult res;
-  res.placement_fallback = fell_back;
   res.job_failed = world.job_failed();
   res.job_failed_time = world.job_failed_time();
   res.job_failed_logical = world.job_failed_logical();

@@ -65,7 +65,7 @@ struct RunConfig {
   int nodes_per_domain = 0;
   /// Cap on the machine's domain count (0 = unbounded). When the
   /// domain-aware placement needs more domains than this, it falls back to
-  /// the plain paper placement and RunResult::placement_fallback is set.
+  /// the plain paper placement with a warning.
   int num_domains = 0;
   /// Place replica planes in disjoint failure domains (only meaningful with
   /// nodes_per_domain > 0): a single domain kill then never wipes every
@@ -142,9 +142,6 @@ struct RunResult {
   bool job_failed = false;
   sim::Time job_failed_time = 0.0;  ///< earliest unmaskable-loss observation
   int job_failed_logical = -1;      ///< the logical rank whose replicas died
-  /// Domain-aware placement was requested but did not fit the machine's
-  /// domain cap; the run used the plain paper placement instead.
-  bool placement_fallback = false;
   /// Host-side replica-compute sharing counters for this run (zero when
   /// sharing was off: degree 1, kReplicatedVerify, a non-empty fault plan,
   /// shards > 0, or REPMPI_NO_SHARED_COMPUTE). A function of the config
@@ -187,13 +184,6 @@ using AppMain = std::function<void(AppContext&)>;
 
 /// Runs `app` on every physical process of the configured machine.
 RunResult run_app(const RunConfig& cfg, const AppMain& app);
-
-/// Workload efficiency E = Tsolve / Twallclock (paper Section II), for the
-/// fixed-resources comparison used in the kernel experiments (Fig. 5):
-/// native and replicated runs use the same number of physical processes.
-inline double efficiency_fixed_resources(double t_native, double t_other) {
-  return t_native / t_other;
-}
 
 /// Efficiency for the fixed-problem comparison of Fig. 6: the replicated
 /// run uses `degree` times more physical resources, so equal run time means

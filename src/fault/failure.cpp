@@ -140,9 +140,4 @@ bool FaultPlan::should_corrupt(mpi::Proc& proc) {
   return false;
 }
 
-FaultPlan& no_faults() {
-  static FaultPlan plan;
-  return plan;
-}
-
 }  // namespace repmpi::fault

@@ -156,7 +156,4 @@ class FaultPlan {
   std::mutex mu_;
 };
 
-/// Convenience: no-op plan singleton for fault-free runs.
-FaultPlan& no_faults();
-
 }  // namespace repmpi::fault

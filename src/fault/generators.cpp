@@ -16,38 +16,6 @@ double exp_draw(support::Rng& rng, double rate) {
 
 }  // namespace
 
-void generate_exponential_crashes(FaultPlan& plan, int num_ranks,
-                                  double rate_per_rank, double horizon,
-                                  support::Rng& rng) {
-  REPMPI_CHECK(num_ranks > 0 && horizon > 0.0);
-  REPMPI_CHECK_MSG(rate_per_rank >= 0.0, "crash rate must be >= 0");
-  if (rate_per_rank == 0.0) return;
-  for (int r = 0; r < num_ranks; ++r) {
-    // Per-rank forked stream: rank r's arrival depends only on (seed, r).
-    support::Rng stream = rng.fork(static_cast<std::uint64_t>(r));
-    const double at = exp_draw(stream, rate_per_rank);
-    if (at < horizon) plan.add_timed(r, at);
-  }
-}
-
-int generate_domain_kill(FaultPlan& plan, const net::Topology& topo,
-                         double rate_per_domain, double horizon,
-                         support::Rng& rng) {
-  REPMPI_CHECK(horizon > 0.0);
-  REPMPI_CHECK_MSG(rate_per_domain >= 0.0, "domain-kill rate must be >= 0");
-  if (rate_per_domain == 0.0) return 0;
-  int killed = 0;
-  const int domains = topo.num_domains();
-  for (int d = 0; d < domains; ++d) {
-    support::Rng stream = rng.fork(0x10000u + static_cast<std::uint64_t>(d));
-    const double at = exp_draw(stream, rate_per_domain);
-    if (at >= horizon) continue;
-    kill_domain_at(plan, topo, d, at);
-    ++killed;
-  }
-  return killed;
-}
-
 void kill_domain_at(FaultPlan& plan, const net::Topology& topo, int domain,
                     double at) {
   REPMPI_CHECK(domain >= 0 && domain < topo.num_domains());

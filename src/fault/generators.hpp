@@ -7,10 +7,8 @@
 // a (seed, parameters) pair reproduces the same hostile scenario bit-for-bit
 // across --jobs / --shards / --backend.
 //
-// Three failure processes, widening the space the paper could not run:
+// Two failure processes, widening the space the paper could not run:
 //
-//  * independent exponential crash arrivals (the classic fail-stop model the
-//    analytic efficiency model assumes),
 //  * correlated domain kills: a switch/PSU failure takes out every node of a
 //    failure domain at one instant — exactly the event that defeats replica
 //    placement unless it is domain-aware (net/topology.hpp), and
@@ -29,23 +27,6 @@
 #include "support/rng.hpp"
 
 namespace repmpi::fault {
-
-/// Independent exponential (homogeneous Poisson) crash arrivals: each rank
-/// draws inter-arrival times at `rate_per_rank` (per virtual second) and the
-/// first arrival inside [0, horizon) becomes a timed crash. Deterministic in
-/// (rng state, parameters); rank streams are forked so adding ranks does not
-/// shift earlier ranks' draws.
-void generate_exponential_crashes(FaultPlan& plan, int num_ranks,
-                                  double rate_per_rank, double horizon,
-                                  support::Rng& rng);
-
-/// Correlated domain kill: domain-failure arrivals at `rate_per_domain` per
-/// domain; every domain whose first arrival lands inside [0, horizon) has
-/// ALL its processes crash at that instant (same-timestamp correlated
-/// deaths). Returns the number of domains killed.
-int generate_domain_kill(FaultPlan& plan, const net::Topology& topo,
-                         double rate_per_domain, double horizon,
-                         support::Rng& rng);
 
 /// Kills one specific domain at `at`: every process in it crashes at that
 /// instant. The deterministic building block of the domain-kill tests and

@@ -12,9 +12,10 @@ namespace repmpi::kernels {
 namespace {
 
 const BackendOps kScalarOps{
-    Backend::kScalar,     detail::waxpby_scalar,      detail::axpy_scalar,
-    detail::ddot_scalar,  detail::gather_table_scalar, detail::stencil_row_scalar,
-    detail::charge_scalar, detail::push_scalar,
+    Backend::kScalar,           detail::waxpby_scalar,
+    detail::ddot_scalar,        detail::gather_table_scalar,
+    detail::stencil_row_scalar, detail::charge_scalar,
+    detail::push_scalar,
 };
 
 bool cpu_has_avx2() {

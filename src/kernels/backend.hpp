@@ -72,8 +72,6 @@ struct BackendOps {
   /// w[i] = alpha*x[i] + beta*y[i] (w may alias x or y).
   void (*waxpby)(double alpha, const double* x, double beta, const double* y,
                  double* w, std::size_t n);
-  /// y[i] += alpha*x[i].
-  void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
   /// Returns sum_i x[i]*y[i] in scalar accumulation order (lane-ordered).
   double (*ddot)(const double* x, const double* y, std::size_t n);
   /// acc[r - r0] = one structured row per r in [r0, r1) from a fixed

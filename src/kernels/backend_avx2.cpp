@@ -32,16 +32,6 @@ void waxpby_avx2(double alpha, const double* x, double beta, const double* y,
   for (; i < n; ++i) w[i] = alpha * x[i] + beta * y[i];
 }
 
-void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ax = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), ax));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 // Lane-ordered reduction: the products are computed 4 at a time, but the
 // accumulator consumes them in index order through one serial add chain —
 // the exact scalar sequence, so the sum is bit-identical (and the kernel
@@ -428,8 +418,8 @@ void push_avx2(double* x, double* y, double* vx, double* vy,
 }
 
 const BackendOps kAvx2Ops{
-    Backend::kAvx2, waxpby_avx2,      axpy_avx2,   ddot_avx2,
-    gather_table_avx2, stencil_row_avx2, charge_avx2, push_avx2,
+    Backend::kAvx2,   waxpby_avx2, ddot_avx2, gather_table_avx2,
+    stencil_row_avx2, charge_avx2, push_avx2,
 };
 
 }  // namespace

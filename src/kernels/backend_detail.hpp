@@ -27,11 +27,6 @@ inline void waxpby_scalar(double alpha, const double* x, double beta,
   for (std::size_t i = 0; i < n; ++i) w[i] = alpha * x[i] + beta * y[i];
 }
 
-inline void axpy_scalar(double alpha, const double* x, double* y,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 inline double ddot_scalar(const double* x, const double* y, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];

@@ -44,22 +44,4 @@ net::ComputeCost ddot(std::span<const double> x, std::span<const double> y,
   return ddot_cost(x.size());
 }
 
-net::ComputeCost axpy(double alpha, std::span<const double> x,
-                      std::span<double> y) {
-  REPMPI_CHECK(x.size() == y.size());
-  const KernelTimer timer(KernelFamily::kVector);
-  const BackendOps& ops = active_ops();
-  const std::size_t n = y.size();
-  if (ops.kind != Backend::kScalar && verify_backend_active()) {
-    // y is inout: run both backends from the same starting y.
-    std::vector<double> want(y.begin(), y.end());
-    ops.axpy(alpha, x.data(), y.data(), n);
-    backend_ops(Backend::kScalar).axpy(alpha, x.data(), want.data(), n);
-    verify_backend_match("axpy", y.data(), want.data(), n);
-  } else {
-    ops.axpy(alpha, x.data(), y.data(), n);
-  }
-  return {2.0 * static_cast<double>(n), 24.0 * static_cast<double>(n)};
-}
-
 }  // namespace repmpi::kernels

@@ -24,10 +24,6 @@ net::ComputeCost waxpby(double alpha, std::span<const double> x, double beta,
 net::ComputeCost ddot(std::span<const double> x, std::span<const double> y,
                       double* out);
 
-/// y += alpha * x.
-net::ComputeCost axpy(double alpha, std::span<const double> x,
-                      std::span<double> y);
-
 /// Per-element cost constants (used by tasks that process sub-ranges).
 inline net::ComputeCost waxpby_cost(std::size_t n) {
   return {2.0 * static_cast<double>(n), 24.0 * static_cast<double>(n)};

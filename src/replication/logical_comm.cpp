@@ -387,12 +387,6 @@ void LogicalComm::deliver(LogicalRequest& req, TagKey k, InRecord& rec,
     registry_->floor_advanced(proc_.world_rank(), k);
 }
 
-void LogicalComm::waitall(std::span<LogicalRequest> reqs) {
-  for (auto& r : reqs) {
-    if (r.valid()) wait(r);
-  }
-}
-
 mpi::Status LogicalComm::recv(int src, int tag, support::Buffer& out) {
   LogicalRequest req = irecv(src, tag);
   mpi::Status st = wait(req);
@@ -417,19 +411,6 @@ void LogicalComm::send_nack(int src_logical, int tag,
                           << " from seq " << expected);
 }
 
-void LogicalComm::barrier() {
-  // Dissemination over logical ranks.
-  const int n = size();
-  for (int dist = 1; dist < n; dist <<= 1) {
-    const int tag = coll_tag_++;
-    const int dst = (rank() + dist) % n;
-    const int src = (rank() - dist + n) % n;
-    LogicalRequest rreq = post_irecv(src, tag);
-    post_send(dst, tag, {});
-    wait(rreq);
-  }
-}
-
 // --- Progress agent ----------------------------------------------------------
 
 void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
@@ -438,7 +419,6 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
   const auto& model = world.model();
   for (;;) {
     auto st = mpi::make_request_state();
-    st->is_recv = true;
     st->owner = ctx.pid();
     st->comm_channel = kControlChannel;
     st->match_source = mpi::kAnySource;

@@ -135,7 +135,6 @@ class LogicalComm {
   void send(int dst, int tag, std::span<const std::byte> bytes);
   LogicalRequest irecv(int src, int tag);
   mpi::Status wait(LogicalRequest& req);
-  void waitall(std::span<LogicalRequest> reqs);
   mpi::Status recv(int src, int tag, support::Buffer& out);
 
   template <support::TriviallyCopyable T>
@@ -165,8 +164,8 @@ class LogicalComm {
 
   // --- Logical collectives (deterministic; fault-tolerant via the logical
   // p2p layer underneath) ---------------------------------------------------
-
-  void barrier();
+  // Every rank passes spans of the same lengths; a received block of any
+  // other size throws instead of being truncated or zero-filled.
 
   template <support::TriviallyCopyable T>
   void bcast(std::span<T> data, int root);
@@ -397,7 +396,18 @@ class LogicalComm {
   void coll_recv(int src, int tag, std::span<T> out) {
     LogicalRequest req = post_irecv(src, tag);
     wait(req);
-    support::copy_into(req.data.span(), out);
+    take_block(req.data, out);
+  }
+
+  /// Copies a collective's received block into `out`, which it must fill
+  /// exactly.
+  template <support::TriviallyCopyable T>
+  static void take_block(const support::Payload& data, std::span<T> out) {
+    REPMPI_CHECK_MSG(data.size() == out.size_bytes(),
+                     "collective block of " << data.size() << " bytes, expected "
+                         << out.size_bytes()
+                         << ": ranks passed different lengths");
+    support::copy_into(data.span(), out);
   }
 
   void send_nack(int src_logical, int tag, std::uint64_t expected);
@@ -516,8 +526,8 @@ void LogicalComm::allgather(std::span<const T> mine, std::span<T> all) {
                   blk * static_cast<std::size_t>(have), blk)));
     wait(rreq);
     have = (have - 1 + n) % n;
-    support::copy_into(rreq.data.span(),
-                       all.subspan(blk * static_cast<std::size_t>(have), blk));
+    take_block(rreq.data,
+               all.subspan(blk * static_cast<std::size_t>(have), blk));
   }
 }
 

@@ -273,8 +273,8 @@ void Simulator::unpark_hint(Pid pid, const void* token) {
   // A focused waiter asleep on a different condition stays asleep: the
   // notifier's effect is already visible through shared state, and the
   // waiter collects it when its own condition resumes it. This is what
-  // makes waitall wake once per request it is actively collecting instead
-  // of once per completion anywhere in the set.
+  // makes a wait loop over several requests wake once per request it is
+  // actively collecting instead of once per completion anywhere in the set.
   if (p.state == PState::kParked && p.wait_token != nullptr &&
       p.wait_token != token) {
     ++wakeups_elided_;
@@ -299,17 +299,8 @@ void Simulator::kill(Pid pid) {
   }
 }
 
-bool Simulator::alive(Pid pid) const {
-  const Process& p = *procs_[static_cast<std::size_t>(pid)];
-  return !p.killed && p.state != PState::kFinished;
-}
-
 bool Simulator::finished(Pid pid) const {
   return procs_[static_cast<std::size_t>(pid)]->state == PState::kFinished;
-}
-
-const std::string& Simulator::name(Pid pid) const {
-  return procs_[static_cast<std::size_t>(pid)]->name;
 }
 
 void Simulator::swap_into(Process& p) {

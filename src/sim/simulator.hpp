@@ -222,7 +222,7 @@ class Simulator {
   /// as elided: the caller guarantees the condition is observable via
   /// shared state. The one notifier the target is focused on still wakes
   /// it. Used by the MPI layer to fuse message delivery with wakeup and to
-  /// fan waitall completions into a single resume.
+  /// fan a wait loop's sibling completions into a single resume.
   void unpark_hint(Pid pid, const void* token);
 
   /// Marks a process dead. If parked it is woken immediately to unwind;
@@ -230,9 +230,7 @@ class Simulator {
   /// call.
   void kill(Pid pid);
 
-  bool alive(Pid pid) const;
   bool finished(Pid pid) const;
-  const std::string& name(Pid pid) const;
   Time now() const { return now_; }
   std::size_t num_processes() const { return procs_.size(); }
   std::uint64_t events_executed() const { return events_executed_; }

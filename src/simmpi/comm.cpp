@@ -57,23 +57,12 @@ Request Comm::irecv(int src, int tag) {
   REPMPI_CHECK_MSG(src == kAnySource || (src >= 0 && src < size()),
                    "recv from invalid rank " << src);
   auto st = make_request_state();
-  st->is_recv = true;
   st->owner = proc_->world().pid_of(proc_->world_rank());
   st->comm_channel = channel_;
   st->match_source = src;
   st->match_tag = tag;
   const int world_src = src == kAnySource ? kAnySource : world_rank_of(src);
   proc_->world().post_recv(proc_->world_rank(), world_src, st);
-  return Request(std::move(st));
-}
-
-Request Comm::isend(int dst, int tag, std::span<const std::byte> bytes) {
-  send(dst, tag, bytes);
-  // Eager protocol: the payload has been captured, so the send request is
-  // complete as soon as the CPU overhead has been charged.
-  auto st = make_request_state();
-  st->done = true;
-  st->cost_charged = true;
   return Request(std::move(st));
 }
 
@@ -89,16 +78,17 @@ Status Comm::wait(Request& req) {
   auto& st = req.state();
   if (!st.done) {
     // Focused wait: while parked here, only *this* request's completion
-    // wakes the fiber; completions of sibling requests (waitall, failure
-    // notifications) deposit their result and skip the wake/re-park round
-    // trip. The loop still re-checks the condition, so a leftover permit
-    // or spurious resume cannot fake a completion.
+    // wakes the fiber; completions of sibling requests (the rest of a wait
+    // loop over several requests, failure notifications) deposit their
+    // result and skip the wake/re-park round trip. The loop still re-checks
+    // the condition, so a leftover permit or spurious resume cannot fake a
+    // completion.
     sim::Context& ctx = proc_->context();
     ctx.set_wait_token(&st);
     while (!st.done) ctx.park();
     ctx.set_wait_token(nullptr);
   }
-  if (st.is_recv && !st.cost_charged) {
+  if (!st.cost_charged) {
     st.cost_charged = true;
     if (!st.status.failed) {
       const auto& m = proc_->world().model();
@@ -107,21 +97,6 @@ Status Comm::wait(Request& req) {
     }
   }
   return st.status;
-}
-
-bool Comm::test(Request& req, Status* status) {
-  REPMPI_CHECK(req.valid());
-  auto& st = req.state();
-  if (!st.done) return false;
-  wait(req);  // charge completion costs
-  if (status) *status = st.status;
-  return true;
-}
-
-void Comm::waitall(std::span<Request> reqs) {
-  for (auto& r : reqs) {
-    if (r.valid()) wait(r);
-  }
 }
 
 }  // namespace repmpi::mpi

@@ -4,10 +4,10 @@
 //
 // A Comm is a per-process value object (cheap to copy) describing a group of
 // world ranks plus this process's rank within it. Its verbs follow MPI
-// point-to-point semantics (blocking/nonblocking, wildcards, per-pair FIFO);
-// the channel id keeps communicators' traffic apart. Collectives live one
-// layer up, in rep::LogicalComm, built over fault-tolerant logical p2p as
-// SDR-MPI does.
+// point-to-point semantics (eager send, blocking/nonblocking receive,
+// wildcards, per-pair FIFO); the channel id keeps communicators' traffic
+// apart. Collectives live one layer up, in rep::LogicalComm, built over
+// fault-tolerant logical p2p as SDR-MPI does.
 
 #include <cstdint>
 #include <span>
@@ -46,13 +46,10 @@ class Comm {
   /// Zero-copy send of an already-captured payload (shared by reference;
   /// the replication layer fans the same payload out to several receivers).
   void send_payload(int dst, int tag, support::Payload payload);
-  Request isend(int dst, int tag, std::span<const std::byte> bytes);
   /// Posts a receive; `src` may be kAnySource, `tag` may be kAnyTag.
   Request irecv(int src, int tag);
   Status recv(int src, int tag, support::Buffer& out);
   Status wait(Request& req);
-  bool test(Request& req, Status* status = nullptr);
-  void waitall(std::span<Request> reqs);
 
   // Typed convenience wrappers (trivially copyable element types only).
   template <support::TriviallyCopyable T>

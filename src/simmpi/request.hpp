@@ -1,9 +1,9 @@
 #pragma once
 
-// Nonblocking communication requests.
+// Nonblocking receive requests.
 //
-// Sends are eager: the payload is captured at isend time and the send
-// request completes immediately after the sender's CPU overhead is charged
+// Sends are eager and have no request: the payload is captured at send time
+// and the send returns as soon as the sender's CPU overhead is charged
 // (the wire time is accounted on the NICs by the network model, emulating
 // DMA/RDMA progress that overlaps with computation). Receive requests
 // complete when a matching message is delivered, or complete with
@@ -20,13 +20,12 @@ namespace repmpi::mpi {
 
 struct RequestState {
   bool done = false;
-  bool is_recv = false;
   /// Receiver-side costs (overhead + payload copy) are charged exactly once,
-  /// when the owner collects the completion via wait/test/waitall.
+  /// when the owner collects the completion via wait.
   bool cost_charged = false;
   Status status;
-  /// Received payload (recv requests only); shares the sender's bytes by
-  /// reference — the modeled copy cost is charged at wait time instead.
+  /// Received payload; shares the sender's bytes by reference — the modeled
+  /// copy cost is charged at wait time instead.
   support::Payload data;
   sim::Pid owner = sim::kNoPid;
 

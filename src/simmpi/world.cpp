@@ -344,8 +344,9 @@ void World::complete_recv(RequestState& req, Envelope env) {
   // focused on this very request resumes through the scheduler's ready lane
   // (no timed-queue traffic), and a waiter focused on a *different* request
   // is left asleep — it collects this completion from req.done when its own
-  // turn comes (waitall fan-in). Completions always execute on the thread
-  // of the destination rank's shard, so the local simulator owns the waiter.
+  // turn comes (fan-in of a wait loop over several requests). Completions
+  // always execute on the thread of the destination rank's shard, so the
+  // local simulator owns the waiter.
   if (req.owner != sim::kNoPid) local_sim().unpark_hint(req.owner, &req);
 }
 

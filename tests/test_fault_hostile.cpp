@@ -304,18 +304,6 @@ TEST(Generators, DeterministicAcrossCalls) {
   const auto slow_c = fault::generate_straggler_slowdowns(64, 0.25, 4.0, c);
   EXPECT_EQ(slow_a, slow_b);
   EXPECT_NE(slow_a, slow_c);
-
-  fault::FaultPlan pa, pb;
-  support::Rng ga(7), gb(7);
-  fault::generate_exponential_crashes(pa, 32, 100.0, 1.0, ga);
-  fault::generate_exponential_crashes(pb, 32, 100.0, 1.0, gb);
-  ASSERT_EQ(pa.timed_crashes().size(), pb.timed_crashes().size());
-  EXPECT_FALSE(pa.timed_crashes().empty());
-  for (std::size_t i = 0; i < pa.timed_crashes().size(); ++i) {
-    EXPECT_EQ(pa.timed_crashes()[i].world_rank,
-              pb.timed_crashes()[i].world_rank);
-    EXPECT_EQ(pa.timed_crashes()[i].at, pb.timed_crashes()[i].at);
-  }
 }
 
 TEST(Generators, BurstySdcCountTracksNhppMean) {

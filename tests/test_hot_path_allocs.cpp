@@ -171,8 +171,7 @@ TEST(HotPathAllocs, ExactMatchCommStreamAllocatesNothing) {
     const int peer = 1 - comm.rank();
     w.run(comm.rank() == 0, [&](int i) {
       if (comm.rank() == 0) {
-        mpi::Request s = comm.isend(peer, i, support::as_bytes_of(i));
-        comm.wait(s);
+        comm.send(peer, i, support::as_bytes_of(i));
         mpi::Request r = comm.irecv(peer, i);
         comm.wait(r);
         EXPECT_EQ(support::from_buffer<int>(r.state().data), i + 1);

@@ -33,13 +33,6 @@ TEST(VectorOps, Ddot) {
   EXPECT_DOUBLE_EQ(out, 32.0);
 }
 
-TEST(VectorOps, Axpy) {
-  std::vector<double> x{1, 1, 1}, y{1, 2, 3};
-  axpy(3.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[2], 6.0);
-}
-
 TEST(Sparse, InteriorRowHas27Nonzeros) {
   const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 5, 5, 5, true, true);
   EXPECT_EQ(m.rows(), 125);

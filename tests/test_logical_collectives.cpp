@@ -77,21 +77,6 @@ TEST_P(LogicalCollectives, BcastFromLastRank) {
   for (const auto& [r, v] : got) EXPECT_EQ(v, 4242);
 }
 
-TEST_P(LogicalCollectives, BarrierSynchronizesTime) {
-  const auto& [n, d] = GetParam();
-  if (n < 2) GTEST_SKIP();
-  RepFixture f(n, d);
-  sim::Time slowest_before = 0, earliest_after = 1e30;
-  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
-    // Rank 0 is slow; everyone else hits the barrier immediately.
-    if (comm.rank() == 0) proc.elapse(1.0);
-    slowest_before = std::max(slowest_before, proc.now());
-    comm.barrier();
-    earliest_after = std::min(earliest_after, proc.now());
-  });
-  EXPECT_GE(earliest_after, 1.0);  // nobody leaves before the slow rank
-}
-
 TEST_P(LogicalCollectives, AllgatherValues) {
   const auto& [n, d] = GetParam();
   RepFixture f(n, d);
@@ -172,6 +157,26 @@ TEST(LogicalCollectivesArgs, ShortOutputThrowsInsteadOfOverrunning) {
         for (std::size_t i = 1; i < buf.size(); ++i)
           EXPECT_EQ(buf[i], -1.0) << "rank " << r << " degree " << d;
     }
+  }
+}
+
+TEST(LogicalCollectivesArgs, MismatchedLengthsThrow) {
+  // Rank 0 reduces two elements, rank 1 one: the root's receive block is
+  // short, which must be an error rather than a zero-filled max.
+  for (int d : {1, 2}) {
+    std::map<int, std::vector<int>> got;
+    RepFixture f(2, d);
+    EXPECT_THROW(f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+      const std::vector<int> in =
+          comm.rank() == 0 ? std::vector<int>{-5, -5} : std::vector<int>{-7};
+      std::vector<int> out(in.size());
+      comm.allreduce(std::span<const int>(in), std::span<int>(out),
+                     mpi::ReduceOp::kMax);
+      got[proc.world_rank()] = out;
+    }),
+                 support::InvariantError)
+        << "degree " << d;
+    EXPECT_TRUE(got.empty()) << "degree " << d;
   }
 }
 

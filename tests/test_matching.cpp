@@ -430,11 +430,11 @@ TEST(Matching, RecycledBucketsNeverLeakStaleEntries) {
 // --- Focused waits (zero-heap wakeup contract) ------------------------------
 
 TEST(Matching, WaitallCollectsOutOfOrderCompletionsWithElidedWakes) {
-  // The receiver posts N receives and waitalls them while the sender
-  // completes them in reverse post order: every completion but the one the
-  // receiver is currently parked on must deposit its payload without waking
-  // it (wakeups_elided counts them), and waitall must still hand back all
-  // payloads correctly.
+  // The receiver posts N receives and waits on them in post order while the
+  // sender completes them in reverse post order: every completion but the
+  // one the receiver is currently parked on must deposit its payload without
+  // waking it (wakeups_elided counts them), and the wait loop must still
+  // hand back all payloads correctly.
   constexpr int kN = 8;
   MpiFixture f(2);
   std::vector<int> got(kN, -1);
@@ -449,7 +449,7 @@ TEST(Matching, WaitallCollectsOutOfOrderCompletionsWithElidedWakes) {
       std::vector<Request> reqs;
       reqs.reserve(kN);
       for (int i = 0; i < kN; ++i) reqs.push_back(comm.irecv(0, i));
-      comm.waitall(reqs);
+      for (auto& r : reqs) comm.wait(r);
       for (int i = 0; i < kN; ++i)
         got[static_cast<std::size_t>(i)] =
             support::from_buffer<int>(reqs[static_cast<std::size_t>(i)]

@@ -85,7 +85,6 @@ TEST(Runner, RngIsPerLogicalRank) {
 }
 
 TEST(Runner, EfficiencyHelpers) {
-  EXPECT_DOUBLE_EQ(efficiency_fixed_resources(1.0, 2.0), 0.5);
   EXPECT_DOUBLE_EQ(efficiency_fixed_problem(1.0, 1.0, 2), 0.5);
   EXPECT_DOUBLE_EQ(efficiency_fixed_problem(1.0, 0.8, 2), 0.625);
 }

@@ -145,7 +145,6 @@ TEST(Sim, KillUnwindsParkedProcess) {
   sim.run();
   EXPECT_TRUE(cleanup_ran);      // RAII unwound
   EXPECT_FALSE(after_park);      // body did not continue
-  EXPECT_FALSE(sim.alive(victim));
   EXPECT_TRUE(sim.finished(victim));
 }
 
@@ -245,10 +244,16 @@ TEST(Sim, EventCountTracksExecutedEvents) {
 }
 
 TEST(Sim, ProcessNamesAreStored) {
+  // A process's name is what the deadlock report prints for it.
   Simulator sim;
-  const Pid p = sim.spawn("alpha", [](Context&) {});
-  EXPECT_EQ(sim.name(p), "alpha");
-  sim.run();
+  sim.spawn("alpha", [](Context& ctx) { ctx.park(); });
+  try {
+    sim.run();
+    FAIL() << "expected a deadlock";
+  } catch (const support::DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Sim, ScheduleInPastThrows) {

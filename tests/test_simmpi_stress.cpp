@@ -44,7 +44,7 @@ TEST(Stress, RandomizedPairwiseTrafficMatchesOracle) {
         comm.send_value(d, 7, me * 1000 + k);
       }
     }
-    comm.waitall(reqs);
+    for (auto& r : reqs) comm.wait(r);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       got[me][req_src[i]].push_back(
           support::from_buffer<int>(reqs[i].state().data));

@@ -1,5 +1,5 @@
-// Unit tests for the support module: buffers, RNG determinism, statistics,
-// options parsing, table formatting.
+// Unit tests for the support module: buffers, RNG determinism, options
+// parsing, table formatting.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "support/error.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace repmpi::support {
@@ -84,37 +83,6 @@ TEST(Rng, UniformRespectsBounds) {
     EXPECT_GE(x, -3.0);
     EXPECT_LT(x, 7.0);
   }
-}
-
-TEST(Stats, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Stats, MergeMatchesCombined) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Stats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
 TEST(Options, ParsesKeyValueAndFlags) {
