@@ -64,9 +64,8 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
   std::shared_ptr<const kernels::CsrMatrix> a_ptr;
   std::size_t n = 0;
   std::vector<double> x;
-  // b/r/ap/pvec are fully written before any read (b by the RHS sparsemv, r
-  // and pvec's interior by the copies below, pvec's halos by halo_exchange
-  // ahead of the first sparsemv, ap by that sparsemv) — skip the zero-fill,
+  // b/r/ap are fully written before any read (b by the RHS sparsemv, r by
+  // the copy below, ap by the first CG sparsemv) — skip the zero-fill,
   // which at production sizes is tens of MB of wasted bandwidth per run.
   support::UninitVector<double> b, r, pvec, ap;
   {
@@ -79,15 +78,15 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
     b.resize(n);
     r.resize(n);
     ap.resize(n);
-    pvec.resize(a.vector_len());
 
     // b = A * ones (with neighbor halos = 1 where neighbors exist), the
     // HPCCG right-hand side: the exact solution is the all-ones vector.
+    // pvec holds the ones until the CG loop rewrites it (interior by the
+    // copy below, halos by halo_exchange ahead of the first sparsemv).
+    pvec.assign(a.vector_len(), 1.0);
     ctx.proc.compute(ctx.share.shared(
-        "setup.rhs", {std::as_writable_bytes(std::span(b))}, [&] {
-          std::vector<double> ones(a.vector_len(), 1.0);
-          return kernels::sparsemv(a, ones, b);
-        }));
+        "setup.rhs", {std::as_writable_bytes(std::span(b))},
+        [&] { return kernels::sparsemv(a, pvec, b); }));
   }
   const kernels::CsrMatrix& a = *a_ptr;
 

@@ -205,7 +205,9 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
 #if defined(__GLIBC__)
   // Halo planes and update payloads are hundreds of KiB; keep them on the
   // heap instead of per-allocation mmap/munmap round trips (page-fault
-  // churn dominated bench wall time otherwise).
+  // churn dominated bench wall time otherwise). repmpi_sweep's worker
+  // huge-page policy (glibc.malloc.hugetlb=1) relies on this too: glibc
+  // madvises the brk heap it grows, so every allocation must sit there.
   static const bool malloc_tuned = [] {
     mallopt(M_MMAP_THRESHOLD, 64 << 20);
     return true;

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cmath>
 #include <ostream>
+#include <string_view>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -28,6 +29,11 @@ constexpr std::size_t kMaxOutputBytes = 64u << 20;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// The NAME of a NAME=VALUE environment entry.
+std::string_view env_name(std::string_view kv) {
+  return kv.substr(0, kv.find('='));
 }
 
 /// SIGKILLs the worker's whole process group; falls back to the pid alone
@@ -167,11 +173,21 @@ void Supervisor::step(int max_wait_ms) {
       REPMPI_CHECK_MSG(::pipe(pipefd) == 0, "pipe() failed for " << item.key);
 
       // Build argv/envp before fork: only async-signal-safe calls after.
-      std::vector<std::string> env_store;
-      for (char** e = environ; *e != nullptr; ++e) env_store.emplace_back(*e);
-      for (const std::string& kv : item.env) env_store.push_back(kv);
-      env_store.push_back("REPMPI_SWEEP_ATTEMPT=" +
+      // item.env and the attempt counter replace inherited entries of the
+      // same name: getenv() returns the first match, so an appended
+      // duplicate would lose to the inherited value.
+      std::vector<std::string> overrides = item.env;
+      overrides.push_back("REPMPI_SWEEP_ATTEMPT=" +
                           std::to_string(it->attempt));
+      std::vector<std::string> env_store;
+      for (char** e = environ; *e != nullptr; ++e) {
+        const auto same_name = [e](const std::string& kv) {
+          return env_name(kv) == env_name(*e);
+        };
+        if (std::none_of(overrides.begin(), overrides.end(), same_name))
+          env_store.emplace_back(*e);
+      }
+      env_store.insert(env_store.end(), overrides.begin(), overrides.end());
       std::vector<char*> argv, envp;
       for (const std::string& a : item.argv)
         argv.push_back(const_cast<char*>(a.c_str()));

@@ -40,7 +40,9 @@ namespace repmpi::support {
 struct WorkItem {
   std::string key;
   std::vector<std::string> argv;  ///< argv[0] is the program path
-  std::vector<std::string> env;   ///< extra KEY=VALUE entries for the child
+  /// KEY=VALUE entries for the child; each replaces an inherited entry of
+  /// the same KEY, as does the supervisor's REPMPI_SWEEP_ATTEMPT.
+  std::vector<std::string> env;
   double timeout_sec = 60.0;      ///< per-attempt wall-clock deadline
 };
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -160,6 +161,33 @@ TEST(Supervisor, ExtraEnvReachesChild) {
   const auto results = sup.run({item});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].output, "sentinel-42\n");
+}
+
+TEST(Supervisor, ItemEnvReplacesInheritedEntriesOfTheSameName) {
+  // getenv() returns the first of duplicate entries, so an inherited value
+  // must not survive next to the item's or the attempt counter's.
+  // /usr/bin/env prints the environment exactly as the child received it.
+  ::setenv("REPMPI_TEST_TOKEN", "inherited", 1);
+  ::setenv("REPMPI_SWEEP_ATTEMPT", "5", 1);
+  WorkItem item;
+  item.key = "env";
+  item.argv = {"/usr/bin/env"};
+  item.env = {"REPMPI_TEST_TOKEN=from-item"};
+  Supervisor sup(fast_cfg());
+  const auto results = sup.run({item});
+  ::unsetenv("REPMPI_TEST_TOKEN");
+  ::unsetenv("REPMPI_SWEEP_ATTEMPT");
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].status, CellStatus::kOk);
+  std::vector<std::string> seen;
+  std::istringstream lines(results[0].output);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("REPMPI_TEST_TOKEN=", 0) == 0 ||
+        line.rfind("REPMPI_SWEEP_ATTEMPT=", 0) == 0)
+      seen.push_back(line);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{"REPMPI_SWEEP_ATTEMPT=1",
+                                            "REPMPI_TEST_TOKEN=from-item"}));
 }
 
 TEST(Supervisor, QueueDegradesGracefullyAroundFailures) {

@@ -169,6 +169,65 @@ TEST_F(SweepTool, WorkerCrashIsRetriedAndStaysBitIdentical) {
   EXPECT_EQ(dump(log), *clean_dump_);
 }
 
+TEST_F(SweepTool, ExportedAttemptCounterDoesNotMaskAKillKnob) {
+  // A REPMPI_SWEEP_ATTEMPT left in the caller's environment must not shadow
+  // the supervisor's own counter: attempt 1 still crashes as the knob says.
+  const std::string log = log_path("exportedattempt");
+  const CmdResult r = run_cmd(
+      "REPMPI_SWEEP_ATTEMPT=5 REPMPI_FAULT_KILL_CELL=hpccg.l2.d1.none "
+      "REPMPI_FAULT_KILL_ATTEMPTS=1 " +
+      sweep_cmd(log));
+  EXPECT_EQ(r.code, 0) << r.output;
+  EXPECT_NE(r.output.find("hpccg.l2.d1.none attempt 1/3 failed (crash"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("hpccg.l2.d1.none: ok (attempts 2"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(dump(log), *clean_dump_);
+}
+
+TEST_F(SweepTool, MallocPolicyDoesNotChangeResults) {
+  // Workers default to huge-page malloc; opting out must give the same
+  // bytes, since only host memory layout differs.
+  const std::string log = log_path("nohugetlb");
+  const CmdResult r =
+      run_cmd("GLIBC_TUNABLES=glibc.malloc.hugetlb=0 " + sweep_cmd(log));
+  EXPECT_EQ(r.code, 0) << r.output;
+  EXPECT_EQ(dump(log), *clean_dump_);
+}
+
+TEST(SweepWorkerTunables, AddsTheHugePagePolicyOnce) {
+  EXPECT_EQ(tools::worker_glibc_tunables(nullptr), "glibc.malloc.hugetlb=1");
+  EXPECT_EQ(tools::worker_glibc_tunables(""), "glibc.malloc.hugetlb=1");
+  EXPECT_EQ(tools::worker_glibc_tunables("glibc.malloc.arena_max=2"),
+            "glibc.malloc.arena_max=2:glibc.malloc.hugetlb=1");
+  EXPECT_EQ(tools::worker_glibc_tunables(
+                "glibc.malloc.arena_max=2:glibc.malloc.tcache_count=0"),
+            "glibc.malloc.arena_max=2:glibc.malloc.tcache_count=0:"
+            "glibc.malloc.hugetlb=1");
+}
+
+TEST(SweepWorkerTunables, KeepsTheCallersOwnHugePageSetting) {
+  for (const char* own :
+       {"glibc.malloc.hugetlb=0", "glibc.malloc.hugetlb=2",
+        "glibc.malloc.arena_max=2:glibc.malloc.hugetlb=0",
+        "glibc.malloc.hugetlb=2:glibc.malloc.arena_max=2"})
+    EXPECT_EQ(tools::worker_glibc_tunables(own), own);
+  // A tunable whose name only ends in the policy's name is another one.
+  EXPECT_EQ(tools::worker_glibc_tunables("x.glibc.malloc.hugetlb=0"),
+            "x.glibc.malloc.hugetlb=0:glibc.malloc.hugetlb=1");
+}
+
+TEST(SweepWorkerTunables, ReMergeIsIdempotent) {
+  for (const char* inherited :
+       {static_cast<const char*>(nullptr), "glibc.malloc.arena_max=2",
+        "glibc.malloc.hugetlb=0"}) {
+    const std::string once = tools::worker_glibc_tunables(inherited);
+    EXPECT_EQ(tools::worker_glibc_tunables(once.c_str()), once);
+  }
+}
+
 TEST_F(SweepTool, CorruptOutputIsRetriedAndStaysBitIdentical) {
   const std::string log = log_path("corrupt");
   const CmdResult r = run_cmd(

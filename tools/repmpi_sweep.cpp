@@ -244,6 +244,10 @@ int run_sweep(const support::Options& opt, const char* argv0) {
   const auto latest = log.latest_by_key();
   const std::vector<Cell> grid = make_grid();
   const std::string exe = self_exe(argv0);
+  // Workers fault their replica state in 2 MiB pages instead of 4 KiB ones
+  // (see worker_glibc_tunables); virtual time does not depend on it.
+  const std::string tunables =
+      "GLIBC_TUNABLES=" + worker_glibc_tunables(std::getenv("GLIBC_TUNABLES"));
   std::vector<support::WorkItem> items;
   std::size_t skipped = 0;
   for (const Cell& c : grid) {
@@ -258,6 +262,7 @@ int run_sweep(const support::Options& opt, const char* argv0) {
     item.argv = {exe, "--worker", "--cell=" + key,
                  "--nx=" + std::to_string(nx),
                  "--iters=" + std::to_string(iters)};
+    item.env = {tunables};
     item.timeout_sec = static_cast<double>(timeout_sec);
     items.push_back(std::move(item));
   }

@@ -75,6 +75,20 @@ inline bool parse_key(const std::string& key, Cell* out) {
   return out->key() == key;
 }
 
+/// GLIBC_TUNABLES for a sweep worker: the caller's value `inherited`
+/// (nullptr when unset) plus glibc's transparent-huge-page malloc policy,
+/// `glibc.malloc.hugetlb=1`, so the worker faults its brk heap in 2 MiB
+/// pages. A caller's own `glibc.malloc.hugetlb=` setting is kept as is.
+inline std::string worker_glibc_tunables(const char* inherited) {
+  const std::string policy = "glibc.malloc.hugetlb=1";
+  const std::string have = inherited == nullptr ? "" : inherited;
+  if (have.empty()) return policy;
+  // Tunables are `:`-separated name=value pairs.
+  if ((":" + have).find(":glibc.malloc.hugetlb=") != std::string::npos)
+    return have;
+  return have + ":" + policy;
+}
+
 /// Extracts `"name": <number>` from a metrics blob; NaN when absent.
 inline double blob_number(const std::string& blob, const std::string& name) {
   const std::string needle = "\"" + name + "\": ";
