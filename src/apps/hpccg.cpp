@@ -1,5 +1,6 @@
 #include "apps/hpccg.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -64,10 +65,11 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
   std::shared_ptr<const kernels::CsrMatrix> a_ptr;
   std::size_t n = 0;
   std::vector<double> x;
-  // b/r/ap are fully written before any read (b by the RHS sparsemv, r by
-  // the copy below, ap by the first CG sparsemv) — skip the zero-fill,
-  // which at production sizes is tens of MB of wasted bandwidth per run.
-  support::UninitVector<double> b, r, pvec, ap;
+  // r/pvec/ap are fully written before any read (r by the RHS below, pvec
+  // by the copy below and its halo fill, ap by the first CG sparsemv) —
+  // skip the zero-fill, which at production sizes is tens of MB of wasted
+  // bandwidth per run.
+  support::UninitVector<double> r, pvec, ap;
   {
     mpi::ScopedPhase sp(ctx.proc, "setup");
     a_ptr = kernels::grid_matrix_cached(kernels::Stencil::k27pt, p.nx, p.ny,
@@ -75,25 +77,25 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
     const kernels::CsrMatrix& a = *a_ptr;
     n = a.interior();
     x.assign(n, 0.0);
-    b.resize(n);
     r.resize(n);
+    pvec.resize(a.vector_len());
     ap.resize(n);
 
-    // b = A * ones (with neighbor halos = 1 where neighbors exist), the
-    // HPCCG right-hand side: the exact solution is the all-ones vector.
-    // pvec holds the ones until the CG loop rewrites it (interior by the
-    // copy below, halos by halo_exchange ahead of the first sparsemv).
-    pvec.assign(a.vector_len(), 1.0);
-    ctx.proc.compute(ctx.share.shared(
-        "setup.rhs", {std::as_writable_bytes(std::span(b))},
-        [&] { return kernels::sparsemv(a, pvec, b); }));
+    // The HPCCG right-hand side is b = A * ones (neighbor halos = 1 where
+    // neighbors exist), so the exact solution is the all-ones vector. That
+    // product is the operator's row sums; with x = 0 the initial residual
+    // r = b - A*x is b itself, so the row sums go straight into r, charged
+    // as the sparsemv they stand for.
+    ctx.proc.compute(kernels::row_sums(a, r));
+    // halo_exchange rewrites a halo plane before any sparsemv reads it; a
+    // plane without a neighbor is never read. Zero keeps both defined.
+    std::fill(pvec.begin() + static_cast<std::ptrdiff_t>(n), pvec.end(), 0.0);
   }
   const kernels::CsrMatrix& a = *a_ptr;
 
   const std::span<double> p_interior(pvec.data(), n);
 
-  // r = b - A*x with x = 0  =>  r = b; p = r.
-  std::copy(b.begin(), b.end(), r.begin());
+  // p = r.
   std::copy(r.begin(), r.end(), p_interior.begin());
 
   double rtrans = ddot_section(ctx, "ddot", r, r, p.intra_ddot,

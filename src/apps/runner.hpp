@@ -118,13 +118,6 @@ struct AppContext {
 
   int rank() const { return comm.rank(); }
   int size() const { return comm.size(); }
-
-  /// Charges and attributes a non-intra-parallelized compute phase
-  /// ("unmodified parts of the code").
-  void compute_phase(const std::string& phase, const net::ComputeCost& cost) {
-    mpi::ScopedPhase sp(proc, phase);
-    proc.compute(cost);
-  }
 };
 
 struct RunResult {

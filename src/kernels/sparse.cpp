@@ -13,6 +13,21 @@ namespace repmpi::kernels {
 
 namespace {
 
+/// Boundary class of coordinate i on an axis of length n >= 3: 0 first,
+/// 2 last, 1 between (the StencilTables index).
+int boundary_class(std::int64_t i, std::int64_t n) {
+  return i == 0 ? 0 : i == n - 1 ? 2 : 1;
+}
+
+/// Sum of the first i terms of an axis sequence c[0], c[1] (n - 2 times),
+/// c[2], for n >= 3 and 0 <= i <= n: per-class counts along one axis.
+std::int64_t axis_prefix(std::int64_t n, std::int64_t i,
+                         const std::int64_t (&c)[3]) {
+  if (i == 0) return 0;
+  if (i == n) return c[0] + (n - 2) * c[1] + c[2];
+  return c[0] + (i - 1) * c[1];
+}
+
 std::shared_ptr<const StencilTables> build_stencil_tables(
     Stencil stencil, std::int64_t nx, std::int64_t ny, std::int64_t nz,
     bool has_lower, bool has_upper) {
@@ -68,13 +83,36 @@ std::shared_ptr<const StencilTables> build_stencil_tables(
       }
     }
   }
+  for (int zc = 0; zc < 3; ++zc) {
+    for (int yc = 0; yc < 3; ++yc) {
+      const auto& row_tabs = tables->t[zc][yc];
+      const std::int64_t cell[3] = {row_tabs[0].npts, row_tabs[1].npts,
+                                    row_tabs[2].npts};
+      tables->row_nnz[zc][yc] = axis_prefix(nx, nx, cell);
+    }
+    tables->plane_nnz[zc] = axis_prefix(ny, ny, tables->row_nnz[zc]);
+  }
   return tables;
 }
 
-/// Boundary class of coordinate i on an axis of length n >= 3: 0 first,
-/// 2 last, 1 between (the StencilTables index).
-int boundary_class(std::int64_t i, std::int64_t n) {
-  return i == 0 ? 0 : i == n - 1 ? 2 : 1;
+/// Non-zeros of rows [0, r) of a table-only operator: whole planes, then
+/// whole grid rows of r's plane, then cells of r's grid row.
+std::int64_t table_nnz_before(const CsrMatrix& a, std::int64_t r) {
+  const std::int64_t nx = a.nx, ny = a.ny, nz = a.nz;
+  const StencilTables& st = *a.tables;
+  const std::int64_t plane = nx * ny;
+  const std::int64_t z = r / plane;
+  const std::int64_t rem = r - z * plane;
+  std::int64_t n = axis_prefix(nz, z, st.plane_nnz);
+  if (rem == 0) return n;  // also r == rows: z == nz has no class
+  const int zc = boundary_class(z, nz);
+  const std::int64_t y = rem / nx;
+  const std::int64_t x = rem - y * nx;
+  n += axis_prefix(ny, y, st.row_nnz[zc]);
+  const auto& row_tabs = st.t[zc][boundary_class(y, ny)];
+  const std::int64_t cell[3] = {row_tabs[0].npts, row_tabs[1].npts,
+                                row_tabs[2].npts};
+  return n + axis_prefix(nx, x, cell);
 }
 
 /// A grid operator's shape fields, no entries yet.
@@ -92,6 +130,14 @@ CsrMatrix shape_only(Stencil stencil, int nx, int ny, int nz, bool has_lower,
 
 }  // namespace
 
+std::int64_t CsrMatrix::nnz(std::int64_t r0, std::int64_t r1) const {
+  if (r0 == r1) return 0;
+  if (tables != nullptr)
+    return table_nnz_before(*this, r1) - table_nnz_before(*this, r0);
+  return row_start[static_cast<std::size_t>(r1)] -
+         row_start[static_cast<std::size_t>(r0)];
+}
+
 CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
                             bool has_lower, bool has_upper) {
   // The tables assume an interior class on every axis (at length 1 a row
@@ -101,20 +147,6 @@ CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
                                       has_upper);
   CsrMatrix m = shape_only(stencil, nx, ny, nz, has_lower, has_upper);
   m.tables = build_stencil_tables(stencil, nx, ny, nz, has_lower, has_upper);
-  // Row lengths are the per-class point counts, in row order.
-  m.row_start.reserve(static_cast<std::size_t>(m.interior()) + 1);
-  m.row_start.push_back(0);
-  std::int64_t nnz = 0;
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      const auto& row_tabs =
-          m.tables->t[boundary_class(z, nz)][boundary_class(y, ny)];
-      for (int x = 0; x < nx; ++x) {
-        nnz += row_tabs[boundary_class(x, nx)].npts;
-        m.row_start.push_back(nnz);
-      }
-    }
-  }
   return m;
 }
 
@@ -322,7 +354,9 @@ void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
   } else {
     // The general walk reads explicit entries; a table-only operator has
     // none.
-    REPMPI_CHECK(a.col.size() == static_cast<std::size_t>(a.nnz()) &&
+    const auto rows = static_cast<std::size_t>(a.rows());
+    REPMPI_CHECK(a.row_start.size() == rows + 1 &&
+                 a.col.size() == static_cast<std::size_t>(a.nnz()) &&
                  a.val.size() == a.col.size());
   }
   const KernelTimer timer(KernelFamily::kSpmv);
@@ -345,9 +379,45 @@ net::ComputeCost sparsemv_range(const CsrMatrix& a, std::span<const double> x,
   csr_row_gather(a, x, y.subspan(static_cast<std::size_t>(r0),
                                  static_cast<std::size_t>(r1 - r0)),
                  r0, r1);
-  const std::int64_t nnz = a.row_start[static_cast<std::size_t>(r1)] -
-                           a.row_start[static_cast<std::size_t>(r0)];
-  return sparsemv_cost(r1 - r0, nnz);
+  return sparsemv_cost(r1 - r0, a.nnz(r0, r1));
+}
+
+net::ComputeCost row_sums(const CsrMatrix& a, std::span<double> out) {
+  const std::int64_t rows = a.rows();
+  REPMPI_CHECK(out.size() >= static_cast<std::size_t>(rows));
+  double* const o = out.data();
+  if (a.tables == nullptr) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      double s = 0.0;
+      for (std::int64_t k = a.row_start[static_cast<std::size_t>(r)];
+           k < a.row_start[static_cast<std::size_t>(r) + 1]; ++k)
+        s += a.val[static_cast<std::size_t>(k)];
+      o[r] = s;
+    }
+    return sparsemv_cost(rows, a.nnz());
+  }
+  // Every row of a boundary class sums the same weights in the same order.
+  const auto& t = a.tables->t;
+  double sum[3][3][3];
+  for (int zc = 0; zc < 3; ++zc)
+    for (int yc = 0; yc < 3; ++yc)
+      for (int xc = 0; xc < 3; ++xc) {
+        double s = 0.0;
+        for (int k = 0; k < t[zc][yc][xc].npts; ++k) s += t[zc][yc][xc].w[k];
+        sum[zc][yc][xc] = s;
+      }
+  const std::int64_t nx = a.nx;
+  double* row = o;
+  for (int z = 0; z < a.nz; ++z) {
+    const auto& plane_sum = sum[boundary_class(z, a.nz)];
+    for (int y = 0; y < a.ny; ++y, row += nx) {
+      const double* const s = plane_sum[boundary_class(y, a.ny)];
+      row[0] = s[0];
+      std::fill(row + 1, row + nx - 1, s[1]);
+      row[nx - 1] = s[2];
+    }
+  }
+  return sparsemv_cost(rows, a.nnz());
 }
 
 }  // namespace repmpi::kernels

@@ -43,30 +43,40 @@ struct StencilTables {
     int npts = 0;
   };
   Table t[3][3][3];  // [zclass][yclass][xclass]
+  /// Non-zeros of one grid row of each (z, y) class and of one plane of
+  /// each z class: what CsrMatrix::nnz adds up instead of a row_start.
+  std::int64_t row_nnz[3][3] = {};
+  std::int64_t plane_nnz[3] = {};
 };
 
 /// A grid operator in one of two forms, chosen from the shape alone:
 ///  - table-only (every dimension >= 3): `tables` holds the stride/weight
-///    list of each boundary class and `col`/`val` stay empty;
+///    list of each boundary class and `row_start`/`col`/`val` stay empty;
 ///    csr_row_gather walks the tables with the explicit form's accumulation
-///    order, so every output bit matches.
+///    order, so every output bit matches, and rows()/nnz() come from the
+///    class tables' point counts in O(1).
 ///  - explicit (any dimension < 3, e.g. AMG's coarsest levels): plain CSR
-///    entries in `col`/`val`, no tables, walked by the general CSR loop.
-/// `row_start` is filled in both forms: it is the virtual-time cost input
-/// (rows(), nnz(), sparsemv_range, the AMG Jacobi cost).
+///    entries in `row_start`/`col`/`val`, no tables, walked by the general
+///    CSR loop.
+/// rows() and nnz(r0, r1) are the virtual-time cost inputs (sparsemv_range,
+/// the AMG Jacobi cost) and agree between the two forms of one shape.
 struct CsrMatrix {
   int nx = 0, ny = 0, nz = 0;
   bool has_lower = false, has_upper = false;
   Stencil stencil = Stencil::k7pt;
   std::shared_ptr<const StencilTables> tables;  ///< table-only form
-  std::vector<std::int64_t> row_start;  ///< size rows+1
+  std::vector<std::int64_t> row_start;  ///< explicit form only; size rows+1
   std::vector<std::int32_t> col;        ///< explicit form only
   std::vector<double> val;              ///< explicit form only
 
   std::int64_t rows() const {
-    return static_cast<std::int64_t>(row_start.size()) - 1;
+    if (tables != nullptr) return static_cast<std::int64_t>(interior());
+    return row_start.empty() ? 0
+                             : static_cast<std::int64_t>(row_start.size()) - 1;
   }
-  std::int64_t nnz() const { return row_start.empty() ? 0 : row_start.back(); }
+  /// Non-zeros of rows [r0, r1), 0 <= r0 <= r1 <= rows().
+  std::int64_t nnz(std::int64_t r0, std::int64_t r1) const;
+  std::int64_t nnz() const { return nnz(0, rows()); }
 
   std::size_t interior() const {
     return static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
@@ -101,8 +111,8 @@ CsrMatrix build_explicit_grid_matrix(Stencil stencil, int nx, int ny, int nz,
 /// benches re-run the same configurations many times — the cache turns
 /// O(ranks * runs) matrix constructions into O(distinct shapes). Entries are
 /// immutable and shared; a bounded FIFO evicts old shapes (live references
-/// keep their matrix alive regardless). A table-only entry is its tables
-/// plus row_start (~0.5 MB for a 32x32x64 shape). Thread-safe for concurrent
+/// keep their matrix alive regardless). A table-only entry is its ~11 KiB
+/// of class tables whatever the shape. Thread-safe for concurrent
 /// simulations: built once under a mutex, then read through immutable
 /// shared_ptrs. Host-side memoization only: the simulated setup cost a
 /// caller charges is unchanged.
@@ -132,6 +142,13 @@ inline net::ComputeCost sparsemv(const CsrMatrix& a, std::span<const double> x,
                                  std::span<double> y) {
   return sparsemv_range(a, x, y, 0, a.rows());
 }
+
+/// out[r] = the sum of row r's entries in CSR entry order, for every row:
+/// A * 1 with both halo planes 1, bit for bit what sparsemv computes from
+/// an all-ones vector (w * 1.0 == w, and the order is the same). Table-only
+/// operators sum each class table once. Returns the cost of that sparsemv,
+/// sparsemv_cost(a.rows(), a.nnz()), for a caller that models the product.
+net::ComputeCost row_sums(const CsrMatrix& a, std::span<double> out);
 
 /// Cost of multiplying `nnz` non-zeros over `rows` rows: 2 flops per nnz;
 /// value+index streams plus gather/output traffic.

@@ -135,10 +135,4 @@ inline ComputeCost operator+(ComputeCost a, const ComputeCost& b) {
   return a;
 }
 
-inline ComputeCost operator*(ComputeCost c, double k) {
-  c.flops *= k;
-  c.mem_bytes *= k;
-  return c;
-}
-
 }  // namespace repmpi::net

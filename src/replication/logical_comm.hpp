@@ -154,14 +154,6 @@ class LogicalComm {
     send(dst, tag, std::as_bytes(v));
   }
 
-  template <support::TriviallyCopyable T>
-  mpi::Status recv_span(int src, int tag, std::span<T> out) {
-    LogicalRequest req = irecv(src, tag);
-    mpi::Status st = wait(req);
-    support::copy_into(req.data.span(), out);
-    return st;
-  }
-
   // --- Logical collectives (deterministic; fault-tolerant via the logical
   // p2p layer underneath) ---------------------------------------------------
   // Every rank passes spans of the same lengths; a received block of any

@@ -287,8 +287,9 @@ class Simulator {
   /// a last resort.
   void terminate_processes();
 
-  /// Optional hook observing every context switch (pid, time); used by the
-  /// determinism tests to fingerprint an execution.
+  /// Optional hook observing every context switch (pid, time). Runs never
+  /// set it; kept as the observer the determinism tests fingerprint an
+  /// execution with.
   void set_switch_hook(std::function<void(Pid, Time)> hook) {
     switch_hook_ = std::move(hook);
   }

@@ -66,19 +66,6 @@ class Comm {
     return support::from_buffer<T>(buf);
   }
 
-  template <support::TriviallyCopyable T>
-  void send_span(int dst, int tag, std::span<const T> v) {
-    send(dst, tag, std::as_bytes(v));
-  }
-
-  template <support::TriviallyCopyable T>
-  Status recv_span(int src, int tag, std::span<T> out) {
-    Request req = irecv(src, tag);
-    Status st = wait(req);
-    if (!st.failed) support::copy_into(req.state().data, out);
-    return st;
-  }
-
   /// Deterministically derives a child channel id — all members compute the
   /// same value locally.
   static std::uint64_t derive_channel(std::uint64_t parent,

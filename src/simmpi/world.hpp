@@ -176,7 +176,9 @@ class World {
   /// everywhere. In-flight messages it sent are still delivered.
   void crash(int world_rank);
 
-  /// Failure-detection notification delay (virtual seconds).
+  /// Failure-detection notification delay (virtual seconds). Runs keep the
+  /// default; kept as the test hook that drives crash()'s check that the
+  /// delay covers the sharded engine's lookahead.
   void set_detection_delay(double d) { detection_delay_ = d; }
 
   /// Graceful both-replicas-lost degradation: a rank that observes an

@@ -40,7 +40,10 @@ inline apps::RunResult run_late_crash_ring(int shards, bool crash = true) {
       comm.send_value(right, 7, acc);
       comm.wait(r);
       acc = 0.5 * acc + support::from_buffer<double>(r.data);
-      ctx.compute_phase("work", net::ComputeCost{2e4, 1e5});
+      {
+        mpi::ScopedPhase sp(ctx.proc, "work");
+        ctx.proc.compute({2e4, 1e5});
+      }
       if (it % 10 == 9) {
         acc = comm.allreduce_value(acc, mpi::ReduceOp::kSum) / comm.size();
       }

@@ -47,7 +47,10 @@ apps::RunResult run_scenario(apps::RunMode mode, std::uint64_t seed) {
   p.intra_sparsemv = true;
   return apps::run_app(cfg, [&](apps::AppContext& ctx) {
     const double jitter = ctx.rng.uniform(0.5, 1.5);
-    ctx.compute_phase("seeded_warmup", {1e4 * jitter, 8e4 * jitter});
+    {
+      mpi::ScopedPhase sp(ctx.proc, "seeded_warmup");
+      ctx.proc.compute({1e4 * jitter, 8e4 * jitter});
+    }
     apps::hpccg(ctx, p);
   });
 }
@@ -129,7 +132,10 @@ apps::RunResult run_sharded_scenario(int shards, std::uint64_t seed) {
   p.iterations = 2;
   return apps::run_app(cfg, [&](apps::AppContext& ctx) {
     const double jitter = ctx.rng.uniform(0.5, 1.5);
-    ctx.compute_phase("seeded_warmup", {1e4 * jitter, 8e4 * jitter});
+    {
+      mpi::ScopedPhase sp(ctx.proc, "seeded_warmup");
+      ctx.proc.compute({1e4 * jitter, 8e4 * jitter});
+    }
     apps::hpccg(ctx, p);
   });
 }

@@ -29,7 +29,10 @@ RunResult run_once(RunMode mode, std::uint64_t seed) {
     // Seed-dependent warm-up phase: replicas of a logical rank draw the
     // same values (send-determinism), but the cost depends on the seed.
     const double jitter = ctx.rng.uniform(0.5, 1.5);
-    ctx.compute_phase("seeded_warmup", {1e4 * jitter, 8e4 * jitter});
+    {
+      mpi::ScopedPhase sp(ctx.proc, "seeded_warmup");
+      ctx.proc.compute({1e4 * jitter, 8e4 * jitter});
+    }
     hpccg(ctx, p);
   });
 }

@@ -1,8 +1,10 @@
 // Steady-state heap traffic of the hot paths: an intra section, the HPCCG
 // kernel-section wrappers, a replicated section through the ComputeCache,
-// point-to-point streams and a logical allreduce. This binary replaces the global operator new with a counting
-// one, runs each loop past its warm-up and pins the allocations per
-// iteration (or per message) that the loop makes from then on.
+// point-to-point streams and a logical allreduce. This binary replaces the
+// global operator new with one that counts calls and bytes, runs each loop
+// past its warm-up and pins the allocations per iteration (or per message)
+// that the loop makes from then on. It also pins the bytes one HPCCG rank
+// allocates for its replica state.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "apps/hpccg.hpp"
 #include "apps/kernel_sections.hpp"
 #include "intra/runtime.hpp"
 #include "mpi_test_harness.hpp"
@@ -21,9 +24,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t n, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (n == 0) n = 1;
   void* p = align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__
                 ? std::malloc(n)
@@ -222,6 +227,40 @@ TEST(HotPathAllocs, LogicalStreamWithFreshTagsAmortisesToNearZero) {
     });
   });
   EXPECT_LE(w.per_iteration() / 2, 0.01);  // two messages per round trip
+}
+
+TEST(HotPathAllocs, HpccgRankAllocatesOnlyItsFourCgVectors) {
+  // Every replica of every logical rank holds its own copy of the app
+  // state, so each per-rank array is paid degree x ranks times in host
+  // memory. One HPCCG rank's state is the four CG vectors x, r, Ap and p
+  // (p with its two halo planes); the operator is shared through the
+  // grid_matrix_cached memo, warmed here. The slack (phase names, requests,
+  // section bookkeeping) is a quarter of one vector, so a fifth vector fails.
+  apps::HpccgParams p;
+  p.nx = p.ny = 16;
+  p.nz = 32;
+  p.iterations = 2;
+  const auto a = kernels::grid_matrix_cached(kernels::Stencil::k27pt, p.nx,
+                                             p.ny, p.nz, false, false);
+  const std::uint64_t vector_bytes = a->interior() * sizeof(double);
+  const std::uint64_t cg_vectors =
+      3 * vector_bytes + a->vector_len() * sizeof(double);
+  const std::uint64_t slack = vector_bytes / 4;
+  const apps::RunConfig cfg;
+  testing::RepFixture f(1, 1);
+  std::uint64_t bytes = 0;
+  f.run([&](mpi::Proc& proc, rep::LogicalComm& comm) {
+    intra::Runtime rt(comm, {});
+    support::ComputeClient share;
+    apps::AppContext ctx{proc, comm, rt, cfg, share, support::Rng(1)};
+    const std::uint64_t before = g_bytes.load();
+    const apps::HpccgResult r = apps::hpccg(ctx, p);
+    bytes = g_bytes.load() - before;
+    EXPECT_EQ(r.iterations, p.iterations);
+  });
+  EXPECT_GE(bytes, cg_vectors);
+  EXPECT_LE(bytes, cg_vectors + slack)
+      << "extra bytes over the four CG vectors: " << bytes - cg_vectors;
 }
 
 }  // namespace

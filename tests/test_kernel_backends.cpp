@@ -396,9 +396,10 @@ TEST(BackendBitwise, CsrRowGatherUnstructuredAndEmptyRows) {
 }
 
 TEST(TableOnlyOperator, MatchesExplicitBuilder) {
-  // The table-only form must reproduce the explicit-CSR form: row_start
-  // element by element (the virtual-time cost input) and every gathered
-  // bit on every backend this host runs.
+  // The table-only form must reproduce the explicit-CSR form: the same
+  // non-zero count without a row_start of its own (the per-row counts are
+  // Sparse.TableNnzMatchesExplicitRowStart) and every gathered bit on every
+  // backend this host runs.
   support::Rng rng(0x7ab1eULL);
   struct Shape {
     int nx, ny, nz;
@@ -414,12 +415,13 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
           const kernels::CsrMatrix ref = kernels::build_explicit_grid_matrix(
               st, s.nx, s.ny, s.nz, lower, upper);
           ASSERT_NE(a.tables, nullptr);
-          EXPECT_TRUE(a.col.empty() && a.val.empty());
-          ASSERT_EQ(a.row_start, ref.row_start)
+          EXPECT_TRUE(a.row_start.empty() && a.col.empty() &&
+                      a.val.empty());
+          ASSERT_EQ(a.rows(), ref.rows());
+          EXPECT_EQ(a.nnz(), static_cast<std::int64_t>(ref.col.size()))
               << "stencil=" << static_cast<int>(st) << " lower=" << lower
               << " upper=" << upper << " shape=" << s.nx << "x" << s.ny
               << "x" << s.nz;
-          EXPECT_EQ(a.nnz(), static_cast<std::int64_t>(ref.col.size()));
 
           const std::vector<double> x = edge_vector(a.vector_len(), rng);
           std::vector<double> want(static_cast<std::size_t>(a.rows()));
@@ -442,6 +444,42 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
   EXPECT_TRUE(cached->col.empty());
   EXPECT_TRUE(cached->val.empty());
   EXPECT_EQ(cached->nnz(), 94 * 94 * 192);
+}
+
+TEST(RowSums, EqualSparsemvOfOnesBitwise) {
+  // The HPCCG and AMG right-hand side A * ones comes from row_sums: it must
+  // be sparsemv's product with an all-ones vector (halo planes included) to
+  // the bit, and charge its cost, for table-only and explicit shapes, with
+  // and without either neighbor, on every backend this host runs.
+  struct Shape {
+    int nx, ny, nz;
+  };
+  const Shape shapes[] = {{3, 3, 3},  {5, 4, 6},  {17, 5, 3},
+                          {32, 32, 8}, {2, 3, 4}, {1, 1, 1},
+                          {4, 2, 3},  {8, 8, 2}};
+  for (const kernels::Stencil st :
+       {kernels::Stencil::k7pt, kernels::Stencil::k27pt}) {
+    for (const bool lower : {false, true}) {
+      for (const bool upper : {false, true}) {
+        for (const Shape& s : shapes) {
+          const kernels::CsrMatrix a =
+              kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
+          EXPECT_EQ(a.tables != nullptr, s.nx >= 3 && s.ny >= 3 && s.nz >= 3);
+          std::vector<double> sums(static_cast<std::size_t>(a.rows()), -7.0);
+          const net::ComputeCost cost = kernels::row_sums(a, sums);
+          const std::vector<double> ones(a.vector_len(), 1.0);
+          for (Backend b : all_backends()) {
+            const UseBackend use(b);
+            std::vector<double> want(sums.size(), -7.0);
+            const net::ComputeCost want_cost = kernels::sparsemv(a, ones, want);
+            expect_bits_eq(want, sums, "row sums", b);
+            EXPECT_EQ(cost.flops, want_cost.flops);
+            EXPECT_EQ(cost.mem_bytes, want_cost.mem_bytes);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TableOnlyOperator, GeneralWalkRejectsMissingEntries) {

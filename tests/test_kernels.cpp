@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "kernels/pic.hpp"
@@ -38,23 +39,66 @@ TEST(Sparse, InteriorRowHas27Nonzeros) {
   EXPECT_EQ(m.rows(), 125);
   // Center row (2,2,2).
   const std::int64_t r = (2 * 5 + 2) * 5 + 2;
-  EXPECT_EQ(m.row_start[static_cast<std::size_t>(r) + 1] -
-                m.row_start[static_cast<std::size_t>(r)],
-            27);
+  EXPECT_EQ(m.nnz(r, r + 1), 27);
 }
 
 TEST(Sparse, CornerRowTruncated) {
   // Corner of the global domain (no lower neighbor): 2*2*2 = 8 couplings.
   const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 5, 5, 5, false, true);
-  EXPECT_EQ(m.row_start[1] - m.row_start[0], 8);
+  EXPECT_EQ(m.nnz(0, 1), 8);
 }
 
 TEST(Sparse, SevenPointStructure) {
   const CsrMatrix m = build_grid_matrix(Stencil::k7pt, 4, 4, 4, true, true);
   const std::int64_t r = (2 * 4 + 2) * 4 + 2;  // interior row
-  EXPECT_EQ(m.row_start[static_cast<std::size_t>(r) + 1] -
-                m.row_start[static_cast<std::size_t>(r)],
-            7);
+  EXPECT_EQ(m.nnz(r, r + 1), 7);
+}
+
+TEST(Sparse, TableNnzMatchesExplicitRowStart) {
+  // A table-only operator counts its non-zeros from the class tables; the
+  // explicit builder's row_start is the independent reference. Every single
+  // row, every prefix, and every range between two grid-row boundaries
+  // (which include every plane boundary).
+  struct Shape {
+    int nx, ny, nz;
+  };
+  const Shape shapes[] = {{4, 4, 4}, {5, 7, 4}, {17, 5, 3}, {32, 32, 8}};
+  for (const Stencil st : {Stencil::k7pt, Stencil::k27pt}) {
+    for (const bool lower : {false, true}) {
+      for (const bool upper : {false, true}) {
+        for (const Shape& s : shapes) {
+          const CsrMatrix a =
+              build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
+          const CsrMatrix e =
+              build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
+          ASSERT_NE(a.tables, nullptr);
+          ASSERT_TRUE(a.row_start.empty());
+          ASSERT_EQ(a.rows(), e.rows());
+          const auto ref = [&e](std::int64_t r0, std::int64_t r1) {
+            return e.row_start[static_cast<std::size_t>(r1)] -
+                   e.row_start[static_cast<std::size_t>(r0)];
+          };
+          const std::string what =
+              "stencil=" + std::to_string(static_cast<int>(st)) +
+              " lower=" + std::to_string(lower) +
+              " upper=" + std::to_string(upper) + " shape=" +
+              std::to_string(s.nx) + "x" + std::to_string(s.ny) + "x" +
+              std::to_string(s.nz);
+          ASSERT_EQ(a.nnz(), ref(0, e.rows())) << what;
+          for (std::int64_t r = 0; r < a.rows(); ++r) {
+            ASSERT_EQ(a.nnz(r, r + 1), ref(r, r + 1)) << what << " r=" << r;
+            ASSERT_EQ(a.nnz(0, r), ref(0, r)) << what << " r=" << r;
+          }
+          for (std::int64_t r0 = 0; r0 <= a.rows(); r0 += s.nx) {
+            for (std::int64_t r1 = r0; r1 <= a.rows(); r1 += s.nx) {
+              ASSERT_EQ(a.nnz(r0, r1), ref(r0, r1))
+                  << what << " [" << r0 << ", " << r1 << ")";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Sparse, BoundaryRowsReferenceHalo) {

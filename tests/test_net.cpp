@@ -38,7 +38,8 @@ TEST(MachineModel, DefaultKernelShape) {
 TEST(ComputeCost, Arithmetic) {
   ComputeCost a{10.0, 100.0};
   ComputeCost b{5.0, 50.0};
-  const ComputeCost c = a + b * 2.0;
+  ComputeCost c = a + b;
+  c += b;
   EXPECT_DOUBLE_EQ(c.flops, 20.0);
   EXPECT_DOUBLE_EQ(c.mem_bytes, 200.0);
 }

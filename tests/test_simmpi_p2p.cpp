@@ -35,9 +35,11 @@ TEST(P2P, SendRecvVector) {
       std::vector<double> data(128);
       for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<double>(i) * 0.5;
-      comm.send_span<double>(1, 3, data);
+      comm.send(1, 3, std::as_bytes(std::span<const double>(data)));
     } else {
-      Status st = comm.recv_span<double>(0, 3, got);
+      support::Buffer buf;
+      Status st = comm.recv(0, 3, buf);
+      support::copy_into(buf, std::span<double>(got));
       EXPECT_FALSE(st.failed);
       EXPECT_EQ(st.bytes, 128 * sizeof(double));
       EXPECT_EQ(st.source, 0);
