@@ -333,40 +333,9 @@ void Runtime::section_end() {
   stats_.section_time += proc.now() - t_start;
 }
 
-void Runtime::verify_consistency() {
-  // Exchange a checksum of every out/inout binding between alive lanes and
-  // compare: at section exit all replicas must hold identical state
-  // (Definition 1). Test-only instrumentation.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Task& t : tasks_) {
-    const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-    for (std::size_t a = 0; a < def.num_args; ++a) {
-      if (def.specs[a].tag == ArgTag::kIn) continue;
-      h = checksum(t.bindings[a], h);
-    }
-  }
-  mpi::Comm& rc = comm_.replica_comm();
-  const int tag = update_tag(kMaxTasksPerSection - 1, kMaxArgsPerTask - 1);
-  comm_.alive_lanes(comm_.rank(), lanes_);
-  for (int lane : lanes_) {
-    if (lane != comm_.lane()) rc.send(lane, tag, support::as_bytes_of(h));
-  }
-  for (int lane : lanes_) {
-    if (lane == comm_.lane()) continue;
-    mpi::Request req = rc.irecv(lane, tag);
-    mpi::Status st = rc.wait(req);
-    if (st.failed) continue;  // lane died during verification: nothing to say
-    const auto theirs = support::from_buffer<std::uint64_t>(req.state().data);
-    REPMPI_CHECK_MSG(theirs == h, "replica state divergence at section "
-                                      << section_seq_ << ": lane "
-                                      << comm_.lane() << " vs lane " << lane);
-  }
-}
-
-void Runtime::verify_outputs_for_sdc(const std::vector<int>& lanes) {
-  // Hash every non-in binding; exchange with all alive siblings; any
-  // disagreement is a detected silent error. The hash pass costs a read of
-  // all output bytes (the price of SDC coverage).
+int Runtime::exchange_output_hash(const std::vector<int>& lanes,
+                                  std::size_t arg_slot, bool charge,
+                                  int* first_diff) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   std::size_t hashed_bytes = 0;
   for (const Task& t : tasks_) {
@@ -377,23 +346,46 @@ void Runtime::verify_outputs_for_sdc(const std::vector<int>& lanes) {
       hashed_bytes += t.bindings[a].size();
     }
   }
-  comm_.proc().compute(net::ComputeCost{
-      static_cast<double>(hashed_bytes),
-      static_cast<double>(hashed_bytes)});
+  if (charge) {
+    comm_.proc().compute(net::ComputeCost{
+        static_cast<double>(hashed_bytes),
+        static_cast<double>(hashed_bytes)});
+  }
 
   mpi::Comm& rc = comm_.replica_comm();
-  const int tag = update_tag(kMaxTasksPerSection - 1, kMaxArgsPerTask - 2);
+  const int tag = update_tag(kMaxTasksPerSection - 1, arg_slot);
   for (int lane : lanes) {
     if (lane != comm_.lane()) rc.send(lane, tag, support::as_bytes_of(h));
   }
+  int diffs = 0;
   for (int lane : lanes) {
     if (lane == comm_.lane()) continue;
     mpi::Request req = rc.irecv(lane, tag);
     mpi::Status st = rc.wait(req);
-    if (st.failed) continue;
+    if (st.failed) continue;  // lane died meanwhile: nothing to compare
     const auto theirs = support::from_buffer<std::uint64_t>(req.state().data);
-    if (theirs != h) ++stats_.sdc_detected;
+    if (theirs != h && diffs++ == 0) *first_diff = lane;
   }
+  return diffs;
+}
+
+void Runtime::verify_consistency() {
+  // At section exit all replicas must hold identical state (Definition 1).
+  // Test-only instrumentation: uncharged, and a divergence throws.
+  comm_.alive_lanes(comm_.rank(), lanes_);
+  int lane = -1;
+  exchange_output_hash(lanes_, kMaxArgsPerTask - 1, /*charge=*/false, &lane);
+  REPMPI_CHECK_MSG(lane < 0, "replica state divergence at section "
+                                 << section_seq_ << ": lane " << comm_.lane()
+                                 << " vs lane " << lane);
+}
+
+void Runtime::verify_outputs_for_sdc(const std::vector<int>& lanes) {
+  // Any disagreement is a detected silent error. The hash pass costs a read
+  // of all output bytes (the price of SDC coverage).
+  int first = -1;
+  stats_.sdc_detected += exchange_output_hash(lanes, kMaxArgsPerTask - 2,
+                                              /*charge=*/true, &first);
 }
 
 void Runtime::maybe_crash(fault::CrashSite site, int detail) {

@@ -180,6 +180,15 @@ class Runtime {
   void restore_inout_copies(Task& t);
   int update_tag(std::size_t task_index, std::size_t arg_index) const;
   void maybe_crash(fault::CrashSite site, int detail = -1);
+  /// Section-exit output check shared by verify_consistency and the SDC
+  /// check: an FNV hash over every non-in binding, sent to each other lane
+  /// in `lanes` on the update tag of argument slot `arg_slot` before any is
+  /// received (a lane that fails meanwhile is skipped). `charge` models the
+  /// hash pass as a read of every hashed byte. Returns how many lanes
+  /// disagree and puts the first of them in *first_diff.
+  int exchange_output_hash(const std::vector<int>& lanes,
+                           std::size_t arg_slot, bool charge,
+                           int* first_diff);
   void verify_consistency();
 
   rep::LogicalComm& comm_;

@@ -74,10 +74,11 @@ struct BackendOps {
                  double* w, std::size_t n);
   /// Returns sum_i x[i]*y[i] in scalar accumulation order (lane-ordered).
   double (*ddot)(const double* x, const double* y, std::size_t n);
-  /// acc[r - r0] = one structured row per r in [r0, r1) from a fixed
-  /// (offset, weight) table — csr_row_gather's batched unit. The range may
-  /// span several grid rows; csr_row_gather passes a whole (z, y)-class
-  /// run with the x-interior table and rewrites the x-edge outputs after.
+  /// acc[r - r0] = one operator row per r in [r0, r1) from a fixed
+  /// (offset, weight) class table — csr_row_gather's batched unit. The
+  /// range may span several grid rows; csr_row_gather passes a whole
+  /// (z, y)-class run with the x-interior table and rewrites the x-edge
+  /// outputs after.
   /// Every x[r + off] read must lie inside the caller's vector.
   void (*gather_table)(const double* xp, double* acc, std::int64_t r0,
                        std::int64_t r1, const StencilTables::Table& t);

@@ -44,14 +44,12 @@ inline double gather_one_row(const double* xp, std::int64_t r,
   return s;
 }
 
-/// Rows of one boundary class of a table-only operator: npts fixed stride
-/// offsets and ±1/diagonal weights, in the exact entry order
-/// build_explicit_grid_matrix emits — each row's multiply-accumulate
-/// sequence matches the general CSR walk over the explicit form, so the
-/// result is bit-identical without any col/val streams. Rows are processed four at a time with
-/// independent accumulators: the general walk's serial fma chain (npts
-/// dependent adds per row) is latency-bound, and interleaving rows recovers
-/// the ILP without reordering any row's sum.
+/// Rows of one boundary class of a grid operator: npts fixed stride offsets
+/// and ±1/diagonal weights, in CSR entry order (kernels/sparse.hpp,
+/// StencilTables). Rows are processed four at a time with independent
+/// accumulators: one row's npts dependent adds form a latency-bound serial
+/// chain, and interleaving rows recovers the ILP without reordering any
+/// row's sum.
 template <int N>
 void gather_table_rows(const double* xp, double* acc, std::int64_t r0,
                        std::int64_t r1, const StencilTables::Table& t,

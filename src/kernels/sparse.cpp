@@ -13,18 +13,19 @@ namespace repmpi::kernels {
 
 namespace {
 
-/// Boundary class of coordinate i on an axis of length n >= 3: 0 first,
-/// 2 last, 1 between (the StencilTables index).
+/// Boundary class of coordinate i on an axis of length n: 0 first, 2 last,
+/// 1 between (the StencilTables index). At n == 1 the one coordinate is 0.
 int boundary_class(std::int64_t i, std::int64_t n) {
   return i == 0 ? 0 : i == n - 1 ? 2 : 1;
 }
 
 /// Sum of the first i terms of an axis sequence c[0], c[1] (n - 2 times),
-/// c[2], for n >= 3 and 0 <= i <= n: per-class counts along one axis.
+/// c[2], for 0 <= i <= n: per-class counts along one axis. At n == 1 the
+/// sequence is c[0] alone.
 std::int64_t axis_prefix(std::int64_t n, std::int64_t i,
                          const std::int64_t (&c)[3]) {
   if (i == 0) return 0;
-  if (i == n) return c[0] + (n - 2) * c[1] + c[2];
+  if (i == n) return n == 1 ? c[0] : c[0] + (n - 2) * c[1] + c[2];
   return c[0] + (i - 1) * c[1];
 }
 
@@ -57,19 +58,21 @@ std::shared_ptr<const StencilTables> build_stencil_tables(
     pts[npts++] = {0, 0, +1};
   }
 
+  // Class 2 is an axis's last coordinate; on a 1-long axis class 0 is too.
+  const auto last = [](int c, std::int64_t n) { return c == 2 || n == 1; };
   for (int zc = 0; zc < 3; ++zc) {
     for (int yc = 0; yc < 3; ++yc) {
       for (int xc = 0; xc < 3; ++xc) {
         StencilTables::Table& t = tables->t[zc][yc][xc];
         for (int j = 0; j < npts; ++j) {
           const auto [dx, dy, dz] = pts[j];
-          if ((xc == 0 && dx < 0) || (xc == 2 && dx > 0)) continue;
-          if ((yc == 0 && dy < 0) || (yc == 2 && dy > 0)) continue;
+          if ((xc == 0 && dx < 0) || (last(xc, nx) && dx > 0)) continue;
+          if ((yc == 0 && dy < 0) || (last(yc, ny) && dy > 0)) continue;
           std::int64_t zoff;
           if (dz < 0 && zc == 0) {
             if (!has_lower) continue;
             zoff = rows;  // bottom halo plane
-          } else if (dz > 0 && zc == 2) {
+          } else if (dz > 0 && last(zc, nz)) {
             if (!has_upper) continue;
             zoff = 2 * plane;  // top halo plane
           } else {
@@ -95,8 +98,8 @@ std::shared_ptr<const StencilTables> build_stencil_tables(
   return tables;
 }
 
-/// Non-zeros of rows [0, r) of a table-only operator: whole planes, then
-/// whole grid rows of r's plane, then cells of r's grid row.
+/// Non-zeros of rows [0, r): whole planes, then whole grid rows of r's
+/// plane, then cells of r's grid row.
 std::int64_t table_nnz_before(const CsrMatrix& a, std::int64_t r) {
   const std::int64_t nx = a.nx, ny = a.ny, nz = a.nz;
   const StencilTables& st = *a.tables;
@@ -115,99 +118,18 @@ std::int64_t table_nnz_before(const CsrMatrix& a, std::int64_t r) {
   return n + axis_prefix(nx, x, cell);
 }
 
-/// A grid operator's shape fields, no entries yet.
-CsrMatrix shape_only(Stencil stencil, int nx, int ny, int nz, bool has_lower,
-                     bool has_upper) {
-  CsrMatrix m;
-  m.nx = nx;
-  m.ny = ny;
-  m.nz = nz;
-  m.has_lower = has_lower;
-  m.has_upper = has_upper;
-  m.stencil = stencil;
-  return m;
-}
-
 }  // namespace
 
 std::int64_t CsrMatrix::nnz(std::int64_t r0, std::int64_t r1) const {
   if (r0 == r1) return 0;
-  if (tables != nullptr)
-    return table_nnz_before(*this, r1) - table_nnz_before(*this, r0);
-  return row_start[static_cast<std::size_t>(r1)] -
-         row_start[static_cast<std::size_t>(r0)];
+  return table_nnz_before(*this, r1) - table_nnz_before(*this, r0);
 }
 
 CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
                             bool has_lower, bool has_upper) {
-  // The tables assume an interior class on every axis (at length 1 a row
-  // is both first and last); thinner shapes keep explicit entries.
-  if (nx < 3 || ny < 3 || nz < 3)
-    return build_explicit_grid_matrix(stencil, nx, ny, nz, has_lower,
-                                      has_upper);
-  CsrMatrix m = shape_only(stencil, nx, ny, nz, has_lower, has_upper);
-  m.tables = build_stencil_tables(stencil, nx, ny, nz, has_lower, has_upper);
-  return m;
-}
-
-CsrMatrix build_explicit_grid_matrix(Stencil stencil, int nx, int ny, int nz,
-                                     bool has_lower, bool has_upper) {
   REPMPI_CHECK(nx > 0 && ny > 0 && nz > 0);
-  CsrMatrix m = shape_only(stencil, nx, ny, nz, has_lower, has_upper);
-  const std::int64_t rows =
-      static_cast<std::int64_t>(nx) * ny * nz;
-  m.row_start.reserve(static_cast<std::size_t>(rows) + 1);
-  m.row_start.push_back(0);
-
-  const double diag = diag_weight(stencil);
-  const auto interior_index = [&](int x, int y, int z) {
-    return static_cast<std::int32_t>(
-        (static_cast<std::int64_t>(z) * ny + y) * nx + x);
-  };
-  const std::int64_t plane = static_cast<std::int64_t>(nx) * ny;
-  const std::int64_t halo_bottom = rows;
-  const std::int64_t halo_top = rows + plane;
-
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        const auto emit = [&](int cx, int cy, int cz, double v) {
-          if (cx < 0 || cx >= nx || cy < 0 || cy >= ny) return;
-          if (cz < 0) {
-            if (!has_lower) return;
-            m.col.push_back(static_cast<std::int32_t>(
-                halo_bottom + static_cast<std::int64_t>(cy) * nx + cx));
-          } else if (cz >= nz) {
-            if (!has_upper) return;
-            m.col.push_back(static_cast<std::int32_t>(
-                halo_top + static_cast<std::int64_t>(cy) * nx + cx));
-          } else {
-            m.col.push_back(interior_index(cx, cy, cz));
-          }
-          m.val.push_back(v);
-        };
-
-        if (stencil == Stencil::k27pt) {
-          for (int dz = -1; dz <= 1; ++dz)
-            for (int dy = -1; dy <= 1; ++dy)
-              for (int dx = -1; dx <= 1; ++dx) {
-                const bool self = dx == 0 && dy == 0 && dz == 0;
-                emit(x + dx, y + dy, z + dz, self ? diag : -1.0);
-              }
-        } else {
-          emit(x, y, z, diag);
-          emit(x - 1, y, z, -1.0);
-          emit(x + 1, y, z, -1.0);
-          emit(x, y - 1, z, -1.0);
-          emit(x, y + 1, z, -1.0);
-          emit(x, y, z - 1, -1.0);
-          emit(x, y, z + 1, -1.0);
-        }
-        m.row_start.push_back(static_cast<std::int64_t>(m.col.size()));
-      }
-    }
-  }
-  return m;
+  return {nx, ny, nz, has_lower, has_upper, stencil,
+          build_stencil_tables(stencil, nx, ny, nz, has_lower, has_upper)};
 }
 
 std::shared_ptr<const CsrMatrix> grid_matrix_cached(Stencil stencil, int nx,
@@ -236,23 +158,6 @@ std::shared_ptr<const CsrMatrix> grid_matrix_cached(Stencil stencil, int nx,
 
 namespace {
 
-/// General CSR walk over rows [r0, r1), writing acc[r - r0].
-void gather_general(const CsrMatrix& a, const double* xp, double* acc,
-                    std::int64_t r0, std::int64_t r1) {
-  const std::int64_t* const row_start = a.row_start.data();
-  const std::int32_t* const col = a.col.data();
-  const double* const val = a.val.data();
-  for (std::int64_t r = r0; r < r1; ++r) {
-    double s = 0.0;
-    const std::int64_t b = row_start[r];
-    const std::int64_t e = row_start[r + 1];
-    for (std::int64_t k = b; k < e; ++k) {
-      s += val[k] * xp[col[k]];
-    }
-    acc[r - r0] = s;
-  }
-}
-
 /// Shortest grid row worth a run-level gather. A run spends 2 of its nx
 /// lanes per row on edge cells it then recomputes, and on small grids
 /// most runs are a single row. Measured on a 4-core x86-64 VM with AVX2
@@ -262,9 +167,9 @@ void gather_general(const CsrMatrix& a, const double* xp, double* acc,
 /// 7-point 1.06-1.09 at 4, 1.07-1.23 at 6, 0.63-0.66 at 8, 0.50 at 16.
 constexpr std::int64_t kMinRunRow = 8;
 
-/// The table/general split over rows [r0, r1), on a given backend.
+/// The gather over rows [r0, r1), on a given backend.
 ///
-/// Table-only operators are gathered per run: the full grid rows of one
+/// Rows are gathered per run: the full grid rows of one
 /// (z, y) boundary class (one row per boundary plane row, all interior rows
 /// of a plane) go through a single ops.gather_table call with the class's
 /// x-interior table, then each row's x = 0 and x = nx-1 cells are
@@ -275,10 +180,6 @@ constexpr std::int64_t kMinRunRow = 8;
 /// edge lanes would read the interior table outside [0, vector_len).
 void gather_impl(const CsrMatrix& a, const double* xp, double* out,
                  std::int64_t r0, std::int64_t r1, const BackendOps& ops) {
-  if (a.tables == nullptr) {
-    gather_general(a, xp, out, r0, r1);
-    return;
-  }
   const std::int64_t nx = a.nx, ny = a.ny, nz = a.nz;
   const StencilTables& st = *a.tables;
   const std::int64_t plane = nx * ny;
@@ -349,16 +250,7 @@ void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
                     std::span<double> acc, std::int64_t r0, std::int64_t r1) {
   REPMPI_CHECK(r0 >= 0 && r1 <= a.rows() && r0 <= r1);
   REPMPI_CHECK(acc.size() >= static_cast<std::size_t>(r1 - r0));
-  if (a.tables != nullptr) {
-    REPMPI_CHECK(x.size() >= a.vector_len());  // halo strides read past rows
-  } else {
-    // The general walk reads explicit entries; a table-only operator has
-    // none.
-    const auto rows = static_cast<std::size_t>(a.rows());
-    REPMPI_CHECK(a.row_start.size() == rows + 1 &&
-                 a.col.size() == static_cast<std::size_t>(a.nnz()) &&
-                 a.val.size() == a.col.size());
-  }
+  REPMPI_CHECK(x.size() >= a.vector_len());  // halo strides read past rows
   const KernelTimer timer(KernelFamily::kSpmv);
   const BackendOps& ops = active_ops();
   gather_impl(a, x.data(), acc.data(), r0, r1, ops);
@@ -385,17 +277,6 @@ net::ComputeCost sparsemv_range(const CsrMatrix& a, std::span<const double> x,
 net::ComputeCost row_sums(const CsrMatrix& a, std::span<double> out) {
   const std::int64_t rows = a.rows();
   REPMPI_CHECK(out.size() >= static_cast<std::size_t>(rows));
-  double* const o = out.data();
-  if (a.tables == nullptr) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      double s = 0.0;
-      for (std::int64_t k = a.row_start[static_cast<std::size_t>(r)];
-           k < a.row_start[static_cast<std::size_t>(r) + 1]; ++k)
-        s += a.val[static_cast<std::size_t>(k)];
-      o[r] = s;
-    }
-    return sparsemv_cost(rows, a.nnz());
-  }
   // Every row of a boundary class sums the same weights in the same order.
   const auto& t = a.tables->t;
   double sum[3][3][3];
@@ -407,12 +288,13 @@ net::ComputeCost row_sums(const CsrMatrix& a, std::span<double> out) {
         sum[zc][yc][xc] = s;
       }
   const std::int64_t nx = a.nx;
-  double* row = o;
+  double* row = out.data();
   for (int z = 0; z < a.nz; ++z) {
     const auto& plane_sum = sum[boundary_class(z, a.nz)];
     for (int y = 0; y < a.ny; ++y, row += nx) {
       const double* const s = plane_sum[boundary_class(y, a.ny)];
       row[0] = s[0];
+      if (nx == 1) continue;
       std::fill(row + 1, row + nx - 1, s[1]);
       row[nx - 1] = s[2];
     }

@@ -5,22 +5,23 @@
 // A transfer from process src to dst reserves serialization time on the
 // shared (half-duplex by default) NICs of both endpoints' nodes and is
 // delivered latency seconds after it leaves the wire. Intra-node transfers
-// go through the shared-memory transport instead. Per-(src,dst) FIFO arrival
-// order is enforced so the MPI layer's non-overtaking rule holds even when
+// go through the shared-memory transport instead. Per-(src,dst) arrivals are
+// nondecreasing, so the MPI layer's non-overtaking rule holds even when
 // message sizes differ.
 //
 // Reservation state: NIC availability lives in vectors indexed by node id.
-// The per-pair FIFO clock has two layouts — a flat P*P vector indexed by
-// (src, dst) for worlds up to kDenseFifoLimit processes, and a pre-sized
-// hash table above that (also a hot indexed path, just hashed; it only ever
-// holds pairs that actually communicated). Either table lives and dies with
-// its Network, i.e. with one run: a sweep that simulates thousands of
-// scenarios in one process starts every run from a fresh, sensibly-reserved
-// table instead of rehashing (or inheriting) a stale one.
+// An internode pair needs nothing more for FIFO order: each send starts at
+// or after the lanes the pair's previous send advanced (lanes only move
+// forward), its latency and bandwidth are fixed per node pair, and IEEE
+// rounding is monotone, so its arrival can never precede the previous one.
+// An intranode pair has no lane, and a small message would overtake a large
+// one, so it keeps a last-arrival clock. That table is dense, indexed by
+// (src, dst's slot among the processes of its node), and is allocated by
+// the first intranode transfer: a Network that only carries internode
+// traffic (the sharded machine's cross-shard network) holds no FIFO state.
 // reserve_transfer is the per-message hot path.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/machine_model.hpp"
@@ -37,11 +38,7 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// `force_sparse_fifo` skips the dense P*P FIFO table regardless of P:
-  /// sharded runs instantiate one Network per shard plus a cross-shard one,
-  /// and N+1 dense tables would multiply a footprint sized for exactly one.
-  Network(sim::Simulator& sim, MachineModel model, Topology topo,
-          bool force_sparse_fifo = false)
+  Network(sim::Simulator& sim, MachineModel model, Topology topo)
       : sim_(sim), model_(std::move(model)), topo_(std::move(topo)) {
     // The hostile-machine knobs may only ever ADD virtual time: net_latency
     // must remain the floor of every internode transfer or the sharded
@@ -54,17 +51,6 @@ class Network {
     nic_busy_.assign(nodes, 0.0);
     nic_tx_busy_.assign(nodes, 0.0);
     nic_rx_busy_.assign(nodes, 0.0);
-    const auto p = static_cast<std::size_t>(topo_.num_processes());
-    if (p <= kDenseFifoLimit && !force_sparse_fifo) {
-      fifo_dense_.assign(p * p, 0.0);
-    } else {
-      // Sparse fallback: most ranks talk to a bounded neighborhood (halo
-      // partners plus collective peers ~ log P), so reserve for that
-      // working set up front — the common case never rehashes, and the
-      // table is bounded by this run's actual communication pairs.
-      fifo_sparse_.max_load_factor(0.7f);
-      fifo_sparse_.reserve(p * 16);
-    }
   }
 
   // Attribute delivered messages to the owning simulator instance (which
@@ -95,21 +81,16 @@ class Network {
                                 sim::Time now);
 
  private:
-  /// Above this process count the dense (src,dst) FIFO table would exceed
-  /// tens of MB; fall back to the hash map.
-  static constexpr std::size_t kDenseFifoLimit = 2048;
-
+  /// Last arrival of the intranode pair (src, dst).
   sim::Time& fifo_clock(int src, int dst) {
-    if (!fifo_dense_.empty()) {
-      return fifo_dense_[static_cast<std::size_t>(src) *
-                             static_cast<std::size_t>(topo_.num_processes()) +
-                         static_cast<std::size_t>(dst)];
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-        static_cast<std::uint32_t>(dst);
-    return fifo_sparse_[key];
+    if (fifo_.empty()) init_fifo();
+    const int slot = slot_[static_cast<std::size_t>(dst)];
+    return fifo_[static_cast<std::size_t>(src) * slots_ +
+                 static_cast<std::size_t>(slot)];
   }
+  /// Sizes the intranode clock table: each process's slot on its node, and
+  /// P * (most processes on one node) zeroed clocks.
+  void init_fifo();
 
   sim::Simulator& sim_;
   MachineModel model_;
@@ -122,9 +103,11 @@ class Network {
   std::vector<sim::Time> nic_tx_busy_;
   std::vector<sim::Time> nic_rx_busy_;
 
-  // Last arrival per (src,dst) pair, to enforce FIFO delivery.
-  std::vector<sim::Time> fifo_dense_;
-  std::unordered_map<std::uint64_t, sim::Time> fifo_sparse_;
+  // Last arrival per intranode (src, dst) pair, at src * slots_ + slot_[dst];
+  // empty until the first intranode transfer.
+  std::vector<int> slot_;
+  std::size_t slots_ = 0;
+  std::vector<sim::Time> fifo_;
 };
 
 }  // namespace repmpi::net

@@ -20,13 +20,13 @@ ShardedMachine::ShardedMachine(int shards, const net::MachineModel& model,
   nets_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     // Per-shard networks carry intranode transfers only (a shard owns whole
-    // nodes, so same-node traffic never crosses shards); the cross-shard
-    // network alone holds NIC-lane and internode-FIFO state.
-    nets_.push_back(std::make_unique<net::Network>(
-        engine_.shard(s), model, topo, /*force_sparse_fifo=*/true));
+    // nodes, so same-node traffic never crosses shards) and hold the FIFO
+    // clocks; the cross-shard network alone holds NIC-lane state, and its
+    // internode arrivals need no clock.
+    nets_.push_back(
+        std::make_unique<net::Network>(engine_.shard(s), model, topo));
   }
-  xnet_ = std::make_unique<net::Network>(engine_.shard(0), model, topo,
-                                         /*force_sparse_fifo=*/true);
+  xnet_ = std::make_unique<net::Network>(engine_.shard(0), model, topo);
   engine_.set_boundary_hook(
       [this](sim::Time window_end) { at_boundary(window_end); });
   world_ = std::make_unique<World>(*this, num_ranks);

@@ -4,7 +4,7 @@
 //
 // Owns the sharded engine (N simulators on N worker threads), one Network
 // per shard for intranode traffic, a single cross-shard Network holding the
-// NIC lane and internode FIFO state, and the World spread over all shards.
+// NIC lane state, and the World spread over all shards.
 // It implements the ShardRouter seam: rank fibers post internode sends and
 // failure notifications into per-shard queues during a window, and the
 // engine's serial window-boundary hook applies them here:
@@ -94,7 +94,7 @@ class ShardedMachine final : public ShardRouter {
   std::vector<int> shard_of_rank_;
   sim::ShardedEngine engine_;
   std::vector<std::unique_ptr<net::Network>> nets_;  ///< intranode, per shard
-  std::unique_ptr<net::Network> xnet_;  ///< cross-shard NIC/FIFO state
+  std::unique_ptr<net::Network> xnet_;  ///< cross-shard NIC lanes
   std::vector<std::vector<InternodeSend>> outbox_;      ///< per source shard
   std::vector<std::vector<PendingAnnounce>> announces_; ///< per source shard
   std::vector<std::vector<sim::Time>> aborts_;          ///< per source shard

@@ -90,6 +90,39 @@ std::uint64_t file_size(int fd) {
   return end < 0 ? 0 : static_cast<std::uint64_t>(end);
 }
 
+/// Reads the record at `offset` of a record file holding `log_size` bytes,
+/// and its blob, checking in order: the whole record is present, its CRC,
+/// its key's terminator, its blob range, its blob bytes and their CRC.
+/// Returns the first failure, or an empty string when the record is intact
+/// (then *raw and *blob hold it). The resume reader and the offline verify
+/// walk both stop at the first record that fails here.
+std::string read_record(int log_fd, std::uint64_t log_size, int blob_fd,
+                        std::uint64_t blob_size, std::uint64_t offset,
+                        RawRecord* raw, std::string* blob) {
+  if (log_size - offset < sizeof(RawRecord))
+    return "torn trailing record (" + std::to_string(log_size - offset) +
+           " of " + std::to_string(sizeof(RawRecord)) + " bytes)";
+  if (!pread_all(log_fd, raw, sizeof(RawRecord), offset))
+    return "record bytes unreadable";
+  RawRecord copy = *raw;
+  copy.record_crc = 0;
+  if (raw->record_crc != crc32c(&copy, sizeof(copy)))
+    return "record CRC mismatch";
+  if (std::memchr(raw->key, '\0', sizeof(raw->key)) == nullptr)
+    return "unterminated key";
+  const std::uint64_t blob_end = raw->blob_offset + raw->blob_len;
+  if (blob_end < raw->blob_offset || blob_end > blob_size)  // overflow too
+    return "blob range outside blob file";
+  blob->assign(raw->blob_len, '\0');
+  if (raw->blob_len > 0 &&
+      (blob_fd < 0 ||
+       !pread_all(blob_fd, blob->data(), blob->size(), raw->blob_offset)))
+    return "blob bytes unreadable";
+  if (crc32c(blob->data(), blob->size()) != raw->blob_crc)
+    return "blob CRC mismatch";
+  return {};
+}
+
 RawRecord encode(const ResultRecord& r) {
   RawRecord raw{};
   std::memcpy(raw.key, r.key.data(), r.key.size());  // caller checked length
@@ -181,37 +214,14 @@ LogVerifyReport verify_result_log(const std::string& path,
   std::uint64_t claimed_blob_end = 0;
   while (rep.header_ok && offset < log_size) {
     RawRecord raw{};
-    if (log_size - offset < sizeof(raw)) {
-      fail(offset, "torn trailing record (" +
-                       std::to_string(log_size - offset) + " of " +
-                       std::to_string(sizeof(raw)) + " bytes)");
-      if (out)
-        *out << "record " << index << ": BAD — " << rep.first_error << "\n";
-      break;
-    }
-    REPMPI_CHECK(pread_all(log_fd, &raw, sizeof(raw), offset));
-    RawRecord copy = raw;
-    copy.record_crc = 0;
-    std::string what;
-    if (raw.record_crc != crc32c(&copy, sizeof(copy))) {
-      what = "record CRC mismatch";
-    } else if (std::memchr(raw.key, '\0', sizeof(raw.key)) == nullptr) {
-      what = "unterminated key";
-    } else if (raw.blob_offset + raw.blob_len < raw.blob_offset ||
-               raw.blob_offset + raw.blob_len > blob_size) {
-      what = "blob range outside blob file";
-    } else {
-      std::string blob(raw.blob_len, '\0');
-      if (raw.blob_len > 0 &&
-          (blob_fd < 0 ||
-           !pread_all(blob_fd, blob.data(), blob.size(), raw.blob_offset))) {
-        what = "blob bytes unreadable";
-      } else if (crc32c(blob.data(), blob.size()) != raw.blob_crc) {
-        what = "blob CRC mismatch";
-      }
-    }
+    std::string blob;
+    const std::string what = read_record(log_fd, log_size, blob_fd, blob_size,
+                                         offset, &raw, &blob);
     if (!what.empty()) {
-      fail(offset, "record " + std::to_string(index) + ": " + what);
+      // A torn tail is where the log ends, not a fault of record `index`.
+      const bool torn = log_size - offset < sizeof(raw);
+      fail(offset,
+           torn ? what : "record " + std::to_string(index) + ": " + what);
       if (out) *out << "record " << index << ": BAD — " << what << "\n";
       // Append-only logs cannot trust anything past the first bad record;
       // stop classifying individual records (the rest is bad_bytes).
@@ -271,13 +281,14 @@ ResultLogReader::ResultLogReader(const std::string& path) {
   }
   blob_fd_ = ::open(blob_path(path).c_str(), O_RDONLY);
   blob_size_ = blob_fd_ >= 0 ? file_size(blob_fd_) : 0;
+  log_size_ = file_size(log_fd_);
 
   FileHeader h{};
   if (!pread_all(log_fd_, &h, sizeof(h), 0) || !header_valid(h)) {
     // Header torn or foreign: nothing trustworthy follows. An empty file
     // (first header write interrupted) is a clean empty log, not a drop.
     done_ = true;
-    dropped_tail_ = file_size(log_fd_) != 0;
+    dropped_tail_ = log_size_ != 0;
     return;
   }
   next_offset_ = sizeof(FileHeader);
@@ -292,30 +303,14 @@ ResultLogReader::~ResultLogReader() {
 bool ResultLogReader::next(ResultRecord* out) {
   if (done_) return false;
   RawRecord raw{};
-  if (!pread_all(log_fd_, &raw, sizeof(raw), next_offset_)) {
-    // Clean end of log, or a torn trailing partial record.
+  std::string blob;
+  if (next_offset_ == log_size_ ||
+      !read_record(log_fd_, log_size_, blob_fd_, blob_size_, next_offset_,
+                   &raw, &blob)
+           .empty()) {
+    // Clean end of log, or the first torn or corrupt record.
     done_ = true;
-    dropped_tail_ = file_size(log_fd_) != next_offset_;
-    return false;
-  }
-  RawRecord copy = raw;
-  copy.record_crc = 0;
-  const bool key_terminated =
-      std::memchr(raw.key, '\0', sizeof(raw.key)) != nullptr;
-  const bool blob_in_range =
-      raw.blob_offset + raw.blob_len <= blob_size_ &&
-      raw.blob_offset + raw.blob_len >= raw.blob_offset;  // overflow guard
-  std::string blob(raw.blob_len, '\0');
-  const bool intact =
-      raw.record_crc == crc32c(&copy, sizeof(copy)) && key_terminated &&
-      blob_in_range &&
-      (raw.blob_len == 0 ||
-       (blob_fd_ >= 0 &&
-        pread_all(blob_fd_, blob.data(), blob.size(), raw.blob_offset))) &&
-      crc32c(blob.data(), blob.size()) == raw.blob_crc;
-  if (!intact) {
-    done_ = true;
-    dropped_tail_ = true;
+    dropped_tail_ = next_offset_ != log_size_;
     return false;
   }
   out->key = raw.key;

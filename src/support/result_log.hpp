@@ -80,7 +80,8 @@ class ResultLogReader {
  private:
   int log_fd_ = -1;
   int blob_fd_ = -1;
-  std::uint64_t blob_size_ = 0;
+  std::uint64_t log_size_ = 0;   ///< both sizes as of opening: a scan never
+  std::uint64_t blob_size_ = 0;  ///< reads past what existed then
   std::uint64_t next_offset_ = 0;
   std::uint64_t valid_log_bytes_ = 0;
   std::uint64_t valid_blob_bytes_ = 0;

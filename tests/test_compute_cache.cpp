@@ -18,6 +18,7 @@
 #include "apps/hpccg.hpp"
 #include "apps/minighost.hpp"
 #include "apps/runner.hpp"
+#include "explicit_grid_matrix.hpp"
 #include "kernels/sparse.hpp"
 #include "kernels/stencil.hpp"
 #include "support/compute_cache.hpp"
@@ -330,10 +331,9 @@ TEST(StructuredGather, MatchesGeneralWalkForAllBoundaryCombos) {
         for (double& v : x) v = rng.uniform(-2.0, 2.0);
 
         // Reference: the explicit-CSR form through the general walk.
-        const kernels::CsrMatrix gen =
-            kernels::build_explicit_grid_matrix(st, 5, 4, 6, lower, upper);
-        std::vector<double> want(static_cast<std::size_t>(a.rows()));
-        kernels::csr_row_gather(gen, x, want, 0, a.rows());
+        const std::vector<double> want =
+            kernels::build_explicit_grid_matrix(st, 5, 4, 6, lower, upper)
+                .gather_all(x);
 
         std::vector<double> got(static_cast<std::size_t>(a.rows()), -7.0);
         kernels::csr_row_gather(a, x, got, 0, a.rows());

@@ -23,6 +23,7 @@
 #include "apps/hpccg.hpp"
 #include "apps/minighost.hpp"
 #include "apps/runner.hpp"
+#include "explicit_grid_matrix.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/pic.hpp"
 #include "kernels/sparse.hpp"
@@ -211,13 +212,18 @@ struct GridShape {
   int nx, ny, nz;
 };
 
-// Table-only shapes for the row gather: long y-runs of full rows (16^3,
-// 8^3, 32x32x8), odd row lengths whose runs end in vector tails (17x5x3,
-// 33x4x3), and rows too short for a run (4^3, 5x7x4, 5x4x6; 4x3x3 has
-// 2-wide interiors, 3x3x3 is all boundary classes).
+// Shapes for the row gather: long y-runs of full rows (16^3, 8^3,
+// 32x32x8), odd row lengths whose runs end in vector tails (17x5x3,
+// 33x4x3), rows too short for a run (4^3, 5x7x4, 5x4x6; 4x3x3 has 2-wide
+// interiors, 3x3x3 is all boundary classes), and axes of length 1 or 2,
+// where one cell is first and last at once or no axis has an interior
+// class (1^3, 2^3, 1x5x4, 5x1x4, 5x4x1, 9x2x3; 32x1x1 is one row long
+// enough for a run whose only plane takes both halos).
 constexpr GridShape kGatherShapes[] = {
     {16, 16, 16}, {8, 8, 8}, {32, 32, 8}, {17, 5, 3}, {33, 4, 3},
-    {4, 4, 4},    {5, 7, 4}, {5, 4, 6},   {4, 3, 3},  {3, 3, 3}};
+    {4, 4, 4},    {5, 7, 4}, {5, 4, 6},   {4, 3, 3},  {3, 3, 3},
+    {1, 1, 1},    {2, 2, 2}, {1, 5, 4},   {5, 1, 4},  {5, 4, 1},
+    {9, 2, 3},    {32, 1, 1}};
 
 std::string shape_name(kernels::Stencil st, const GridShape& s, bool lower,
                        bool upper) {
@@ -251,12 +257,9 @@ void expect_range_matches(const kernels::CsrMatrix& a,
 std::vector<double> explicit_gather(kernels::Stencil st, const GridShape& s,
                                     bool lower, bool upper,
                                     std::span<const double> x) {
-  const kernels::CsrMatrix ref =
-      kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
-  std::vector<double> want(static_cast<std::size_t>(ref.rows()));
-  const UseBackend use(Backend::kScalar);
-  kernels::csr_row_gather(ref, x, want, 0, ref.rows());
-  return want;
+  return kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower,
+                                             upper)
+      .gather_all(x);
 }
 
 TEST(BackendBitwise, CsrRowGatherStructured) {
@@ -264,7 +267,7 @@ TEST(BackendBitwise, CsrRowGatherStructured) {
   // rows of one (z, y) class and overwrites their x-edge cells; partial
   // rows at r0/r1 keep a per-row walk. Ranges start and end at every
   // offset 0..nx of the first row, a mid-plane row and the last row, on
-  // every backend.
+  // every backend. Every shape, short axes included, is table-only.
   support::Rng rng(0x2b0cULL);
   for (const GridShape& s : kGatherShapes) {
     for (const kernels::Stencil st :
@@ -361,8 +364,10 @@ TEST(BackendBitwise, CsrRowGatherNeverReadsOutsideTheMultiplicand) {
             expect_range_matches(a, gx.span(), want, 0, rows, b, what);
             expect_range_matches(a, gx.span(), want, 0, rows - 1, b, what);
             expect_range_matches(a, gx.span(), want, 1, rows, b, what);
-            expect_range_matches(a, gx.span(), want, s.nx, rows - s.nx, b,
-                                 what);
+            // One grid row in from each end; all rows when there are
+            // fewer than two grid rows.
+            const std::int64_t in = rows >= 2 * s.nx ? s.nx : 0;
+            expect_range_matches(a, gx.span(), want, in, rows - in, b, what);
           }
         }
       }
@@ -370,36 +375,10 @@ TEST(BackendBitwise, CsrRowGatherNeverReadsOutsideTheMultiplicand) {
   }
 }
 
-TEST(BackendBitwise, CsrRowGatherUnstructuredAndEmptyRows) {
-  // Hand-built general CSR with empty rows and ragged row lengths: the
-  // general walk must behave identically whatever backend is active (it
-  // only vectorizes structured interior runs).
-  kernels::CsrMatrix a;
-  a.row_start = {0, 0, 3, 3, 5, 6, 6};
-  a.col = {0, 2, 4, 1, 3, 0};
-  a.val = {2.0, -1.0, 0.5, 1e-310, -3.25, 7.0};
-  const std::vector<double> x = {1.5, -2.0, 3.0, 1e-309, -0.0};
-
-  std::vector<double> want(static_cast<std::size_t>(a.rows()), -7.0);
-  std::vector<double> got(want.size(), -7.0);
-  {
-    const UseBackend use(Backend::kScalar);
-    kernels::csr_row_gather(a, x, want, 0, a.rows());
-  }
-  EXPECT_EQ(want[0], 0.0);  // empty row sums to exactly zero
-  EXPECT_EQ(want[2], 0.0);
-  for (Backend b : simd_backends()) {
-    const UseBackend use(b);
-    kernels::csr_row_gather(a, x, got, 0, a.rows());
-    expect_bits_eq(want, got, "unstructured gather", b);
-  }
-}
-
 TEST(TableOnlyOperator, MatchesExplicitBuilder) {
   // The table-only form must reproduce the explicit-CSR form: the same
-  // non-zero count without a row_start of its own (the per-row counts are
-  // Sparse.TableNnzMatchesExplicitRowStart) and every gathered bit on every
-  // backend this host runs.
+  // non-zero count (per-row counts: Sparse.TableNnzMatchesExplicitRowStart)
+  // and every gathered bit on every backend this host runs.
   support::Rng rng(0x7ab1eULL);
   struct Shape {
     int nx, ny, nz;
@@ -412,11 +391,10 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
         for (const Shape& s : shapes) {
           const kernels::CsrMatrix a =
               kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
-          const kernels::CsrMatrix ref = kernels::build_explicit_grid_matrix(
-              st, s.nx, s.ny, s.nz, lower, upper);
+          const kernels::ExplicitGridMatrix ref =
+              kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower,
+                                                  upper);
           ASSERT_NE(a.tables, nullptr);
-          EXPECT_TRUE(a.row_start.empty() && a.col.empty() &&
-                      a.val.empty());
           ASSERT_EQ(a.rows(), ref.rows());
           EXPECT_EQ(a.nnz(), static_cast<std::int64_t>(ref.col.size()))
               << "stencil=" << static_cast<int>(st) << " lower=" << lower
@@ -424,11 +402,7 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
               << "x" << s.nz;
 
           const std::vector<double> x = edge_vector(a.vector_len(), rng);
-          std::vector<double> want(static_cast<std::size_t>(a.rows()));
-          {
-            const UseBackend use(Backend::kScalar);
-            kernels::csr_row_gather(ref, x, want, 0, ref.rows());
-          }
+          const std::vector<double> want = ref.gather_all(x);
           for (Backend b : all_backends()) {
             std::vector<double> got(want.size(), -7.0);
             const UseBackend use(b);
@@ -441,22 +415,23 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
   }
   const auto cached = kernels::grid_matrix_cached(kernels::Stencil::k27pt, 32,
                                                   32, 64, true, true);
-  EXPECT_TRUE(cached->col.empty());
-  EXPECT_TRUE(cached->val.empty());
+  ASSERT_NE(cached->tables, nullptr);
   EXPECT_EQ(cached->nnz(), 94 * 94 * 192);
 }
 
 TEST(RowSums, EqualSparsemvOfOnesBitwise) {
   // The HPCCG and AMG right-hand side A * ones comes from row_sums: it must
   // be sparsemv's product with an all-ones vector (halo planes included) to
-  // the bit, and charge its cost, for table-only and explicit shapes, with
-  // and without either neighbor, on every backend this host runs.
+  // the bit, and the explicit-CSR walk's, and charge sparsemv's cost, for
+  // every shape (axes of length 1 and 2 included), with and without either
+  // neighbor, on every backend this host runs.
   struct Shape {
     int nx, ny, nz;
   };
-  const Shape shapes[] = {{3, 3, 3},  {5, 4, 6},  {17, 5, 3},
-                          {32, 32, 8}, {2, 3, 4}, {1, 1, 1},
-                          {4, 2, 3},  {8, 8, 2}};
+  const Shape shapes[] = {{3, 3, 3}, {5, 4, 6}, {17, 5, 3}, {32, 32, 8},
+                          {2, 3, 4}, {1, 1, 1}, {4, 2, 3},  {8, 8, 2},
+                          {2, 2, 2}, {1, 5, 4}, {5, 1, 4},  {5, 4, 1},
+                          {9, 2, 3}, {32, 1, 1}};
   for (const kernels::Stencil st :
        {kernels::Stencil::k7pt, kernels::Stencil::k27pt}) {
     for (const bool lower : {false, true}) {
@@ -464,10 +439,14 @@ TEST(RowSums, EqualSparsemvOfOnesBitwise) {
         for (const Shape& s : shapes) {
           const kernels::CsrMatrix a =
               kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
-          EXPECT_EQ(a.tables != nullptr, s.nx >= 3 && s.ny >= 3 && s.nz >= 3);
+          ASSERT_NE(a.tables, nullptr);
           std::vector<double> sums(static_cast<std::size_t>(a.rows()), -7.0);
           const net::ComputeCost cost = kernels::row_sums(a, sums);
           const std::vector<double> ones(a.vector_len(), 1.0);
+          expect_bits_eq(kernels::build_explicit_grid_matrix(
+                             st, s.nx, s.ny, s.nz, lower, upper)
+                             .gather_all(ones),
+                         sums, "explicit row sums", Backend::kScalar);
           for (Backend b : all_backends()) {
             const UseBackend use(b);
             std::vector<double> want(sums.size(), -7.0);
@@ -480,19 +459,6 @@ TEST(RowSums, EqualSparsemvOfOnesBitwise) {
       }
     }
   }
-}
-
-TEST(TableOnlyOperator, GeneralWalkRejectsMissingEntries) {
-  // A table-only operator stripped of its tables has no entries for the
-  // general walk to read: the gather refuses it instead of reading past
-  // empty col/val.
-  kernels::CsrMatrix a =
-      kernels::build_grid_matrix(kernels::Stencil::k7pt, 4, 4, 4, true, true);
-  a.tables = nullptr;
-  std::vector<double> x(a.vector_len(), 1.0);
-  std::vector<double> out(static_cast<std::size_t>(a.rows()));
-  EXPECT_THROW(kernels::csr_row_gather(a, x, out, 0, a.rows()),
-               support::InvariantError);
 }
 
 TEST(BackendBitwise, Stencil27) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "explicit_grid_matrix.hpp"
 #include "kernels/pic.hpp"
 #include "kernels/sparse.hpp"
 #include "kernels/stencil.hpp"
@@ -55,28 +56,29 @@ TEST(Sparse, SevenPointStructure) {
 }
 
 TEST(Sparse, TableNnzMatchesExplicitRowStart) {
-  // A table-only operator counts its non-zeros from the class tables; the
+  // Every operator counts its non-zeros from the class tables; the
   // explicit builder's row_start is the independent reference. Every single
   // row, every prefix, and every range between two grid-row boundaries
-  // (which include every plane boundary).
+  // (which include every plane boundary). Shapes with an axis of length 1
+  // or 2 are table-only too.
   struct Shape {
     int nx, ny, nz;
   };
-  const Shape shapes[] = {{4, 4, 4}, {5, 7, 4}, {17, 5, 3}, {32, 32, 8}};
+  const Shape shapes[] = {{4, 4, 4},  {5, 7, 4}, {17, 5, 3}, {32, 32, 8},
+                          {1, 1, 1},  {2, 2, 2}, {1, 5, 4},  {5, 1, 4},
+                          {5, 4, 1},  {9, 2, 3}, {32, 1, 1}, {2, 1, 2}};
   for (const Stencil st : {Stencil::k7pt, Stencil::k27pt}) {
     for (const bool lower : {false, true}) {
       for (const bool upper : {false, true}) {
         for (const Shape& s : shapes) {
           const CsrMatrix a =
               build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
-          const CsrMatrix e =
+          const ExplicitGridMatrix e =
               build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
           ASSERT_NE(a.tables, nullptr);
-          ASSERT_TRUE(a.row_start.empty());
           ASSERT_EQ(a.rows(), e.rows());
           const auto ref = [&e](std::int64_t r0, std::int64_t r1) {
-            return e.row_start[static_cast<std::size_t>(r1)] -
-                   e.row_start[static_cast<std::size_t>(r0)];
+            return e.nnz(r0, r1);
           };
           const std::string what =
               "stencil=" + std::to_string(static_cast<int>(st)) +
@@ -102,14 +104,14 @@ TEST(Sparse, TableNnzMatchesExplicitRowStart) {
 }
 
 TEST(Sparse, BoundaryRowsReferenceHalo) {
-  const CsrMatrix m =
-      build_explicit_grid_matrix(Stencil::k7pt, 3, 3, 2, true, true);
-  // Row (1,1,0) must reference the bottom halo at index interior + y*nx + x.
+  const CsrMatrix m = build_grid_matrix(Stencil::k7pt, 3, 3, 2, true, true);
+  // Row (1,1,0) (z class 0, y and x class 1) must reference the bottom halo
+  // at index interior + y*nx + x.
   bool found_halo = false;
   const std::int64_t r = (0 * 3 + 1) * 3 + 1;
-  for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
-       k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
-    const auto c = static_cast<std::size_t>(m.col[static_cast<std::size_t>(k)]);
+  const StencilTables::Table& t = m.tables->t[0][1][1];
+  for (int k = 0; k < t.npts; ++k) {
+    const auto c = static_cast<std::size_t>(r + t.off[k]);
     if (c == m.halo_bottom() + 1 * 3 + 1) found_halo = true;
     EXPECT_LT(c, m.vector_len());
   }
@@ -125,16 +127,11 @@ TEST(Sparse, SpmvMatchesDenseReference) {
   sparsemv(m, x, y);
 
   // Dense reference from the explicit-CSR form.
-  const CsrMatrix e =
-      build_explicit_grid_matrix(Stencil::k27pt, 4, 3, 3, true, false);
-  for (std::int64_t r = 0; r < e.rows(); ++r) {
-    double acc = 0;
-    for (std::int64_t k = e.row_start[static_cast<std::size_t>(r)];
-         k < e.row_start[static_cast<std::size_t>(r) + 1]; ++k)
-      acc += e.val[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(e.col[static_cast<std::size_t>(k)])];
-    EXPECT_NEAR(y[static_cast<std::size_t>(r)], acc, 1e-12);
-  }
+  const std::vector<double> want =
+      build_explicit_grid_matrix(Stencil::k27pt, 4, 3, 3, true, false)
+          .gather_all(x);
+  ASSERT_EQ(want.size(), y.size());
+  for (std::size_t r = 0; r < y.size(); ++r) EXPECT_NEAR(y[r], want[r], 1e-12);
 }
 
 TEST(Sparse, SpmvRangeEqualsFull) {
@@ -150,18 +147,19 @@ TEST(Sparse, SpmvRangeEqualsFull) {
 }
 
 TEST(Sparse, DiagonalDominance) {
-  const CsrMatrix m =
-      build_explicit_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    double diag = 0, offsum = 0;
-    for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
-         k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
-      const double v = m.val[static_cast<std::size_t>(k)];
-      if (v > 0) diag = v;
-      else offsum += -v;
-    }
-    EXPECT_GT(diag, offsum);  // strictly dominant: boundary rows drop -1s
-  }
+  // Every row of a 4^3 operator belongs to one of the 27 boundary classes,
+  // and each class's table holds that row's weights.
+  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
+  for (const auto& plane_tabs : m.tables->t)
+    for (const auto& row_tabs : plane_tabs)
+      for (const StencilTables::Table& t : row_tabs) {
+        double diag = 0, offsum = 0;
+        for (int k = 0; k < t.npts; ++k) {
+          if (t.w[k] > 0) diag = t.w[k];
+          else offsum += -t.w[k];
+        }
+        EXPECT_GT(diag, offsum);  // strictly dominant: boundary rows drop -1s
+      }
 }
 
 TEST(Stencil, ConstantFieldIsFixedPoint) {

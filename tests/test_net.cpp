@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/machine_model.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "support/rng.hpp"
 
 namespace repmpi::net {
 namespace {
@@ -140,6 +146,77 @@ TEST_F(NetworkTest, PerPairFifoHoldsForMixedSizes) {
   const sim::Time big = net.reserve_transfer(0, 1, 10000000);
   const sim::Time small = net.reserve_transfer(0, 1, 8);
   EXPECT_GE(small, big);
+}
+
+TEST_F(NetworkTest, InternodeArrivalsPerPairAreNondecreasing) {
+  // The invariant that lets internode pairs go without a FIFO clock: each
+  // send starts at or after the NIC lanes the pair's previous send advanced,
+  // and latency and bandwidth are fixed per node pair, so a pair's arrivals
+  // never decrease, whatever the sizes, the interleaving with other pairs or
+  // the send instants (the sharded machine replays each window's sends in a
+  // sorted order, not in send order). Both duplex modes, with inter-switch
+  // links slower than intra-switch ones.
+  for (const bool full_duplex : {false, true}) {
+    model_.nic_full_duplex = full_duplex;
+    model_.inter_switch_extra_latency = 3e-6;
+    model_.inter_switch_bandwidth = 2.5e8;
+    Topology topo(32, 4);  // 8 nodes
+    topo.set_nodes_per_domain(2);
+    sim::Simulator sim;
+    Network net(sim, model_, topo);
+    support::Rng rng(full_duplex ? 0xf1f0ULL : 0x4a1fULL);
+    std::map<std::pair<int, int>, sim::Time> last;
+    double now = 0.0;
+    for (int i = 0; i < 20000; ++i) {
+      const int src = static_cast<int>(rng.next_below(32));
+      int dst = static_cast<int>(rng.next_below(32));
+      if (topo.same_node(src, dst)) dst = (dst + 4) % 32;
+      // Mostly tiny messages, some up to 1 MB; send instants drift forward
+      // with occasional steps back.
+      const std::size_t bytes = rng.next_below(8) == 0
+                                    ? rng.next_below(1u << 20)
+                                    : rng.next_below(64);
+      now = std::max(0.0, now + rng.uniform(-2e-6, 5e-6));
+      const sim::Time arrival = net.reserve_transfer_at(src, dst, bytes, now);
+      const auto [it, fresh] = last.try_emplace({src, dst}, arrival);
+      if (!fresh) {
+        ASSERT_GE(arrival, it->second)
+            << "pair " << src << "->" << dst << " message " << i
+            << " full_duplex=" << full_duplex;
+        it->second = arrival;
+      }
+    }
+    EXPECT_EQ(net.stats().intranode_messages, 0u);
+    EXPECT_GT(last.size(), 500u);
+  }
+}
+
+TEST_F(NetworkTest, IntranodeFifoOnUnevenNodes) {
+  // Intranode pairs keep a clock per (src, dst's slot on its node). Nodes
+  // of 3, 1 and 2 processes, placed out of rank order: every intranode pair
+  // (self-sends included) must hold a small message behind its own large
+  // one, and behind nothing else.
+  const Topology topo(std::vector<int>{2, 0, 0, 1, 2, 0});
+  const sim::Time big_arrival = 1e-7 + 10000000 / 1e10;
+  const sim::Time small_alone = 1e-7 + 8 / 1e10;
+  for (int src = 0; src < topo.num_processes(); ++src) {
+    for (int dst = 0; dst < topo.num_processes(); ++dst) {
+      if (!topo.same_node(src, dst)) continue;
+      sim::Simulator sim;
+      Network net(sim, model_, topo);
+      EXPECT_DOUBLE_EQ(net.reserve_transfer(src, dst, 10000000), big_arrival);
+      // Every other intranode pair is unaffected by that message.
+      for (int a = 0; a < topo.num_processes(); ++a) {
+        for (int b = 0; b < topo.num_processes(); ++b) {
+          if (!topo.same_node(a, b) || (a == src && b == dst)) continue;
+          EXPECT_DOUBLE_EQ(net.reserve_transfer(a, b, 8), small_alone)
+              << a << "->" << b << " after " << src << "->" << dst;
+        }
+      }
+      EXPECT_DOUBLE_EQ(net.reserve_transfer(src, dst, 8), big_arrival)
+          << src << "->" << dst;
+    }
+  }
 }
 
 TEST_F(NetworkTest, StatsAccumulate) {
