@@ -163,6 +163,7 @@ void collect_rank_results(const rep::ReplicaLayout& layout,
   res.send_log_live = log.live;
   res.replayed_sends = log.replayed;
   res.recv_streams = log.streams;
+  res.stream_records_held = log.held;
 }
 
 RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,

@@ -163,9 +163,14 @@ struct RunResult {
   std::uint64_t send_log_live = 0;
   /// Messages the progress agents resent on NACKs (zero without a crash).
   std::uint64_t replayed_sends = 0;
-  /// Receive-stream records the protocol held at the end, summed over
-  /// physical ranks: one per (source, tag) stream a rank received on.
+  /// Receive streams the protocol opened, summed over physical ranks: one
+  /// per (source, tag) stream a rank received on.
   std::uint64_t recv_streams = 0;
+  /// Send and receive stream records still held at the end, summed over
+  /// physical ranks. A stream that carried one message without a NACK
+  /// settles to one bit (rep::StreamTable), so this is zero after a
+  /// failure-free run whose streams each carried one message.
+  std::uint64_t stream_records_held = 0;
 
   double phase(const std::string& name) const {
     const auto it = phase_max.find(name);

@@ -107,7 +107,7 @@ void LogicalComm::Registry::trim(int sender_world, TagKey k,
   SharedState& st = at(sender_world);
   // A dead sender's agent died with it; with no alive reader, nobody NACKs.
   if (w == kNoReader || world_.is_dead(sender_world)) {
-    if (OutRecord* rec = st.out.find(k)) st.close_log(*rec);
+    if (OutRecord* rec = st.out.find(k)) st.close_log(k, *rec);
     return;
   }
   if (w == 0) return;
@@ -126,7 +126,7 @@ void LogicalComm::Registry::trim(int sender_world, TagKey k,
       [w](const LoggedMsg& m) { return m.seq >= w; });
   st.live -= static_cast<std::uint64_t>(kept - entries.begin());
   entries.erase(entries.begin(), kept);
-  if (entries.empty() && log.base <= log.next) st.close_log(rec);
+  if (entries.empty() && log.base <= log.next) st.close_log(k, rec);
 }
 
 LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
@@ -217,7 +217,8 @@ void LogicalComm::post_send(int dst, int tag,
     return;
   }
 
-  OutRecord& rec = shared_->out[key(dst, tag)];
+  const TagKey k = key(dst, tag);
+  OutRecord& rec = shared_->out[k];
   const std::uint64_t seq = rec.sent++;
 
   // One capture of header + body; the log entry and every lane transmission
@@ -225,7 +226,7 @@ void LogicalComm::post_send(int dst, int tag,
   const MsgHeader hdr{seq};
   support::Payload payload =
       support::Payload::concat(support::as_bytes_of(hdr), bytes);
-  log_send(dst, rec, seq, payload);  // `rec` is not used past a yield
+  log_send(k, rec, seq, payload);  // `rec` is not used past this
 
   // Replication-protocol bookkeeping (ordering metadata, envelope checks).
   proc_.elapse(proc_.world().model().replication_msg_overhead);
@@ -244,13 +245,14 @@ void LogicalComm::post_send(int dst, int tag,
   }
 }
 
-void LogicalComm::log_send(int dst, OutRecord& rec, std::uint64_t seq,
+void LogicalComm::log_send(TagKey k, OutRecord& rec, std::uint64_t seq,
                            const support::Payload& payload) {
+  const int dst = static_cast<int>(k >> 32);
   bool reader = false;
   for (int j = 0; j < layout_.degree && !reader; ++j)
     reader = j != lane_ && !proc_.world().is_dead(layout_.phys_rank(dst, j));
   if (!reader) {  // no lane of dst can ever NACK this lane for the stream
-    shared_->close_log(rec);
+    shared_->close_log(k, rec);
     return;
   }
   // A fresh log starts at this seq: every earlier one was dropped.
@@ -258,7 +260,7 @@ void LogicalComm::log_send(int dst, OutRecord& rec, std::uint64_t seq,
                                   : shared_->logs[rec.log];
   log.next = seq + 1;
   if (seq < log.base) {  // every receiver lane already passed it
-    if (log.base <= log.next) shared_->close_log(rec);
+    if (log.base <= log.next) shared_->close_log(k, rec);
     return;
   }
   log.entries.push_back(LoggedMsg{seq, payload});
@@ -385,6 +387,7 @@ void LogicalComm::deliver(LogicalRequest& req, TagKey k, InRecord& rec,
   }
   if (rec.published() == rec.floor)
     registry_->floor_advanced(proc_.world_rank(), k);
+  shared_->in.settle(k);
 }
 
 mpi::Status LogicalComm::recv(int src, int tag, support::Buffer& out) {
@@ -436,7 +439,7 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
     const int dst_phys =
         layout.phys_rank(msg.requester_logical, msg.requester_lane);
     if (world.is_dead(dst_phys)) continue;
-    const OutRecord* rec = shared.out.find(k);
+    const OutRecord* rec = std::as_const(shared.out).find(k);
     // Seqs below the log's base are gone; without a log, every seq sent so
     // far is. The trimming rule must never drop one a NACK asks for.
     std::uint64_t base = 0;
@@ -452,7 +455,7 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
     if (rec == nullptr || rec->log == kNone) continue;
     // Snapshot the payloads before the first delay: while the agent yields,
     // the main fiber may append to this log, trims may shrink or close it,
-    // and inserts may move `rec`.
+    // and inserts and settles may move `rec`.
     std::vector<support::Payload> replay;
     for (const LoggedMsg& lm : shared.logs[rec->log].entries) {
       if (lm.seq >= msg.expected_seq) replay.push_back(lm.payload);
@@ -475,7 +478,8 @@ LogicalComm::LogStats LogicalComm::log_stats(const mpi::World& world) {
     out.high_water += s.peak;
     out.live += s.live;
     out.replayed += s.replayed;
-    out.streams += s.in.size();
+    out.streams += s.in.opened();
+    out.held += s.in.held() + s.out.held();
   }
   return out;
 }

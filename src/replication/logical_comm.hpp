@@ -47,6 +47,7 @@
 
 #include "replication/layout.hpp"
 #include "replication/protocol.hpp"
+#include "replication/stream_table.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/world.hpp"
 #include "support/buffer.hpp"
@@ -114,7 +115,10 @@ class LogicalComm {
     std::uint64_t high_water = 0;  ///< sum of each rank's peak live entries
     std::uint64_t live = 0;        ///< logged entries still held at the end
     std::uint64_t replayed = 0;    ///< messages resent on NACKs
-    std::uint64_t streams = 0;     ///< receive-stream records held
+    std::uint64_t streams = 0;     ///< receive streams opened
+    /// Stream records (send and receive) still in the tables' arrays at the
+    /// end; a settled stream is not held (see StreamTable).
+    std::uint64_t held = 0;
   };
   static LogStats log_stats(const mpi::World& world);
 
@@ -204,66 +208,6 @@ class LogicalComm {
   using Handle = std::uint32_t;
   static constexpr Handle kNone = ~Handle{0};
 
-  /// Per-stream state is looked up on every message, and apps and
-  /// collectives use a fresh tag per call, so a stream carries about one
-  /// message and the tables grow with the run. Each table is a flat
-  /// open-addressing array of (key, record) slots: linear probing from the
-  /// mixed key, doubled at 3/4 load, never erased. No table is iterated, so
-  /// the layout cannot perturb any deterministic ordering. Growing moves
-  /// the records, so see SharedState for which references may be held.
-  template <class Rec>
-  class StreamTable {
-   public:
-    Rec* find(TagKey k) {
-      if (slots_.empty()) return nullptr;
-      for (std::size_t i = home(k);; i = (i + 1) & mask()) {
-        if (slots_[i].key == k) return &slots_[i].rec;
-        if (slots_[i].key == kEmpty) return nullptr;
-      }
-    }
-    const Rec* find(TagKey k) const {
-      return const_cast<StreamTable*>(this)->find(k);
-    }
-    /// The record of `k`, value-initialised on first use.
-    Rec& operator[](TagKey k) {
-      if (Rec* r = find(k)) return *r;
-      if (4 * (size_ + 1) > 3 * slots_.size()) grow();
-      std::size_t i = home(k);
-      while (slots_[i].key != kEmpty) i = (i + 1) & mask();
-      slots_[i].key = k;
-      ++size_;
-      return slots_[i].rec;
-    }
-    std::size_t size() const { return size_; }
-
-   private:
-    /// No stream has this key: logical ranks are below 2^31.
-    static constexpr TagKey kEmpty = ~TagKey{0};
-    struct Slot {
-      TagKey key = kEmpty;
-      Rec rec{};
-    };
-    std::size_t mask() const { return slots_.size() - 1; }
-    std::size_t home(TagKey k) const {
-      k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(k ^ (k >> 31)) & mask();
-    }
-    void grow() {
-      std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
-      old.swap(slots_);
-      for (Slot& s : old) {
-        if (s.key == kEmpty) continue;
-        std::size_t i = home(s.key);
-        while (slots_[i].key != kEmpty) i = (i + 1) & mask();
-        slots_[i] = std::move(s);
-      }
-    }
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-  };
-
   /// Records taken and given back by handle; given-back slots are reused
   /// first, so a record's buffers outlive it and serve the next one.
   template <class T>
@@ -296,11 +240,13 @@ class LogicalComm {
   };
 
   /// Send stream (dst, tag): the next seq to send and its open log, if any.
+  /// Settled once its one message is sent and its log closed.
   struct OutRecord {
     std::uint64_t sent = 0;
     Handle log = kNone;
+    bool operator==(const OutRecord&) const = default;
   };
-  static_assert(sizeof(OutRecord) <= 16, "a send stream costs 16 B");
+  static_assert(sizeof(OutRecord) <= 16, "a held send stream costs 16 B");
 
   /// Out-of-order part of a receive stream, taken only while a message
   /// arrived ahead of its turn (`stash`) or a wait completed above the
@@ -311,7 +257,8 @@ class LogicalComm {
   };
 
   /// Receive stream (src, tag). `floor` is the lowest seq not yet handed to
-  /// the application.
+  /// the application. Settled once its one posted message is delivered with
+  /// no NACK and nothing out of order.
   struct InRecord {
     std::uint64_t posted = 0;  ///< seq the next irecv of the stream expects
     std::uint64_t floor = 0;
@@ -326,8 +273,9 @@ class LogicalComm {
 
     /// The floor the senders' logs are trimmed by: frozen at the first NACK.
     std::uint64_t published() const { return std::min(floor, nack_floor); }
+    bool operator==(const InRecord&) const = default;
   };
-  static_assert(sizeof(InRecord) <= 40, "a receive stream costs 40 B");
+  static_assert(sizeof(InRecord) <= 40, "a held receive stream costs 40 B");
 
   /// Protocol state of one physical rank. The run's Registry owns it, so it
   /// outlives the rank's LogicalComm (on the stack of the rank's main): the
@@ -336,14 +284,17 @@ class LogicalComm {
   /// runs every fiber on one thread, and a sharded run lets other ranks
   /// touch this state only at window boundaries.
   ///
-  /// Table growth moves records, so no reference into `out` or `logs` is
-  /// held across a yield: Registry::trim, run by another rank's floor
-  /// advance or at a window boundary, may open a log and insert into `out`.
-  /// Only the rank's own main fiber inserts into `in` and `reorders`, so
-  /// wait() may keep its stream's `in` record across the pump.
+  /// Table growth and erasure move records, so no reference into `out` or
+  /// `logs` is held across a yield: Registry::trim, run by another rank's
+  /// floor advance or at a window boundary, may open a log, insert into
+  /// `out` or settle (erase) an `out` record, and log_send may settle the
+  /// record post_send passes it, which post_send does not use afterwards.
+  /// Only the rank's own main fiber inserts into or erases from `in` and
+  /// `reorders`, so wait() may keep its stream's `in` record across the
+  /// pump: deliver() settles that record last, and wait() returns next.
   struct SharedState {
-    StreamTable<OutRecord> out;
-    StreamTable<InRecord> in;
+    StreamTable<OutRecord> out{OutRecord{.sent = 1}};
+    StreamTable<InRecord> in{InRecord{.posted = 1, .floor = 1}};
     Pool<SendLog> logs;
     Pool<Reorder> reorders;
     std::uint64_t live = 0;      ///< logged entries held now
@@ -358,14 +309,17 @@ class LogicalComm {
       log.next = 0;
       return log;
     }
-    /// Drops `rec`'s log with every entry it holds.
-    void close_log(OutRecord& rec) {
-      if (rec.log == kNone) return;
-      auto& entries = logs[rec.log].entries;
-      live -= entries.size();
-      entries.clear();
-      logs.give_back(rec.log);
-      rec.log = kNone;
+    /// Drops the log of stream `k`, whose record is `rec`, with every
+    /// entry it holds, then settles the stream: `rec` may be gone after.
+    void close_log(TagKey k, OutRecord& rec) {
+      if (rec.log != kNone) {
+        auto& entries = logs[rec.log].entries;
+        live -= entries.size();
+        entries.clear();
+        logs.give_back(rec.log);
+        rec.log = kNone;
+      }
+      out.settle(k);
     }
   };
 
@@ -403,9 +357,12 @@ class LogicalComm {
   }
 
   void send_nack(int src_logical, int tag, std::uint64_t expected);
-  void log_send(int dst, OutRecord& rec, std::uint64_t seq,
+  /// Logs seq `seq` of send stream `k`, whose record is `rec`; `rec` may be
+  /// gone after.
+  void log_send(TagKey k, OutRecord& rec, std::uint64_t seq,
                 const support::Payload& payload);
-  /// Hands seq `seq` of stream `k` to `req` and advances the floor.
+  /// Hands seq `seq` of stream `k` to `req`, advances the floor and settles
+  /// the stream: `rec` may be gone after.
   void deliver(LogicalRequest& req, TagKey k, InRecord& rec,
                std::uint64_t seq, support::Payload data);
 

@@ -311,20 +311,57 @@ TEST(ProtocolState, FailureFreeRunsEndWithEverySendLogDrained) {
   }
 }
 
-TEST(ProtocolState, SdrAmgHoldsOneReceiveStreamPerMessage) {
-  // AMG tags each halo exchange afresh and every collective call takes a
-  // new tag, so each (source, tag) stream carries one message: the
-  // receive-stream records grow with the message count, not with the peer
-  // count. Collectives on fixed streams (ROADMAP item 2 step 1) would
-  // bound them.
-  AmgParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.levels = 2;
-  p.iterations = 4;
-  const RunResult run = run_amg(RunMode::kReplicated, 3, p).run;
-  EXPECT_GT(run.net_messages, 0u);
-  EXPECT_EQ(run.recv_streams, run.net_messages);
-  EXPECT_EQ(run_amg(RunMode::kNative, 3, p).run.recv_streams, 0u);
+TEST(ProtocolState, FailureFreeRunsHoldNoStreamRecord) {
+  // Apps tag each halo exchange afresh and every collective call takes a
+  // new tag, so each (source, tag) stream carries one message: SDR AMG
+  // opens one receive stream per physical message. Each stream settles to
+  // one bit once its message is delivered and its send log closed, so a
+  // failure-free run ends holding no stream record in either table.
+  AmgParams ap;
+  ap.nx = ap.ny = ap.nz = 8;
+  ap.levels = 2;
+  ap.iterations = 4;
+  const RunResult sdr = run_amg(RunMode::kReplicated, 3, ap).run;
+  EXPECT_GT(sdr.net_messages, 0u);
+  EXPECT_EQ(sdr.recv_streams, sdr.net_messages);
+  EXPECT_EQ(run_amg(RunMode::kNative, 3, ap).run.recv_streams, 0u);
+
+  HpccgParams hp;
+  hp.nx = hp.ny = hp.nz = 6;
+  hp.iterations = 4;
+  GtcParams gp;
+  gp.particles_per_rank = 1500;
+  gp.grid = 16;
+  gp.steps = 3;
+  MiniGhostParams mp;
+  mp.nx = mp.ny = mp.nz = 8;
+  mp.steps = 3;
+  struct App {
+    std::string name;
+    int logical;
+    AppMain main;
+  };
+  const App apps[] = {
+      {"hpccg", 4, [&](AppContext& ctx) { hpccg(ctx, hp); }},
+      {"amg", 3, [&](AppContext& ctx) { amg(ctx, ap); }},
+      {"gtc", 3, [&](AppContext& ctx) { gtc(ctx, gp); }},
+      {"minighost", 4, [&](AppContext& ctx) { minighost(ctx, mp); }}};
+  for (RunMode mode : {RunMode::kReplicated, RunMode::kIntra}) {
+    for (int degree : {2, 3}) {
+      for (const App& app : apps) {
+        RunConfig cfg;
+        cfg.mode = mode;
+        cfg.num_logical = app.logical;
+        cfg.degree = degree;
+        const RunResult r = run_app(cfg, app.main);
+        const std::string at = app.name + " " + to_string(mode) +
+                               " degree " + std::to_string(degree);
+        EXPECT_EQ(r.ranks_finished, degree * app.logical) << at;
+        EXPECT_GT(r.recv_streams, 0u) << at;
+        EXPECT_EQ(r.stream_records_held, 0u) << at;
+      }
+    }
+  }
 }
 
 }  // namespace

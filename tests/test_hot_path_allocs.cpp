@@ -206,8 +206,9 @@ TEST(HotPathAllocs, AllreduceValueAllocatesNothing) {
 }
 
 TEST(HotPathAllocs, LogicalStreamWithFreshTagsAmortisesToNearZero) {
-  // Replicated ping-pong, a fresh tag per message: the only allocations
-  // left are the stream tables' doublings, amortised over the messages.
+  // Replicated ping-pong, a fresh tag per message: each stream settles to
+  // a bit, so the only allocations left are the doublings of the tables'
+  // settled-bit words, amortised over the messages.
   testing::RepFixture f(2, 2);
   constexpr int kRoundTrips = 4000;
   AllocWindow w(kRoundTrips);

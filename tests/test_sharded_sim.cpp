@@ -277,5 +277,85 @@ TEST(ShardInvarianceFaults, ReverseOrderWaitsAtTwoShards) {
   }
 }
 
+constexpr int kReopenTags = 4;
+constexpr int kReopenTag0 = 20;
+
+/// Logical 0 sends one message on each of kReopenTags tags to logical 1
+/// and an allreduce follows, so every stream of the exchange settles. Then
+/// logical 0's lane 1 dies and lane 0, the cover, sends a second round on
+/// the same tags: the settled streams reopen. `got` is indexed by world
+/// rank; each rank records what it received and the allreduce's result.
+apps::RunResult run_reopen_after_settle(int degree, int shards,
+                                        std::vector<std::vector<int>>& got) {
+  apps::RunConfig cfg;
+  cfg.mode = apps::RunMode::kReplicated;
+  cfg.num_logical = 2;
+  cfg.degree = degree;
+  cfg.shards = shards;
+  got.assign(static_cast<std::size_t>(cfg.num_physical()), {});
+  return apps::run_app(cfg, [&](apps::AppContext& ctx) {
+    rep::LogicalComm& comm = ctx.comm;
+    auto& mine = got[static_cast<std::size_t>(ctx.proc.world_rank())];
+    const auto exchange = [&](int round) {
+      for (int i = 0; i < kReopenTags; ++i) {
+        if (comm.rank() == 0) {
+          comm.send_value(1, kReopenTag0 + i, 100 * round + i);
+        } else {
+          mine.push_back(comm.recv_value<int>(0, kReopenTag0 + i));
+        }
+      }
+    };
+    exchange(1);
+    mine.push_back(comm.allreduce_value(comm.rank() + 1, mpi::ReduceOp::kSum));
+    if (comm.rank() == 0) {
+      if (comm.lane() == 1) ctx.proc.world().crash(ctx.proc.world_rank());
+      ctx.proc.elapse(0.002);  // the cover knows of the death now
+    } else {
+      ctx.proc.elapse(0.004);  // the cover has sent and logged round 2
+    }
+    {
+      mpi::ScopedPhase sp(ctx.proc, "reopen");
+      exchange(2);
+    }
+    if (comm.rank() == 0) ctx.proc.elapse(0.05);  // serve the replays
+  });
+}
+
+TEST(ShardInvarianceFaults, SettledStreamsReopenAndReplayAfterACrash) {
+  // Receiver lane 1 has lost its designated sender, so each round-2 wait
+  // NACKs the cover from floor 1, and the cover's agent replays seq 1 of
+  // every tag from its log; the duplicate is never delivered. The classic
+  // engine and one and two shards agree with each other and with values
+  // pinned before settled streams left the tables.
+  const std::vector<int> want_recv{100, 101, 102, 103, 3,
+                                   200, 201, 202, 203};
+  for (int degree : {2, 3}) {
+    for (int shards : {0, 1, 2}) {
+      std::vector<std::vector<int>> got;
+      const apps::RunResult r = run_reopen_after_settle(degree, shards, got);
+      const std::string at = "degree " + std::to_string(degree) + ", " +
+                             std::to_string(shards) + " shards";
+      const rep::ReplicaLayout layout{2, degree};
+      for (int lane = 0; lane < degree; ++lane) {
+        EXPECT_EQ(got[static_cast<std::size_t>(layout.phys_rank(0, lane))],
+                  std::vector<int>{3})
+            << at << ", sender lane " << lane;
+        EXPECT_EQ(got[static_cast<std::size_t>(layout.phys_rank(1, lane))],
+                  want_recv)
+            << at << ", receiver lane " << lane;
+      }
+      EXPECT_EQ(r.ranks_crashed, 1) << at;
+      EXPECT_EQ(r.replayed_sends, static_cast<std::uint64_t>(kReopenTags))
+          << at;
+      expect_bit_identical(r.phase("reopen"), 0x1.5cf751db948p-18,
+                           (at + ", reopen phase").c_str());
+      expect_bit_identical(r.wallclock, 0x1.aa165d422e008p-5,
+                           (at + ", wallclock").c_str());
+      EXPECT_EQ(r.net_messages, degree == 2 ? 28u : 38u) << at;
+      EXPECT_EQ(r.net_bytes, degree == 2 ? 384u : 504u) << at;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace repmpi
