@@ -16,11 +16,13 @@
 namespace repmpi::bench {
 namespace {
 
-double run_with_plan(fault::FaultPlan* plan, int procs, int nx, int iters) {
+double run_with_plan(fault::FaultPlan* plan, int procs, int nx, int iters,
+                     int shards) {
   RunConfig cfg;
   cfg.mode = RunMode::kIntra;
   cfg.num_logical = procs / 2;
   cfg.faults = plan;
+  cfg.shards = shards;
   apps::HpccgParams p;
   p.nx = p.ny = nx;
   p.nz = 2 * nx;
@@ -35,6 +37,7 @@ REPMPI_BENCH(failures, "A3: crash impact on intra-parallelized HPCCG") {
   const int procs = static_cast<int>(opt.get_int("procs", 8));
   const int nx = static_cast<int>(opt.get_int("nx", 32));
   const int iters = static_cast<int>(opt.get_int("iters", 8));
+  const int shards = static_cast<int>(opt.get_int("shards", 0));
 
   print_header(ctx.out(), "Ablation A3 — crash impact on intra-parallelized HPCCG",
                "Ropars et al., IPDPS'15, Section VI (discussion)",
@@ -42,7 +45,7 @@ REPMPI_BENCH(failures, "A3: crash impact on intra-parallelized HPCCG") {
                "execution from the crash point on; the earlier the crash, "
                "the closer its run time gets to classic replication");
 
-  const double t_free = run_with_plan(nullptr, procs, nx, iters);
+  const double t_free = run_with_plan(nullptr, procs, nx, iters, shards);
 
   Table t({"crash site", "when", "time (s)", "slowdown vs failure-free"});
   t.add_row({"(none)", "-", Table::fmt(t_free, 4), "1.000"});
@@ -70,7 +73,7 @@ REPMPI_BENCH(failures, "A3: crash impact on intra-parallelized HPCCG") {
              fault::CrashSite::kSectionEntry, 3 * iters / 2}}) {
     fault::FaultPlan plan;
     plan.add({.world_rank = procs / 2 + 1, .site = c.site, .nth = c.nth});
-    const double tt = run_with_plan(&plan, procs, nx, iters);
+    const double tt = run_with_plan(&plan, procs, nx, iters, shards);
     t.add_row({c.name, "nth=" + std::to_string(c.nth), Table::fmt(tt, 4),
                Table::fmt(tt / t_free, 3)});
     ctx.metric(std::string("slowdown_") + c.slug, tt / t_free);

@@ -79,10 +79,10 @@ void print_usage() {
          "N threads (default: hardware concurrency; virtual-time results\n"
          "are bit-identical to --jobs=1, only wall-clock changes).\n"
          "--shards=N splits each simulation in the benches that support\n"
-         "it (the fig6 panels) across N simulator shards synchronized by\n"
-         "conservative time windows; virtual-time results are\n"
-         "bit-identical at any shard count, and sharded runs report\n"
-         "host_shard_count/windows/cross_messages.\n"
+         "it (the fig6 panels, failures and hostile_*) across N simulator\n"
+         "shards synchronized by conservative time windows; virtual-time\n"
+         "results are bit-identical at any shard count, and the sharded\n"
+         "fig6 panels report host_shard_count/windows/cross_messages.\n"
          "--backend={auto,scalar,avx2} selects the host kernel\n"
          "backend for the batch kernels (SpMV, stencil, PIC, vector ops).\n"
          "auto (default) picks avx2 where the CPU has it. Virtual-time\n"

@@ -141,8 +141,6 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
 
   phys_ = std::make_unique<mpi::Comm>(
       proc, kLogicalChannel, identity_members(layout_.num_physical()));
-  control_ = std::make_unique<mpi::Comm>(
-      proc, kControlChannel, identity_members(layout_.num_physical()));
 
   std::vector<int> lanes;
   lanes.reserve(static_cast<std::size_t>(layout_.degree));
@@ -367,8 +365,6 @@ void LogicalComm::deliver(LogicalRequest& req, TagKey k, InRecord& rec,
                           std::uint64_t seq, support::Payload data) {
   req.data = std::move(data);
   req.done = true;
-  req.status.source = req.src_logical;
-  req.status.tag = req.tag;
   req.status.bytes = req.data.size();
   req.status.failed = false;
   if (seq != rec.floor) {  // completes above the floor: remember it
@@ -407,8 +403,13 @@ void LogicalComm::send_nack(int src_logical, int tag,
   msg.requester_lane = lane_;
   msg.tag = tag;
   msg.expected_seq = expected;
-  control_->send_value(layout_.phys_rank(src_logical, cover), kControlTag,
-                       msg);
+  // Charged as Comm::send charges it; every NACK lands in the cover
+  // agent's one mailbox key, the requester riding in the body.
+  proc_.context().delay(proc_.world().model().send_overhead);
+  proc_.world().send_bytes(proc_.world_rank(),
+                           layout_.phys_rank(src_logical, cover),
+                           kControlChannel, kNackMailboxSource, kControlTag,
+                           support::as_bytes_of(msg));
   REPMPI_DEBUG("logical " << logical_ << " lane " << lane_ << " NACK to "
                           << src_logical << " lane " << cover << " tag " << tag
                           << " from seq " << expected);
@@ -424,9 +425,9 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
     auto st = mpi::make_request_state();
     st->owner = ctx.pid();
     st->comm_channel = kControlChannel;
-    st->match_source = mpi::kAnySource;
+    st->match_source = kNackMailboxSource;
     st->match_tag = kControlTag;
-    world.post_recv(my_world, mpi::kAnySource, st);
+    world.post_recv(my_world, mpi::kNoPeer, st);
     ctx.set_wait_token(st.get());
     while (!st->done) ctx.park();
     ctx.set_wait_token(nullptr);

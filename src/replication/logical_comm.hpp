@@ -377,7 +377,6 @@ class LogicalComm {
   int logical_;
   int lane_;
   std::unique_ptr<mpi::Comm> phys_;     ///< physical-rank channel (app data)
-  std::unique_ptr<mpi::Comm> control_;  ///< NACK/shutdown channel
   std::unique_ptr<mpi::Comm> replica_comm_;
 
   Registry* registry_ = nullptr;  ///< null at degree 1

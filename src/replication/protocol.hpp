@@ -5,8 +5,8 @@
 // Logical messages carry a sequence-number header (per sender-logical-rank,
 // per tag); the receiver enforces in-order delivery per (source, tag) and
 // drops duplicates, which makes cover takeover + replay after a replica
-// crash idempotent. Control messages (NACK, shutdown) travel on a dedicated
-// channel served by each rank's progress agent.
+// crash idempotent. NACKs travel on a dedicated control channel served by
+// each rank's progress agent.
 
 #include <cstdint>
 
@@ -24,6 +24,10 @@ constexpr std::uint64_t kReplicaChannelBase = 0x100000;
 /// upward from there.
 constexpr int kCollTagBase = 1 << 20;
 constexpr int kControlTag = 1;
+/// Every NACK is sent under this one source key on kControlChannel, so an
+/// agent's mailbox is a single exact key whose FIFO holds the NACKs of all
+/// requesters in arrival order; the requester is named in the ControlMsg.
+constexpr int kNackMailboxSource = 0;
 
 /// Header prepended to every logical payload.
 struct MsgHeader {

@@ -54,15 +54,14 @@ void Comm::send_payload(int dst, int tag, support::Payload payload) {
 }
 
 Request Comm::irecv(int src, int tag) {
-  REPMPI_CHECK_MSG(src == kAnySource || (src >= 0 && src < size()),
-                   "recv from invalid rank " << src);
+  REPMPI_CHECK_MSG(src >= 0 && src < size(), "recv from invalid rank " << src);
+  REPMPI_CHECK_MSG(tag >= 0, "recv with invalid tag " << tag);
   auto st = make_request_state();
   st->owner = proc_->world().pid_of(proc_->world_rank());
   st->comm_channel = channel_;
   st->match_source = src;
   st->match_tag = tag;
-  const int world_src = src == kAnySource ? kAnySource : world_rank_of(src);
-  proc_->world().post_recv(proc_->world_rank(), world_src, st);
+  proc_->world().post_recv(proc_->world_rank(), world_rank_of(src), st);
   return Request(std::move(st));
 }
 

@@ -5,8 +5,9 @@
 // A Comm is a per-process value object (cheap to copy) describing a group of
 // world ranks plus this process's rank within it. Its verbs follow MPI
 // point-to-point semantics (eager send, blocking/nonblocking receive,
-// wildcards, per-pair FIFO); the channel id keeps communicators' traffic
-// apart. Collectives live one layer up, in rep::LogicalComm, built over
+// per-pair FIFO) with exact matching only: a receive names one source and
+// one tag, both >= 0. The channel id keeps communicators' traffic apart.
+// Collectives live one layer up, in rep::LogicalComm, built over
 // fault-tolerant logical p2p as SDR-MPI does.
 
 #include <cstdint>
@@ -46,7 +47,8 @@ class Comm {
   /// Zero-copy send of an already-captured payload (shared by reference;
   /// the replication layer fans the same payload out to several receivers).
   void send_payload(int dst, int tag, support::Payload payload);
-  /// Posts a receive; `src` may be kAnySource, `tag` may be kAnyTag.
+  /// Posts a receive for the message from comm rank `src` with tag `tag`
+  /// (no wildcards: a negative source or tag throws).
   Request irecv(int src, int tag);
   Status recv(int src, int tag, support::Buffer& out);
   Status wait(Request& req);

@@ -6,8 +6,8 @@
 // and the send returns as soon as the sender's CPU overhead is charged
 // (the wire time is accounted on the NICs by the network model, emulating
 // DMA/RDMA progress that overlaps with computation). Receive requests
-// complete when a matching message is delivered, or complete with
-// status.failed when the awaited peer is declared dead.
+// complete when a message with their exact key is delivered, or complete
+// with status.failed when the awaited peer is declared dead.
 
 #include <memory>
 
@@ -29,13 +29,14 @@ struct RequestState {
   support::Payload data;
   sim::Pid owner = sim::kNoPid;
 
-  // Matching keys for posted receives. match_source is the sender's rank in
-  // the communicator; match_world_src is the same peer's world rank, used by
-  // the failure path (death is announced per world rank).
+  // Exact matching key of a posted receive: (comm_channel, match_source,
+  // match_tag), the source being the sender's rank in the communicator.
+  // match_world_src is the world rank whose death fails the receive (death
+  // is announced per world rank), or kNoPeer.
   std::uint64_t comm_channel = 0;
-  int match_source = kAnySource;
-  int match_tag = kAnyTag;
-  int match_world_src = kAnySource;
+  int match_source = 0;
+  int match_tag = 0;
+  int match_world_src = kNoPeer;
 };
 
 /// Makes a request state. Its block (the state plus its shared_ptr control

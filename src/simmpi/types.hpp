@@ -1,23 +1,23 @@
 #pragma once
 
-// Common MPI-substrate types: wildcards, status, reduction operators.
+// Common MPI-substrate types: status, the no-peer marker, reduction
+// operators. There are no wildcards: every receive names one (channel,
+// source, tag) key.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace repmpi::mpi {
 
-/// Wildcard source for receives (matches any sender in the communicator).
-constexpr int kAnySource = -1;
-/// Wildcard tag for receives.
-constexpr int kAnyTag = -1;
+/// World rank a receive watches for death when it watches none: a death
+/// never fails it (a mailbox that any peer may write to).
+constexpr int kNoPeer = -1;
 
 /// Result of a completed receive (or a failed one: `failed` is set when the
 /// awaited peer was declared dead before a matching message arrived —
-/// Algorithm 1, line 41 of the paper relies on this signal).
+/// Algorithm 1, line 41 of the paper relies on this signal). Source and tag
+/// are the receive's own key.
 struct Status {
-  int source = kAnySource;  ///< Sender's rank in the communicator.
-  int tag = kAnyTag;
   std::size_t bytes = 0;
   bool failed = false;
 };

@@ -181,32 +181,22 @@ void World::announce_on_shard(int world_rank, int shard) {
   flag = 1;
   // Fail every posted receive on this shard's ranks that explicitly awaits
   // the dead rank and cannot be satisfied from already-delivered messages.
-  // Victims are pulled from the index buckets and the wildcard list, then
-  // failed in post order (seq order) so completion order matches the
-  // pre-index engine exactly.
+  // Victims are pulled from every slot, then failed in post order (seq
+  // order), which is independent of the table's iteration order.
   for (int dst_rank : shard_ranks_[static_cast<std::size_t>(shard)]) {
-    auto& dst = ranks_[static_cast<std::size_t>(dst_rank)];
+    auto& table = ranks_[static_cast<std::size_t>(dst_rank)].match;
     std::vector<PostedRecv> victims;
-    auto& exact = dst.posted_exact;
-    for (auto it = exact.map.begin(); it != exact.map.end();) {
-      auto& bucket = it->second;
-      for (auto qit = bucket.begin(); qit != bucket.end();) {
+    for (auto it = table.map.begin(); it != table.map.end();) {
+      auto& posted = it->second.posted;
+      for (auto qit = posted.begin(); qit != posted.end();) {
         if (qit->req->match_world_src == world_rank) {
           victims.push_back(std::move(*qit));
-          qit = bucket.erase(qit);
+          qit = posted.erase(qit);
         } else {
           ++qit;
         }
       }
-      it = bucket.empty() ? exact.close(it) : std::next(it);
-    }
-    for (auto qit = dst.posted_wild.begin(); qit != dst.posted_wild.end();) {
-      if (qit->req->match_world_src == world_rank) {
-        victims.push_back(std::move(*qit));
-        qit = dst.posted_wild.erase(qit);
-      } else {
-        ++qit;
-      }
+      it = it->second.drained() ? table.close(it) : std::next(it);
     }
     std::sort(victims.begin(), victims.end(),
               [](const PostedRecv& a, const PostedRecv& b) {
@@ -236,15 +226,11 @@ void World::send_payload(int src_world, int dst_world, std::uint64_t channel,
       sim::Simulator& ssim = router_->shard_sim(shard);
       const sim::Time arrival =
           snet.reserve_transfer(src_world, dst_world, data.size());
-      Envelope env;
-      env.channel = channel;
-      env.src = src_comm_rank;
-      env.tag = tag;
-      env.data = std::move(data);
-      ssim.schedule_at(arrival,
-                       [this, dst_world, env = std::move(env)]() mutable {
-                         deliver(dst_world, std::move(env));
-                       });
+      ssim.schedule_at(arrival, [this, dst_world,
+                                 key = MatchKey{channel, src_comm_rank, tag},
+                                 data = std::move(data)]() mutable {
+        deliver(dst_world, key, std::move(data));
+      });
       return;
     }
     // Internode: NIC lanes are shared across shards, so the reservation is
@@ -267,79 +253,47 @@ void World::send_payload(int src_world, int dst_world, std::uint64_t channel,
   }
   const sim::Time arrival =
       net_->reserve_transfer(src_world, dst_world, data.size());
-  Envelope env;
-  env.channel = channel;
-  env.src = src_comm_rank;
-  env.tag = tag;
-  env.data = std::move(data);
-  sim_->schedule_at(arrival, [this, dst_world, env = std::move(env)]() mutable {
-    deliver(dst_world, std::move(env));
+  sim_->schedule_at(arrival, [this, dst_world,
+                              key = MatchKey{channel, src_comm_rank, tag},
+                              data = std::move(data)]() mutable {
+    deliver(dst_world, key, std::move(data));
   });
 }
 
 void World::deliver_internode_at(InternodeSend op, sim::Time arrival) {
-  Envelope env;
-  env.channel = op.channel;
-  env.src = op.src_comm_rank;
-  env.tag = op.tag;
-  env.data = std::move(op.data);
   const int dst = op.dst_world;
-  sim_of(dst).schedule_at(arrival,
-                          [this, dst, env = std::move(env)]() mutable {
-                            deliver(dst, std::move(env));
-                          });
+  sim_of(dst).schedule_at(
+      arrival, [this, dst, key = MatchKey{op.channel, op.src_comm_rank, op.tag},
+                data = std::move(op.data)]() mutable {
+        deliver(dst, key, std::move(data));
+      });
 }
 
-void World::deliver(int dst_world, Envelope env) {
+void World::deliver(int dst_world, MatchKey key, support::Payload data) {
   auto& rs = ranks_[static_cast<std::size_t>(dst_world)];
   if (rs.dead) return;  // messages to a crashed process vanish
-  env.seq = rs.next_arrival_seq++;
-
-  // Exact-bucket candidate: the minimum-post-seq receive with this envelope's
-  // exact (channel, src, tag) is the bucket front.
-  auto bucket_it =
-      rs.posted_exact.map.find(key_of(env.channel, env.src, env.tag));
-  const PostedRecv* exact = bucket_it != rs.posted_exact.map.end()
-                                ? &bucket_it->second.front()
-                                : nullptr;
-
-  // Wildcard candidate: first matching entry in post order.
-  auto wild_it = rs.posted_wild.end();
-  for (auto it = rs.posted_wild.begin(); it != rs.posted_wild.end(); ++it) {
-    if (matches(*it->req, env)) {
-      wild_it = it;
-      break;
-    }
-  }
-
-  // The overall first-posted match wins (MPI post-order rule).
-  if (exact != nullptr &&
-      (wild_it == rs.posted_wild.end() || exact->seq < wild_it->seq)) {
-    std::shared_ptr<RequestState> req = std::move(bucket_it->second.front().req);
-    bucket_it->second.pop_front();
-    if (bucket_it->second.empty()) rs.posted_exact.close(bucket_it);
-    complete_recv(*req, std::move(env));
+  auto it = rs.match.map.find(key);
+  if (it == rs.match.map.end()) {
+    rs.match.insert(key).unexpected.push_back(std::move(data));
     return;
   }
-  if (wild_it != rs.posted_wild.end()) {
-    std::shared_ptr<RequestState> req = std::move(wild_it->req);
-    rs.posted_wild.erase(wild_it);
-    complete_recv(*req, std::move(env));
+  auto& posted = it->second.posted;
+  if (posted.empty()) {
+    it->second.unexpected.push_back(std::move(data));
     return;
   }
-
-  rs.unexpected.open(key_of(env.channel, env.src, env.tag))
-      .push_back(std::move(env));
-  ++rs.unexpected_count;
+  // The first-posted receive under this key wins (MPI post-order rule).
+  std::shared_ptr<RequestState> req = std::move(posted.front().req);
+  posted.pop_front();
+  if (posted.empty()) rs.match.close(it);
+  complete_recv(*req, std::move(data));
 }
 
-void World::complete_recv(RequestState& req, Envelope env) {
+void World::complete_recv(RequestState& req, support::Payload data) {
   req.done = true;
-  req.status.source = env.src;
-  req.status.tag = env.tag;
-  req.status.bytes = env.data.size();
+  req.status.bytes = data.size();
   req.status.failed = false;
-  req.data = std::move(env.data);
+  req.data = std::move(data);
   // Fused delivery-and-wakeup: the payload is deposited above, so a waiter
   // focused on this very request resumes through the scheduler's ready lane
   // (no timed-queue traffic), and a waiter focused on a *different* request
@@ -358,77 +312,48 @@ void World::fail_recv(RequestState& req) {
 
 void World::post_recv(int dst_world, int match_world_src,
                       std::shared_ptr<RequestState> req) {
+  REPMPI_CHECK_MSG(req->match_source >= 0 && req->match_tag >= 0,
+                   "receive key needs a source and a tag >= 0, got source "
+                       << req->match_source << ", tag " << req->match_tag);
   auto& rs = ranks_[static_cast<std::size_t>(dst_world)];
   req->match_world_src = match_world_src;
-  const bool exact = is_exact(*req);
+  const MatchKey key{req->comm_channel, req->match_source, req->match_tag};
 
   // Unexpected queue first, in arrival order (MPI matching rule).
-  if (exact) {
-    auto it = rs.unexpected.map.find(
-        key_of(req->comm_channel, req->match_source, req->match_tag));
-    if (it != rs.unexpected.map.end()) {
-      Envelope env = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) rs.unexpected.close(it);
-      --rs.unexpected_count;
-      complete_recv(*req, std::move(env));
-      return;
-    }
-  } else if (rs.unexpected_count > 0) {
-    // Wildcard: the earliest arrival among matching buckets (bucket fronts
-    // are each bucket's earliest; Envelope::seq orders across buckets).
-    auto& buckets = rs.unexpected.map;
-    auto best = buckets.end();
-    for (auto it = buckets.begin(); it != buckets.end(); ++it) {
-      if (matches(*req, it->second.front()) &&
-          (best == buckets.end() ||
-           it->second.front().seq < best->second.front().seq)) {
-        best = it;
-      }
-    }
-    if (best != buckets.end()) {
-      Envelope env = std::move(best->second.front());
-      best->second.pop_front();
-      if (best->second.empty()) rs.unexpected.close(best);
-      --rs.unexpected_count;
-      complete_recv(*req, std::move(env));
-      return;
-    }
+  auto it = rs.match.map.find(key);
+  if (it != rs.match.map.end() && !it->second.unexpected.empty()) {
+    auto& unexpected = it->second.unexpected;
+    support::Payload data = std::move(unexpected.front());
+    unexpected.pop_front();
+    if (unexpected.empty()) rs.match.close(it);
+    complete_recv(*req, std::move(data));
+    return;
   }
 
   // Fail fast when the awaited peer is already known dead (on the calling
   // shard's announced view).
-  if (match_world_src != kAnySource && is_dead(match_world_src)) {
+  if (match_world_src != kNoPeer && is_dead(match_world_src)) {
     fail_recv(*req);
     return;
   }
 
-  PostedRecv entry{rs.next_post_seq++, std::move(req)};
-  if (exact) {
-    rs.posted_exact
-        .open(key_of(entry.req->comm_channel, entry.req->match_source,
-                     entry.req->match_tag))
-        .push_back(std::move(entry));
-  } else {
-    rs.posted_wild.push_back(std::move(entry));
-  }
+  Slot& slot = it != rs.match.map.end() ? it->second : rs.match.insert(key);
+  slot.posted.push_back(PostedRecv{rs.next_post_seq++, std::move(req)});
 }
 
 std::size_t World::purge_unexpected(int dst_world, std::uint64_t channel,
                                     int src) {
-  auto& rs = ranks_[static_cast<std::size_t>(dst_world)];
+  auto& table = ranks_[static_cast<std::size_t>(dst_world)].match;
   std::size_t purged = 0;
-  auto& buckets = rs.unexpected.map;
-  for (auto it = buckets.begin(); it != buckets.end();) {
-    if (it->first.channel == channel &&
-        (src == kAnySource || it->first.src == src)) {
-      purged += it->second.size();
-      it = rs.unexpected.close(it);
+  for (auto it = table.map.begin(); it != table.map.end();) {
+    const auto& [key, slot] = *it;
+    if (key.channel == channel && key.src == src && !slot.unexpected.empty()) {
+      purged += slot.unexpected.size();
+      it = table.close(it);
     } else {
       ++it;
     }
   }
-  rs.unexpected_count -= purged;
   return purged;
 }
 

@@ -2,20 +2,19 @@
 
 // MpiWorld: process management plus the message-matching engine.
 //
-// The world owns one mailbox per physical rank. Matching follows MPI
-// semantics: posted-receive queue in post order, unexpected-message queue in
-// arrival order, first match on (channel, source, tag) wins, with wildcard
-// source/tag. Per-(src,dst) FIFO is guaranteed by the network layer.
+// The world owns one match table per physical rank. Matching is exact-key
+// only: a receive names one (channel, source, tag) key, and a message
+// matches the receives posted under its own key, first posted first. There
+// are no wildcards; send-determinism presumes deterministic matching, and
+// a mailbox that any peer writes to (the replication agents' NACKs) is one
+// fixed key with the sender in the body. Per-(src,dst) FIFO is guaranteed
+// by the network layer.
 //
-// The queues are indexed, not scanned: exact-match posted receives and
-// unexpected envelopes live in hash buckets keyed by (channel, src, tag),
-// each bucket FIFO within its key; receives with a wildcard source or tag
-// go to a separate per-rank list. Every posted receive carries a per-rank
-// post sequence number and every arrived envelope an arrival sequence
-// number, and the matched candidate is always the minimum-sequence one —
-// which reproduces MPI's post-order/arrival-order rules exactly while
-// making exact-match traffic (the replication protocol's entire data plane)
-// O(1) expected per message.
+// The table maps each key to a slot of two FIFOs: receives posted under
+// the key, in post order, and messages that arrived under it before any
+// receive, in arrival order. At most one of them is non-empty (an arrival
+// completes the posted front, and a new receive takes the unexpected
+// front), so each post and each delivery costs one hash lookup.
 //
 // Failure signalling: when a rank is declared dead, every posted receive
 // that explicitly awaits it completes with status.failed, and later receives
@@ -26,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -48,14 +46,6 @@ namespace repmpi::mpi {
 
 class Proc;
 class Comm;
-
-struct Envelope {
-  std::uint64_t channel = 0;
-  int src = kAnySource;  ///< Sender's rank within the communicator.
-  int tag = kAnyTag;
-  std::uint64_t seq = 0;  ///< Per-destination arrival order (set on delivery).
-  support::Payload data;
-};
 
 /// An internode send deferred to the window boundary of a sharded run. The
 /// key (t, src_world, src_seq) totally orders deferred sends independently
@@ -251,15 +241,16 @@ class World {
   void send_payload(int src_world, int dst_world, std::uint64_t channel,
                     int src_comm_rank, int tag, support::Payload data);
 
-  /// Posts a receive request for `dst_world`; may complete it immediately
-  /// from the unexpected queue or fail it if the awaited peer is dead.
-  /// match_world_src is the expected sender's world rank, or kAnySource.
+  /// Posts a receive request for `dst_world` under its exact key (source
+  /// and tag >= 0); may complete it immediately from the unexpected queue
+  /// or fail it if the awaited peer is dead. match_world_src is the world
+  /// rank whose death fails the receive, or kNoPeer.
   void post_recv(int dst_world, int match_world_src,
                  std::shared_ptr<RequestState> req);
 
   /// Drops queued unexpected messages for `dst_world` on `channel` coming
-  /// from comm-rank `src` (kAnySource: any) — used to garbage-collect stale
-  /// replica updates after a crash has been handled.
+  /// from comm-rank `src` — used to garbage-collect stale replica updates
+  /// after a crash has been handled.
   std::size_t purge_unexpected(int dst_world, std::uint64_t channel, int src);
 
   // --- Internal API used by the sharded machine (boundary-hook context) ---
@@ -282,8 +273,8 @@ class World {
  private:
   struct MatchKey {
     std::uint64_t channel = 0;
-    int src = kAnySource;
-    int tag = kAnyTag;
+    int src = 0;
+    int tag = 0;
     bool operator==(const MatchKey&) const = default;
   };
 
@@ -307,9 +298,9 @@ class World {
     std::shared_ptr<RequestState> req;
   };
 
-  /// One bucket's FIFO: a vector read from `head`. Draining it resets it to
-  /// the start of its storage, so a bucket that is reused never allocates
-  /// again (a std::deque walks off its chunk every few messages). A bucket
+  /// One queue's FIFO: a vector read from `head`. Draining it resets it to
+  /// the start of its storage, so a slot that is reused never allocates
+  /// again (a std::deque walks off its chunk every few messages). A FIFO
   /// that never drains drops its consumed prefix once that is at least
   /// half the vector, so it holds at most twice its live entries.
   template <class T>
@@ -342,22 +333,29 @@ class World {
     }
   };
 
-  template <class T>
-  using BucketMap = std::unordered_map<MatchKey, Fifo<T>, MatchKeyHash>;
+  /// One key's queues: receives posted under it, in post order, and
+  /// payloads that arrived under it before any receive, in arrival order.
+  /// At most one of the two is non-empty.
+  struct Slot {
+    Fifo<PostedRecv> posted;
+    Fifo<support::Payload> unexpected;
+    bool drained() const { return posted.empty() && unexpected.empty(); }
+  };
 
-  /// A bucket map plus the emptied buckets it retired. Nearly every message
-  /// opens a bucket under a fresh key and drains it again, so a drained
-  /// bucket's hash node — with its FIFO's storage — is kept (up to
+  using SlotMap = std::unordered_map<MatchKey, Slot, MatchKeyHash>;
+
+  /// A rank's match table plus the drained slots it retired. Nearly every
+  /// message opens a slot under a fresh key and drains it again, so a
+  /// drained slot's hash node — with its FIFOs' storage — is kept (up to
   /// kMaxSpare) and re-keyed by the next new key instead of being freed.
-  template <class T>
-  struct Buckets {
+  struct MatchTable {
     static constexpr std::size_t kMaxSpare = 64;
-    BucketMap<T> map;
-    std::vector<typename BucketMap<T>::node_type> spare;
+    SlotMap map;
+    std::vector<SlotMap::node_type> spare;
 
-    /// The bucket for `key`, opened on a recycled node when the key is new.
-    Fifo<T>& open(const MatchKey& key) {
-      if (auto it = map.find(key); it != map.end()) return it->second;
+    /// A slot for `key`, which the map does not hold, on a recycled node
+    /// when there is one.
+    Slot& insert(const MatchKey& key) {
       if (spare.empty()) return map[key];
       auto node = std::move(spare.back());
       spare.pop_back();
@@ -365,13 +363,13 @@ class World {
       return map.insert(std::move(node)).position->second;
     }
 
-    /// Removes the bucket at `it` (dropping anything still in it) and
-    /// returns the iterator past it.
-    typename BucketMap<T>::iterator close(
-        typename BucketMap<T>::iterator it) {
+    /// Removes the slot at `it` (dropping anything still in it) and returns
+    /// the iterator past it.
+    SlotMap::iterator close(SlotMap::iterator it) {
       if (spare.size() >= kMaxSpare) return map.erase(it);
       const auto next = std::next(it);
-      it->second.clear();
+      it->second.posted.clear();
+      it->second.unexpected.clear();
       spare.push_back(map.extract(it));
       return next;
     }
@@ -380,39 +378,15 @@ class World {
   struct RankState {
     sim::Pid pid = sim::kNoPid;
     bool dead = false;  // crash happened (announced view lives in announced_)
-    /// Exact-match posted receives, bucketed by (channel, src, tag); each
-    /// bucket is FIFO in post order. Buckets are closed when drained.
-    Buckets<PostedRecv> posted_exact;
-    /// Receives with a wildcard source and/or tag, in post order.
-    std::deque<PostedRecv> posted_wild;
+    MatchTable match;
     std::uint64_t next_post_seq = 0;
-    /// Unexpected envelopes, bucketed by (channel, src, tag); each bucket is
-    /// FIFO in arrival order, and Envelope::seq gives the global arrival
-    /// order for wildcard scans.
-    Buckets<Envelope> unexpected;
-    std::uint64_t next_arrival_seq = 0;
-    std::size_t unexpected_count = 0;
     std::uint64_t next_xsend_seq = 0;  ///< internode send order (sharded)
     std::vector<sim::Pid> companions;
   };
 
-  static MatchKey key_of(std::uint64_t channel, int src, int tag) {
-    return MatchKey{channel, src, tag};
-  }
-
-  static bool matches(const RequestState& r, const Envelope& e) {
-    return r.comm_channel == e.channel &&
-           (r.match_source == kAnySource || r.match_source == e.src) &&
-           (r.match_tag == kAnyTag || r.match_tag == e.tag);
-  }
-
-  static bool is_exact(const RequestState& r) {
-    return r.match_source != kAnySource && r.match_tag != kAnyTag;
-  }
-
   void build_slowdowns(const net::Topology& topo);
-  void deliver(int dst_world, Envelope env);
-  void complete_recv(RequestState& req, Envelope env);
+  void deliver(int dst_world, MatchKey key, support::Payload data);
+  void complete_recv(RequestState& req, support::Payload data);
   void fail_recv(RequestState& req);
   void announce_death(int world_rank);
 

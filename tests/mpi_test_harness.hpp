@@ -37,4 +37,17 @@ struct MpiFixture {
   std::unique_ptr<mpi::World> world;
 };
 
+/// Posts a receive the way a replication agent posts its NACK mailbox: the
+/// exact key (comm's channel, `src`, `tag`), watching no peer for death.
+inline mpi::Request post_mailbox(mpi::Proc& proc, const mpi::Comm& comm,
+                                 int src, int tag) {
+  auto st = mpi::make_request_state();
+  st->owner = proc.world().pid_of(proc.world_rank());
+  st->comm_channel = comm.channel();
+  st->match_source = src;
+  st->match_tag = tag;
+  proc.world().post_recv(proc.world_rank(), mpi::kNoPeer, st);
+  return mpi::Request(std::move(st));
+}
+
 }  // namespace repmpi::testing

@@ -1,10 +1,10 @@
-// Tests for the indexed message-matching engine (hash buckets keyed by
-// (channel, src, tag) + wildcard list + sequence-number tiebreaks) and the
-// zero-copy payload substrate underneath it. These pin down the MPI matching
-// semantics the index must preserve exactly: post-order priority across
-// exact and wildcard receives, arrival-order tiebreaks, per-pair FIFO
-// non-overtaking, and the failure paths (purge, death announcement,
-// teardown with receives still posted).
+// Tests for the exact-key message-matching engine (one match table per
+// rank: a slot per (channel, src, tag) key holding a posted FIFO and an
+// unexpected FIFO) and the zero-copy payload substrate underneath it. These
+// pin down the MPI matching semantics the table must preserve exactly:
+// post order and arrival order within a key, per-pair FIFO non-overtaking,
+// and the failure paths (purge, death announcement, mailbox receives that
+// watch no peer, teardown with receives still posted).
 
 #include <gtest/gtest.h>
 
@@ -17,100 +17,7 @@ namespace repmpi::mpi {
 namespace {
 
 using repmpi::testing::MpiFixture;
-
-TEST(Matching, WildcardPostedFirstBeatsExact) {
-  // Post order decides: an any-source receive posted before an exact one
-  // must take the message, even though the exact receive is a perfect
-  // (channel, src, tag) index hit.
-  MpiFixture f(2);
-  int wild_src = -2, exact_val = -1;
-  bool exact_done_early = true;
-  f.run([&](Proc& proc, Comm& comm) {
-    if (comm.rank() == 0) {
-      proc.elapse(0.1);
-      comm.send_value(1, 7, 11);  // matches the wildcard (posted first)
-      comm.send_value(1, 7, 22);  // then the exact receive
-    } else {
-      Request wild = comm.irecv(kAnySource, 7);
-      Request exact = comm.irecv(0, 7);
-      Status ws = comm.wait(wild);
-      exact_done_early = exact.done();
-      wild_src = ws.source;
-      comm.wait(exact);
-      exact_val = support::from_buffer<int>(exact.state().data);
-      EXPECT_EQ(support::from_buffer<int>(wild.state().data), 11);
-    }
-  });
-  EXPECT_EQ(wild_src, 0);
-  EXPECT_EQ(exact_val, 22);
-}
-
-TEST(Matching, ExactPostedFirstBeatsWildcard) {
-  MpiFixture f(2);
-  int exact_val = -1, wild_val = -1;
-  f.run([&](Proc& proc, Comm& comm) {
-    if (comm.rank() == 0) {
-      proc.elapse(0.1);
-      comm.send_value(1, 7, 11);
-      comm.send_value(1, 7, 22);
-    } else {
-      Request exact = comm.irecv(0, 7);
-      Request wild = comm.irecv(kAnySource, 7);
-      comm.wait(exact);
-      comm.wait(wild);
-      exact_val = support::from_buffer<int>(exact.state().data);
-      wild_val = support::from_buffer<int>(wild.state().data);
-    }
-  });
-  EXPECT_EQ(exact_val, 11);
-  EXPECT_EQ(wild_val, 22);
-}
-
-TEST(Matching, WildcardTagGoesToWildList) {
-  // src exact but tag wildcard is still a "wildcard" receive for the index;
-  // it must see messages of any tag from that source in arrival order.
-  MpiFixture f(2);
-  std::vector<int> tags;
-  f.run([&](Proc&, Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 30, 1);
-      comm.send_value(1, 10, 2);
-      comm.send_value(1, 20, 3);
-    } else {
-      for (int i = 0; i < 3; ++i) {
-        support::Buffer buf;
-        Status st = comm.recv(0, kAnyTag, buf);
-        tags.push_back(st.tag);
-      }
-    }
-  });
-  EXPECT_EQ(tags, (std::vector<int>{30, 10, 20}));
-}
-
-TEST(Matching, WildcardDrainsUnexpectedInArrivalOrder) {
-  // Messages from different senders land in different index buckets; an
-  // any-source receive posted afterwards must still drain them in global
-  // arrival order (Envelope::seq tiebreak across buckets).
-  MpiFixture f(3);
-  std::vector<int> order;
-  f.run([&](Proc& proc, Comm& comm) {
-    if (comm.rank() == 1) {
-      comm.send_value(0, 5, 100);
-    } else if (comm.rank() == 2) {
-      proc.elapse(0.01);  // strictly after rank 1's message
-      comm.send_value(0, 5, 200);
-    } else {
-      proc.elapse(1.0);  // both are unexpected by now
-      for (int i = 0; i < 2; ++i) {
-        support::Buffer buf;
-        Status st = comm.recv(kAnySource, 5, buf);
-        order.push_back(support::from_buffer<int>(buf));
-        EXPECT_EQ(st.source, i + 1);
-      }
-    }
-  });
-  EXPECT_EQ(order, (std::vector<int>{100, 200}));
-}
+using repmpi::testing::post_mailbox;
 
 TEST(Matching, DeepUnexpectedQueueMatchesByTag) {
   // A deep unexpected queue (distinct tags) must be consumable in any order:
@@ -209,59 +116,67 @@ TEST(Matching, PurgeUnexpectedIsSelectiveOnIndexedQueues) {
   EXPECT_EQ(kept, 30);
 }
 
-TEST(Matching, DeathFailsExactAndWildcardTagReceives) {
-  // Death announcement must find victims in both index structures: the
-  // exact bucket (src+tag concrete) and the wildcard list (tag wildcard but
-  // explicit source).
+TEST(Matching, DeathFailsEveryReceiveAwaitingTheDeadPeer) {
+  // Death announcement must find its victims in every slot: receives from
+  // the dead peer under two tags fail, the receive from a live peer posted
+  // between them survives.
   MpiFixture f(3);
-  bool exact_failed = false, wildtag_failed = false, other_ok = false;
+  bool first_failed = false, second_failed = false, other_ok = false;
   f.run([&](Proc& proc, Comm& comm) {
     if (comm.rank() == 0) {
       proc.world().crash(0);
       proc.elapse(10.0);
     } else if (comm.rank() == 1) {
-      Request exact = comm.irecv(0, 5);
-      Request wildtag = comm.irecv(0, kAnyTag);
+      Request first = comm.irecv(0, 5);
       Request other = comm.irecv(2, 5);
-      exact_failed = comm.wait(exact).failed;
-      wildtag_failed = comm.wait(wildtag).failed;
+      Request second = comm.irecv(0, 6);
+      first_failed = comm.wait(first).failed;
+      second_failed = comm.wait(second).failed;
       other_ok = !comm.wait(other).failed;
     } else {
       proc.elapse(1.0);
       comm.send_value(1, 5, 9);
     }
   });
-  EXPECT_TRUE(exact_failed);
-  EXPECT_TRUE(wildtag_failed);
+  EXPECT_TRUE(first_failed);
+  EXPECT_TRUE(second_failed);
   EXPECT_TRUE(other_ok);
 }
 
-TEST(Matching, DeathSparesAnySourceReceives) {
-  // A pure any-source receive does not await a specific peer; a crash
-  // elsewhere must not fail it (another sender can still satisfy it).
+TEST(Matching, DeathSparesReceivesThatWatchNoPeer) {
+  // A mailbox receive watches no peer: even when its source key names the
+  // rank that dies, the death must not fail it, and a live rank writing
+  // under that key still satisfies it.
   MpiFixture f(3);
   int got = 0;
+  bool failed = true;
   f.run([&](Proc& proc, Comm& comm) {
     if (comm.rank() == 0) {
       proc.world().crash(0);
       proc.elapse(10.0);
     } else if (comm.rank() == 1) {
-      got = comm.recv_value<int>(kAnySource, 3);
+      Request box = post_mailbox(proc, comm, /*src=*/0, /*tag=*/3);
+      failed = comm.wait(box).failed;
+      got = support::from_buffer<int>(box.state().data);
     } else {
       proc.elapse(2.0);  // well after the death announcement
-      comm.send_value(1, 3, 42);
+      const int v = 42;
+      proc.world().send_bytes(proc.world_rank(), 1, comm.channel(),
+                              /*src_comm_rank=*/0, /*tag=*/3,
+                              support::as_bytes_of(v));
     }
   });
+  EXPECT_FALSE(failed);
   EXPECT_EQ(got, 42);
 }
 
 TEST(Matching, UnexpectedFromDeadPeerStillBeatsFailFast) {
-  // The indexed fail-fast path must check the unexpected index before
-  // failing a receive that awaits a dead peer (the paper's "replicas that
-  // already got the update keep it" case), including via the wildcard scan.
+  // The fail-fast path must check the unexpected queue before failing a
+  // receive that awaits a dead peer (the paper's "replicas that already got
+  // the update keep it" case), for every key the dead peer left queued.
   MpiFixture f(2);
-  int got_exact = 0;
-  int got_wild = 0;
+  int got_first = 0;
+  int got_second = 0;
   f.run([&](Proc& proc, Comm& comm) {
     if (comm.rank() == 0) {
       comm.send_value(1, 1, 7);
@@ -270,16 +185,15 @@ TEST(Matching, UnexpectedFromDeadPeerStillBeatsFailFast) {
       proc.elapse(10.0);
     } else {
       proc.elapse(2.0);  // death announced; both messages already queued
-      got_exact = comm.recv_value<int>(0, 1);
-      Status st;
+      got_first = comm.recv_value<int>(0, 1);
       support::Buffer buf;
-      st = comm.recv(0, kAnyTag, buf);
+      const Status st = comm.recv(0, 2, buf);
       EXPECT_FALSE(st.failed);
-      got_wild = support::from_buffer<int>(buf);
+      got_second = support::from_buffer<int>(buf);
     }
   });
-  EXPECT_EQ(got_exact, 7);
-  EXPECT_EQ(got_wild, 8);
+  EXPECT_EQ(got_first, 7);
+  EXPECT_EQ(got_second, 8);
 }
 
 TEST(Matching, TeardownWithPostedReceivesOutstanding) {
@@ -294,8 +208,8 @@ TEST(Matching, TeardownWithPostedReceivesOutstanding) {
         proc.world().crash(0);
         proc.elapse(10.0);
       } else if (proc.world_rank() == 1) {
-        Request r1 = comm.irecv(2, 1);          // never satisfied
-        Request r2 = comm.irecv(kAnySource, 2);  // never satisfied
+        Request r1 = comm.irecv(2, 1);  // never satisfied
+        Request r2 = comm.irecv(2, 2);  // never satisfied
         comm.wait(r1);
         comm.wait(r2);
       } else {
@@ -315,11 +229,11 @@ TEST(Matching, TeardownWithPostedReceivesOutstanding) {
 }
 
 TEST(Matching, RecycledBucketsNeverLeakStaleEntries) {
-  // Every round uses fresh tags, so buckets are drained, recycled and
+  // Every round uses fresh tags, so slots are drained, recycled and
   // re-keyed over and over: after plain drains, after purge_unexpected
-  // closed a bucket that still held a message, and after a death
-  // announcement emptied more buckets at once than the spare list keeps.
-  // Post order, arrival order and wildcard priority must hold every round.
+  // closed a slot that still held a message, and after a death
+  // announcement emptied more slots at once than the spare list keeps.
+  // Post order and arrival order must hold every round.
   constexpr int kRounds = 150;
   constexpr int kDeadWaits = 100;
   constexpr int kCtl = 1;  // go signals and end-of-data markers
@@ -333,12 +247,12 @@ TEST(Matching, RecycledBucketsNeverLeakStaleEntries) {
     return support::from_buffer<int>(r.state().data);
   };
   f.run([&](Proc& proc, Comm& comm) {
-    // Exact, wildcard, exact posted before the three messages arrive: they
-    // complete in post order.
+    // Three receives under one key posted before the three messages
+    // arrive: they complete in post order.
     auto post_order_round = [&](int t, int r) {
       if (comm.rank() == 0) {
         Request a = comm.irecv(1, t);
-        Request b = comm.irecv(kAnySource, t);
+        Request b = comm.irecv(1, t);
         Request c = comm.irecv(1, t);
         comm.send_value(1, kCtl, r);
         comm.wait(a);
@@ -366,13 +280,11 @@ TEST(Matching, RecycledBucketsNeverLeakStaleEntries) {
         comm.send_value(2, kCtl, r);
         EXPECT_EQ(comm.recv_value<int>(1, kCtl), r);
         EXPECT_EQ(comm.recv_value<int>(2, kCtl), r);
-        Request x = comm.irecv(kAnySource, t);
+        Request x = comm.irecv(1, t);
         comm.wait(x);
-        EXPECT_EQ(x.state().status.source, 1);
         EXPECT_EQ(value(x), r);
-        Request y = comm.irecv(1, kAnyTag);
+        Request y = comm.irecv(1, t);
         comm.wait(y);
-        EXPECT_EQ(y.state().status.tag, t + 1);
         EXPECT_EQ(value(y), -r);
         if (purge) {
           purged += proc.world().purge_unexpected(proc.world_rank(),
@@ -386,7 +298,7 @@ TEST(Matching, RecycledBucketsNeverLeakStaleEntries) {
       } else if (comm.rank() == 1) {
         EXPECT_EQ(comm.recv_value<int>(0, kCtl), r);
         comm.send_value(0, t, r);
-        comm.send_value(0, t + 1, -r);
+        comm.send_value(0, t, -r);
         comm.send_value(0, kCtl, r);
       } else if (comm.rank() == 2) {
         EXPECT_EQ(comm.recv_value<int>(0, kCtl), r);

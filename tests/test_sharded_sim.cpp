@@ -17,6 +17,7 @@
 #include "apps/runner.hpp"
 #include "fault/failure.hpp"
 #include "late_crash_scenario.hpp"
+#include "mpi_test_harness.hpp"
 #include "net/machine_model.hpp"
 #include "net/topology.hpp"
 #include "reverse_wait_scenario.hpp"
@@ -50,12 +51,24 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Per-rank receive-stream fingerprint for an all-to-all-ish exchange with
-/// wildcard receives: source, tag, payload and the *bit pattern* of the
-/// receive completion time all enter the hash, so any reordering or timing
-/// drift between shard layouts changes it.
+/// Body of a mailbox message: the sender rides in it, as in a NACK.
+struct MailboxNote {
+  int sender = 0;
+  int round = 0;
+  int value = 0;
+};
+
+/// Per-rank receive-stream fingerprint for an all-to-all-ish exchange into
+/// one mailbox key per rank, the pattern of the replication agents' NACKs:
+/// every sender writes under source key 0 and names itself in the body, so
+/// the receiver drains its mailbox in cross-sender arrival order. Sender,
+/// round, payload and the *bit pattern* of the receive completion time all
+/// enter the hash, so any reordering or timing drift between shard layouts
+/// changes it.
 std::vector<std::uint64_t> exchange_fingerprint(int shards, int num_ranks,
                                                 int rounds) {
+  constexpr int kBoxSource = 0;
+  constexpr int kBoxTag = 0;
   ShardedFixture f(shards, num_ranks, /*cores_per_node=*/2);
   std::vector<std::uint64_t> fp(static_cast<std::size_t>(num_ranks), 0);
   f.run([&](mpi::Proc& proc, mpi::Comm& comm) {
@@ -64,17 +77,24 @@ std::vector<std::uint64_t> exchange_fingerprint(int shards, int num_ranks,
     for (int i = 0; i < rounds; ++i) {
       // Deterministic per-rank jitter so sends land at staggered instants.
       proc.elapse(1e-7 * static_cast<double>((r * 31 + i * 7) % 17));
-      comm.send_value((r + 1 + i) % n, /*tag=*/i, r * 100 + i);
+      const MailboxNote note{r, i, r * 100 + i};
+      proc.elapse(proc.world().model().send_overhead);
+      proc.world().send_bytes(proc.world_rank(),
+                              comm.world_rank_of((r + 1 + i) % n),
+                              comm.channel(), kBoxSource, kBoxTag,
+                              support::as_bytes_of(note));
     }
     // For fixed i the destination map is a bijection, so every rank
     // receives exactly `rounds` messages.
     std::uint64_t h = 0x243f6a8885a308d3ULL;
     for (int i = 0; i < rounds; ++i) {
-      support::Buffer buf;
-      mpi::Status st = comm.recv(mpi::kAnySource, mpi::kAnyTag, buf);
-      h = mix(h, static_cast<std::uint64_t>(st.source));
-      h = mix(h, static_cast<std::uint64_t>(st.tag));
-      h = mix(h, static_cast<std::uint64_t>(support::from_buffer<int>(buf)));
+      mpi::Request req =
+          testing::post_mailbox(proc, comm, kBoxSource, kBoxTag);
+      comm.wait(req);
+      const auto note = support::from_buffer<MailboxNote>(req.state().data);
+      h = mix(h, static_cast<std::uint64_t>(note.sender));
+      h = mix(h, static_cast<std::uint64_t>(note.round));
+      h = mix(h, static_cast<std::uint64_t>(note.value));
       h = mix(h, std::bit_cast<std::uint64_t>(proc.now()));
     }
     fp[static_cast<std::size_t>(r)] = h;
@@ -280,16 +300,21 @@ TEST(ShardInvarianceFaults, ReverseOrderWaitsAtTwoShards) {
 constexpr int kReopenTags = 4;
 constexpr int kReopenTag0 = 20;
 
-/// Logical 0 sends one message on each of kReopenTags tags to logical 1
-/// and an allreduce follows, so every stream of the exchange settles. Then
-/// logical 0's lane 1 dies and lane 0, the cover, sends a second round on
-/// the same tags: the settled streams reopen. `got` is indexed by world
-/// rank; each rank records what it received and the allreduce's result.
+/// Logical 0 sends one message on each of kReopenTags tags to every other
+/// logical rank and an allreduce follows, so every stream of the exchange
+/// settles. Then logical 0's lane 1 dies and, `sender_wait` later, lane 0,
+/// the cover, sends a second round on the same tags: the settled streams
+/// reopen. The receivers wait for it `receiver_wait` after the allreduce.
+/// `got` is indexed by world rank; each rank records what it received and
+/// the allreduce's result.
 apps::RunResult run_reopen_after_settle(int degree, int shards,
-                                        std::vector<std::vector<int>>& got) {
+                                        std::vector<std::vector<int>>& got,
+                                        int num_logical = 2,
+                                        double sender_wait = 0.002,
+                                        double receiver_wait = 0.004) {
   apps::RunConfig cfg;
   cfg.mode = apps::RunMode::kReplicated;
-  cfg.num_logical = 2;
+  cfg.num_logical = num_logical;
   cfg.degree = degree;
   cfg.shards = shards;
   got.assign(static_cast<std::size_t>(cfg.num_physical()), {});
@@ -299,7 +324,8 @@ apps::RunResult run_reopen_after_settle(int degree, int shards,
     const auto exchange = [&](int round) {
       for (int i = 0; i < kReopenTags; ++i) {
         if (comm.rank() == 0) {
-          comm.send_value(1, kReopenTag0 + i, 100 * round + i);
+          for (int dst = 1; dst < comm.size(); ++dst)
+            comm.send_value(dst, kReopenTag0 + i, 100 * round + i);
         } else {
           mine.push_back(comm.recv_value<int>(0, kReopenTag0 + i));
         }
@@ -309,9 +335,9 @@ apps::RunResult run_reopen_after_settle(int degree, int shards,
     mine.push_back(comm.allreduce_value(comm.rank() + 1, mpi::ReduceOp::kSum));
     if (comm.rank() == 0) {
       if (comm.lane() == 1) ctx.proc.world().crash(ctx.proc.world_rank());
-      ctx.proc.elapse(0.002);  // the cover knows of the death now
+      ctx.proc.elapse(sender_wait);
     } else {
-      ctx.proc.elapse(0.004);  // the cover has sent and logged round 2
+      ctx.proc.elapse(receiver_wait);
     }
     {
       mpi::ScopedPhase sp(ctx.proc, "reopen");
@@ -322,11 +348,12 @@ apps::RunResult run_reopen_after_settle(int degree, int shards,
 }
 
 TEST(ShardInvarianceFaults, SettledStreamsReopenAndReplayAfterACrash) {
-  // Receiver lane 1 has lost its designated sender, so each round-2 wait
-  // NACKs the cover from floor 1, and the cover's agent replays seq 1 of
-  // every tag from its log; the duplicate is never delivered. The classic
-  // engine and one and two shards agree with each other and with values
-  // pinned before settled streams left the tables.
+  // The cover knows of the death when it sends round 2, and the receivers
+  // wait for it after that. Receiver lane 1 has lost its designated sender,
+  // so each round-2 wait NACKs the cover from floor 1, and the cover's
+  // agent replays seq 1 of every tag from its log; the duplicate is never
+  // delivered. The classic engine and one and two shards agree with each
+  // other and with values pinned before settled streams left the tables.
   const std::vector<int> want_recv{100, 101, 102, 103, 3,
                                    200, 201, 202, 203};
   for (int degree : {2, 3}) {
@@ -353,6 +380,48 @@ TEST(ShardInvarianceFaults, SettledStreamsReopenAndReplayAfterACrash) {
                            (at + ", wallclock").c_str());
       EXPECT_EQ(r.net_messages, degree == 2 ? 28u : 38u) << at;
       EXPECT_EQ(r.net_bytes, degree == 2 ? 384u : 504u) << at;
+    }
+  }
+}
+
+TEST(ShardInvarianceFaults, NacksFromSeveralRequestersShareOneMailbox) {
+  // Three receiver logical ranks lose their designated sender at once. The
+  // cover sends round 2 before it learns of the death, so only to its own
+  // mirror lanes, and each receiver's lane 1 gets round 2 by replay alone:
+  // when the death is announced, the three NACK the same cover together.
+  // While the cover's agent replays for one requester, the others' NACKs
+  // wait unexpected under its one mailbox key and are served in arrival
+  // order: a different service order moves the reopen phase. Outputs,
+  // replays and virtual time are pinned to values captured before NACKs
+  // shared one mailbox key.
+  for (int degree : {2, 3}) {
+    for (int shards : {0, 1, 2}) {
+      std::vector<std::vector<int>> got;
+      const apps::RunResult r =
+          run_reopen_after_settle(degree, shards, got, /*num_logical=*/4,
+                                  /*sender_wait=*/0.0, /*receiver_wait=*/0.0);
+      const std::string at = "degree " + std::to_string(degree) + ", " +
+                             std::to_string(shards) + " shards";
+      const rep::ReplicaLayout layout{4, degree};
+      for (int lane = 0; lane < degree; ++lane) {
+        EXPECT_EQ(got[static_cast<std::size_t>(layout.phys_rank(0, lane))],
+                  std::vector<int>{10})
+            << at << ", sender lane " << lane;
+        for (int dst = 1; dst < 4; ++dst) {
+          EXPECT_EQ(
+              got[static_cast<std::size_t>(layout.phys_rank(dst, lane))],
+              (std::vector<int>{100, 101, 102, 103, 10, 200, 201, 202, 203}))
+              << at << ", receiver " << dst << " lane " << lane;
+        }
+      }
+      EXPECT_EQ(r.ranks_crashed, 1) << at;
+      EXPECT_EQ(r.replayed_sends, 12u) << at;
+      expect_bit_identical(r.phase("reopen"), 0x1.7259862595dep-14,
+                           (at + ", reopen phase").c_str());
+      expect_bit_identical(r.wallclock, 0x1.99d4cc4204d4ap-5,
+                           (at + ", wallclock").c_str());
+      EXPECT_EQ(r.net_messages, degree == 2 ? 72u : 102u) << at;
+      EXPECT_EQ(r.net_bytes, degree == 2 ? 1008u : 1368u) << at;
     }
   }
 }

@@ -1,5 +1,6 @@
 // Point-to-point tests for the MPI substrate: blocking/nonblocking transfer,
-// matching rules (tags, wildcards, ordering), timing, failure signalling.
+// matching rules (tags, ordering, exact keys only), timing, failure
+// signalling.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +43,6 @@ TEST(P2P, SendRecvVector) {
       support::copy_into(buf, std::span<double>(got));
       EXPECT_FALSE(st.failed);
       EXPECT_EQ(st.bytes, 128 * sizeof(double));
-      EXPECT_EQ(st.source, 0);
-      EXPECT_EQ(st.tag, 3);
     }
   });
   EXPECT_DOUBLE_EQ(got[100], 50.0);
@@ -77,43 +76,6 @@ TEST(P2P, SameTagFifoOrder) {
     }
   });
   for (int i = 0; i < 8; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-}
-
-TEST(P2P, AnySourceMatchesEitherSender) {
-  MpiFixture f(3);
-  std::vector<int> got;
-  f.run([&](Proc&, Comm& comm) {
-    if (comm.rank() == 1) {
-      comm.send_value(0, 1, 111);
-    } else if (comm.rank() == 2) {
-      comm.send_value(0, 1, 222);
-    } else {
-      support::Buffer buf;
-      Status s1 = comm.recv(kAnySource, 1, buf);
-      got.push_back(support::from_buffer<int>(buf));
-      EXPECT_TRUE(s1.source == 1 || s1.source == 2);
-      Status s2 = comm.recv(kAnySource, 1, buf);
-      got.push_back(support::from_buffer<int>(buf));
-      EXPECT_NE(s1.source, s2.source);
-    }
-  });
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0] + got[1], 333);
-}
-
-TEST(P2P, AnyTagMatchesFirstArrival) {
-  MpiFixture f(2);
-  int got_tag = -99;
-  f.run([&](Proc&, Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 42, 1);
-    } else {
-      support::Buffer buf;
-      Status st = comm.recv(0, kAnyTag, buf);
-      got_tag = st.tag;
-    }
-  });
-  EXPECT_EQ(got_tag, 42);
 }
 
 TEST(P2P, NonblockingOverlap) {
@@ -278,6 +240,25 @@ TEST(P2P, SendToInvalidRankThrows) {
                  if (comm.rank() == 0) comm.send_value(5, 1, 1);
                }),
                support::InvariantError);
+}
+
+TEST(P2P, NegativeSourceOrTagIsRejected) {
+  // There are no wildcards: -1 is not "any source" or "any tag" but an
+  // invalid key, at the communicator and at the matching engine alike.
+  MpiFixture f(2);
+  int rejected = 0;
+  f.run([&](Proc& proc, Comm& comm) {
+    if (comm.rank() != 1) return;
+    const auto expect_rejected = [&](auto&& post) {
+      EXPECT_THROW(post(), support::InvariantError);
+      ++rejected;
+    };
+    expect_rejected([&] { comm.irecv(-1, 0); });
+    expect_rejected([&] { comm.irecv(0, -1); });
+    expect_rejected([&] { testing::post_mailbox(proc, comm, -1, 0); });
+    expect_rejected([&] { testing::post_mailbox(proc, comm, 0, -1); });
+  });
+  EXPECT_EQ(rejected, 4);
 }
 
 TEST(P2P, SelfSendViaLoopback) {

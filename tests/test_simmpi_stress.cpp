@@ -81,8 +81,8 @@ TEST(Stress, WholeSimulationIsBitReproducible) {
         Request r = comm.irecv(src, round);
         comm.send_value(dst, round, rng.next_double());
         Status st = comm.wait(r);
-        acc += support::from_buffer<double>(r.state().data) +
-               st.source * 1e-3;
+        EXPECT_FALSE(st.failed);
+        acc += support::from_buffer<double>(r.state().data) + src * 1e-3;
         proc.elapse(1e-6 * (comm.rank() + 1));
       }
       finish = std::max(finish, proc.now());
