@@ -75,11 +75,9 @@ REPMPI_BENCH(hostile_correlated,
 
   const rep::ReplicaLayout layout{num_logical, 2};
   const net::Topology naive = layout.make_topology_domains(
-      cores_per_node, nodes_per_domain, /*num_domains_cap=*/0,
-      /*domain_aware=*/false);
+      cores_per_node, nodes_per_domain, /*domain_aware=*/false);
   const net::Topology aware = layout.make_topology_domains(
-      cores_per_node, nodes_per_domain, /*num_domains_cap=*/0,
-      /*domain_aware=*/true);
+      cores_per_node, nodes_per_domain, /*domain_aware=*/true);
 
   const double fatal_model_naive =
       model::domain_kill_interrupt_probability(naive, num_logical, 2);

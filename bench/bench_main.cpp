@@ -90,13 +90,9 @@ void print_usage() {
          "time changes. Requesting a backend this build or CPU lacks is\n"
          "an error (exit 2), never a silent fallback. The report records\n"
          "the resolved backend as host_backend.\n"
-         "--timeout-sec=N fails any bench exceeding N seconds of wall\n"
-         "time: the hung bench becomes a failed report entry and the\n"
-         "driver exits 124 after flushing a partial report.\n"
          "On SIGINT/SIGTERM the driver flushes completed benches as a\n"
          "valid partial JSON report (\"partial\": true) and exits 128+sig.\n"
-         "exit: 0 all ok, 1 bench failure, 2 usage, 124 timeout,\n"
-         "128+sig interrupted\n";
+         "exit: 0 all ok, 1 bench failure, 2 usage, 128+sig interrupted\n";
 }
 
 /// Scaled-down defaults for --smoke: every size knob the benches read,
@@ -152,7 +148,7 @@ std::string json_number(double v) {
 }
 
 /// Writes the JSON report. `partial` marks a report flushed before the run
-/// finished (signal or --timeout-sec): still valid JSON, still the same
+/// finished (on a signal): still valid JSON, still the same
 /// per-bench schema, but flagged so downstream tooling (the drift gate)
 /// knows missing benches are expected rather than a regression.
 bool write_report(const std::string& path,
@@ -226,13 +222,11 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
 }
 
 int driver(int argc, char** argv) {
-  // "--jobs N" / "--shards N" / "--timeout-sec N" work in addition to the =
-  // forms. Only these are value keys: making `json` one would change the
+  // "--jobs N" / "--shards N" work in addition to the = forms. Only these are value keys: making `json` one would change the
   // meaning of existing "--json <bench>" invocations (the positional .json
   // fallback below already covers "--json file.json").
-  support::Options opt(argc, argv,
-                       {"jobs", "shards", "timeout-sec", "backend"});
-  for (const char* key : {"jobs", "shards", "timeout-sec"}) {
+  support::Options opt(argc, argv, {"jobs", "shards", "backend"});
+  for (const char* key : {"jobs", "shards"}) {
     if (!opt.has(key)) continue;
     const std::string v = opt.get(key);
     // A bare flag parses as "true"; reject it like any non-number instead
@@ -335,11 +329,9 @@ int driver(int argc, char** argv) {
     }
     return true;
   };
-  long jobs_opt = 0, shards_opt = 0, timeout_opt = 0;
+  long jobs_opt = 0, shards_opt = 0;
   if (!ranged("jobs", support::TaskPool::default_jobs(), 1, 256, jobs_opt) ||
-      (opt.has("shards") && !ranged("shards", 1, 1, 64, shards_opt)) ||
-      (opt.has("timeout-sec") &&
-       !ranged("timeout-sec", 0, 1, 86400, timeout_opt))) {
+      (opt.has("shards") && !ranged("shards", 1, 1, 64, shards_opt))) {
     return 2;
   }
 
@@ -358,15 +350,11 @@ int driver(int argc, char** argv) {
   std::mutex print_mu;
 
   // Crash-robust reporting. SIGINT/SIGTERM are blocked in every thread and
-  // claimed by a watcher via sigtimedwait: on a signal the watcher flushes
-  // the benches completed so far as a *valid* partial JSON report
+  // claimed by a watcher via sigwait: on a signal the watcher flushes the
+  // benches completed so far as a *valid* partial JSON report
   // ("partial": true) and exits 128+sig, so an interrupted CI job still
-  // leaves a parseable artifact instead of a truncated file. The same
-  // watcher enforces --timeout-sec: a bench past its per-bench wall
-  // deadline is reported as a failed entry (status 124) in a partial
-  // report and the driver exits 124 — a hung simulation costs its cell,
-  // not the whole report. SIGUSR1, sent to the watcher alone once the pool
-  // drains, ends its wait at once instead of at the next poll tick.
+  // leaves a parseable artifact instead of a truncated file. SIGUSR1, sent
+  // to the watcher alone once the pool drains, ends its wait.
   sigset_t watch_set;
   sigemptyset(&watch_set);
   sigaddset(&watch_set, SIGINT);
@@ -374,83 +362,37 @@ int driver(int argc, char** argv) {
   sigaddset(&watch_set, SIGUSR1);
   pthread_sigmask(SIG_BLOCK, &watch_set, nullptr);
 
-  using BenchClock = std::chrono::steady_clock;
-  std::mutex state_mu;  // guards started/completed/starts and outcomes[i]
-  std::vector<bool> started(selected.size()), completed(selected.size());
-  std::vector<BenchClock::time_point> starts(selected.size());
+  std::mutex state_mu;  // guards completed and outcomes[i]
+  std::vector<bool> completed(selected.size());
   std::atomic<bool> all_done{false};
 
-  // Flushes completed benches (plus, on timeout, failed entries for the
-  // expired ones) while workers may still be running — only slots whose
-  // `completed` flag is set are safe to read.
-  const auto flush_partial = [&](const std::vector<std::size_t>& hung) {
+  std::thread watcher([&] {
+    int sig = 0;
+    do {
+      ::sigwait(&watch_set, &sig);
+    } while (sig == SIGUSR1 && !all_done.load(std::memory_order_acquire));
+    if (sig == SIGUSR1) return;  // the pool drained
+    std::lock_guard<std::mutex> print_lk(print_mu);
+    // Workers may still be running: only slots whose `completed` flag is
+    // set are safe to read.
     std::vector<BenchOutcome> partial;
-    std::lock_guard<std::mutex> lk(state_mu);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (completed[i]) {
-        partial.push_back(outcomes[i]);
-      } else if (std::find(hung.begin(), hung.end(), i) != hung.end()) {
-        BenchOutcome o;
-        o.name = selected[i]->name;
-        o.status = 124;
-        o.error = "exceeded --timeout-sec=" + std::to_string(timeout_opt) +
-                  " wall deadline";
-        o.wall_time_s =
-            std::chrono::duration<double>(BenchClock::now() - starts[i])
-                .count();
-        partial.push_back(std::move(o));
-      }
+    {
+      std::lock_guard<std::mutex> lk(state_mu);
+      for (std::size_t i = 0; i < outcomes.size(); ++i)
+        if (completed[i]) partial.push_back(outcomes[i]);
     }
     if (!json_path.empty()) write_report(json_path, partial, /*partial=*/true);
-    return partial.size();
-  };
-
-  std::thread watcher([&] {
-    const struct timespec tick{0, 100 * 1000 * 1000};  // 100ms poll
-    for (;;) {
-      const int sig = ::sigtimedwait(&watch_set, nullptr, &tick);
-      if (sig == SIGINT || sig == SIGTERM) {
-        std::lock_guard<std::mutex> lk(print_mu);
-        const std::size_t n = flush_partial({});
-        std::cerr << "\nrepmpi_bench: interrupted by "
-                  << (sig == SIGINT ? "SIGINT" : "SIGTERM") << " — flushed "
-                  << n << "/" << outcomes.size()
-                  << " completed benches as a partial report\n";
-        std::_Exit(128 + sig);
-      }
-      if (all_done.load(std::memory_order_acquire)) return;
-      if (timeout_opt <= 0) continue;
-      std::vector<std::size_t> hung;
-      {
-        std::lock_guard<std::mutex> lk(state_mu);
-        const auto now = BenchClock::now();
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          if (started[i] && !completed[i] &&
-              now - starts[i] > std::chrono::seconds(timeout_opt))
-            hung.push_back(i);
-        }
-      }
-      if (!hung.empty()) {
-        std::lock_guard<std::mutex> lk(print_mu);
-        for (const std::size_t i : hung)
-          std::cerr << "repmpi_bench: bench '" << selected[i]->name
-                    << "' exceeded --timeout-sec=" << timeout_opt
-                    << " — reporting it failed\n";
-        flush_partial(hung);
-        std::_Exit(124);
-      }
-    }
+    std::cerr << "\nrepmpi_bench: interrupted by "
+              << (sig == SIGINT ? "SIGINT" : "SIGTERM") << " — flushed "
+              << partial.size() << "/" << outcomes.size()
+              << " completed benches as a partial report\n";
+    std::_Exit(128 + sig);
   });
 
   {
     support::TaskPool pool(workers);
     for (std::size_t i = 0; i < selected.size(); ++i) {
       pool.submit([&, i] {
-        {
-          std::lock_guard<std::mutex> lk(state_mu);
-          started[i] = true;
-          starts[i] = BenchClock::now();
-        }
         BenchOutcome o = run_one(*selected[i], opt);
         {
           // One intact block per bench, in completion order.

@@ -64,35 +64,13 @@ class AmgSolver {
 
   /// Exchanges the boundary planes of a halo-carrying vector on level l.
   void halo_exchange(int l, std::span<double> v) {
-    mpi::ScopedPhase sp(ctx_.proc, "comm");
     const CsrMatrix& a = *levels_[static_cast<std::size_t>(l)].a;
-    rep::LogicalComm& comm = ctx_.comm;
-    const int rank = comm.rank();
-    const int nr = comm.size();
-    const int tag = tag_counter_;
-    tag_counter_ += 2;
     const std::size_t plane = a.plane();
-
-    rep::LogicalRequest from_below, from_above;
-    if (rank > 0) from_below = comm.irecv(rank - 1, tag + 0);
-    if (rank < nr - 1) from_above = comm.irecv(rank + 1, tag + 1);
-    if (rank > 0)
-      comm.send_span<double>(rank - 1, tag + 1,
-                             std::span<const double>(v.data(), plane));
-    if (rank < nr - 1)
-      comm.send_span<double>(
-          rank + 1, tag + 0,
-          std::span<const double>(v.data() + a.interior() - plane, plane));
-    if (rank > 0) {
-      comm.wait(from_below);
-      support::copy_into(std::span<const std::byte>(from_below.data),
-                         v.subspan(a.halo_bottom(), plane));
-    }
-    if (rank < nr - 1) {
-      comm.wait(from_above);
-      support::copy_into(std::span<const std::byte>(from_above.data),
-                         v.subspan(a.halo_top(), plane));
-    }
+    z_halo_exchange(ctx_, v.first(plane),
+                    v.subspan(a.interior() - plane, plane),
+                    v.subspan(a.halo_bottom(), plane),
+                    v.subspan(a.halo_top(), plane), tag_counter_);
+    tag_counter_ += 2;
   }
 
   /// y = A*x on level l (x carries halos, already exchanged).

@@ -16,34 +16,10 @@ namespace {
 /// out as interior + bottom halo + top halo, matching CsrMatrix).
 void halo_exchange(AppContext& ctx, const kernels::CsrMatrix& a,
                    std::span<double> v, int tag_base) {
-  mpi::ScopedPhase sp(ctx.proc, "comm");
-  rep::LogicalComm& comm = ctx.comm;
-  const int rank = comm.rank();
-  const int n = comm.size();
   const std::size_t plane = a.plane();
-
-  rep::LogicalRequest from_below, from_above;
-  if (rank > 0) from_below = comm.irecv(rank - 1, tag_base + 0);
-  if (rank < n - 1) from_above = comm.irecv(rank + 1, tag_base + 1);
-  if (rank > 0) {
-    comm.send_span<double>(rank - 1, tag_base + 1,
-                           std::span<const double>(v.data(), plane));
-  }
-  if (rank < n - 1) {
-    comm.send_span<double>(
-        rank + 1, tag_base + 0,
-        std::span<const double>(v.data() + a.interior() - plane, plane));
-  }
-  if (rank > 0) {
-    comm.wait(from_below);
-    support::copy_into(std::span<const std::byte>(from_below.data),
-                       v.subspan(a.halo_bottom(), plane));
-  }
-  if (rank < n - 1) {
-    comm.wait(from_above);
-    support::copy_into(std::span<const std::byte>(from_above.data),
-                       v.subspan(a.halo_top(), plane));
-  }
+  z_halo_exchange(ctx, v.first(plane), v.subspan(a.interior() - plane, plane),
+                  v.subspan(a.halo_bottom(), plane),
+                  v.subspan(a.halo_top(), plane), tag_base);
 }
 
 double allreduce_sum(AppContext& ctx, double v) {

@@ -153,6 +153,30 @@ void sparsemv_section(AppContext& ctx, const std::string& phase,
   }
 }
 
+void z_halo_exchange(AppContext& ctx, std::span<const double> bottom,
+                     std::span<const double> top,
+                     std::span<double> bottom_halo,
+                     std::span<double> top_halo, int tag_base) {
+  mpi::ScopedPhase sp(ctx.proc, "comm");
+  rep::LogicalComm& comm = ctx.comm;
+  const bool below = comm.rank() > 0;
+  const bool above = comm.rank() < comm.size() - 1;
+  rep::LogicalRequest from_below, from_above;
+  if (below) from_below = comm.irecv(comm.rank() - 1, tag_base + 0);
+  if (above) from_above = comm.irecv(comm.rank() + 1, tag_base + 1);
+  if (below) comm.send_span<double>(comm.rank() - 1, tag_base + 1, bottom);
+  if (above) comm.send_span<double>(comm.rank() + 1, tag_base + 0, top);
+  if (below) {
+    comm.wait(from_below);
+    support::copy_into(std::span<const std::byte>(from_below.data),
+                       bottom_halo);
+  }
+  if (above) {
+    comm.wait(from_above);
+    support::copy_into(std::span<const std::byte>(from_above.data), top_halo);
+  }
+}
+
 double grid_sum_section(AppContext& ctx, const std::string& phase,
                         const kernels::Grid3D& g, bool enabled,
                         int num_tasks) {

@@ -43,6 +43,15 @@ void sparsemv_section(AppContext& ctx, const std::string& phase,
                       std::span<double> y, bool enabled,
                       int num_tasks = kDefaultTasksPerSection);
 
+/// Exchanges boundary z-planes with the logical z-neighbours, attributed to
+/// phase "comm": `bottom` goes to rank - 1 (tag tag_base + 1) and `top` to
+/// rank + 1 (tag tag_base), and the neighbours' planes land in `bottom_halo`
+/// and `top_halo`. Both receives are posted before either send.
+void z_halo_exchange(AppContext& ctx, std::span<const double> bottom,
+                     std::span<const double> top,
+                     std::span<double> bottom_halo,
+                     std::span<double> top_halo, int tag_base);
+
 /// Sum of the grid interior (MiniGhost's GRID_SUM).
 double grid_sum_section(AppContext& ctx, const std::string& phase,
                         const kernels::Grid3D& g, bool enabled,

@@ -10,31 +10,6 @@ namespace {
 
 using kernels::Grid3D;
 
-void grid_halo_exchange(AppContext& ctx, Grid3D& g, int tag_base) {
-  mpi::ScopedPhase sp(ctx.proc, "comm");
-  rep::LogicalComm& comm = ctx.comm;
-  const int rank = comm.rank();
-  const int n = comm.size();
-
-  rep::LogicalRequest from_below, from_above;
-  if (rank > 0) from_below = comm.irecv(rank - 1, tag_base + 0);
-  if (rank < n - 1) from_above = comm.irecv(rank + 1, tag_base + 1);
-  if (rank > 0)
-    comm.send_span<double>(rank - 1, tag_base + 1, g.bottom_interior_plane());
-  if (rank < n - 1)
-    comm.send_span<double>(rank + 1, tag_base + 0, g.top_interior_plane());
-  if (rank > 0) {
-    comm.wait(from_below);
-    support::copy_into(std::span<const std::byte>(from_below.data),
-                       g.bottom_halo());
-  }
-  if (rank < n - 1) {
-    comm.wait(from_above);
-    support::copy_into(std::span<const std::byte>(from_above.data),
-                       g.top_halo());
-  }
-}
-
 /// Stencil sweep, either as an intra section (z-plane block tasks, out is a
 /// contiguous block of whole planes) or as unmodified compute.
 void stencil_step(AppContext& ctx, const MiniGhostParams& p, const Grid3D& in,
@@ -96,8 +71,10 @@ MiniGhostResult minighost(AppContext& ctx, const MiniGhostParams& p) {
   MiniGhostResult result;
   for (int step = 0; step < p.steps; ++step) {
     for (int v = 0; v < p.num_vars; ++v) {
-      grid_halo_exchange(ctx, vars[static_cast<std::size_t>(v)],
-                         2000 + (step * p.num_vars + v) * 2);
+      Grid3D& g = vars[static_cast<std::size_t>(v)];
+      z_halo_exchange(ctx, g.bottom_interior_plane(), g.top_interior_plane(),
+                      g.bottom_halo(), g.top_halo(),
+                      2000 + (step * p.num_vars + v) * 2);
       stencil_step(ctx, p, vars[static_cast<std::size_t>(v)],
                    next[static_cast<std::size_t>(v)]);
       std::swap(vars[static_cast<std::size_t>(v)],

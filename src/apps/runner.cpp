@@ -11,7 +11,6 @@
 #include "sim/simulator.hpp"
 #include "simmpi/sharded_world.hpp"
 #include "support/error.hpp"
-#include "support/log.hpp"
 
 namespace repmpi::apps {
 
@@ -167,19 +166,10 @@ void collect_rank_results(const rep::ReplicaLayout& layout,
 }
 
 RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,
-                          const rep::ReplicaLayout& layout) {
-  bool fell_back = false;
-  mpi::ShardedMachine machine(
-      cfg.shards, cfg.model,
-      layout.make_topology_domains(cfg.cores_per_node, cfg.nodes_per_domain,
-                                   cfg.num_domains,
-                                   cfg.domain_aware_placement, &fell_back),
-      layout.num_physical());
-  if (fell_back) {
-    REPMPI_WARN("domain-aware replica placement needs more than "
-                << cfg.num_domains
-                << " domains; falling back to same-domain placement");
-  }
+                          const rep::ReplicaLayout& layout,
+                          net::Topology topo) {
+  mpi::ShardedMachine machine(cfg.shards, cfg.model, std::move(topo),
+                              layout.num_physical());
   RankOutputs out(layout.num_physical());
   machine.world().launch(
       make_rank_main(cfg, layout, /*cache=*/nullptr, app, out));
@@ -217,20 +207,13 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
 #endif
   const rep::ReplicaLayout layout{cfg.num_logical, cfg.effective_degree()};
   REPMPI_CHECK_MSG(cfg.shards >= 0, "negative shard count " << cfg.shards);
-  if (cfg.shards > 0) return run_app_sharded(cfg, app, layout);
+  net::Topology topo = layout.make_topology_domains(
+      cfg.cores_per_node, cfg.nodes_per_domain, cfg.domain_aware_placement);
+  if (cfg.shards > 0)
+    return run_app_sharded(cfg, app, layout, std::move(topo));
 
   sim::Simulator sim;
-  bool fell_back = false;
-  net::Network network(
-      sim, cfg.model,
-      layout.make_topology_domains(cfg.cores_per_node, cfg.nodes_per_domain,
-                                   cfg.num_domains,
-                                   cfg.domain_aware_placement, &fell_back));
-  if (fell_back) {
-    REPMPI_WARN("domain-aware replica placement needs more than "
-                << cfg.num_domains
-                << " domains; falling back to same-domain placement");
-  }
+  net::Network network(sim, cfg.model, std::move(topo));
   mpi::World world(sim, network, layout.num_physical());
 
   // Replica-compute sharing (host-side only): replicas of a logical rank

@@ -63,10 +63,6 @@ struct RunConfig {
   /// disables domain modeling entirely (byte-identical to the pre-domain
   /// machine). See net/topology.hpp.
   int nodes_per_domain = 0;
-  /// Cap on the machine's domain count (0 = unbounded). When the
-  /// domain-aware placement needs more domains than this, it falls back to
-  /// the plain paper placement with a warning.
-  int num_domains = 0;
   /// Place replica planes in disjoint failure domains (only meaningful with
   /// nodes_per_domain > 0): a single domain kill then never wipes every
   /// replica of a logical rank. Off = the paper's plain different-node rule.

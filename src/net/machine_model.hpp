@@ -13,8 +13,8 @@
 //    waxpby (2 flops per 24 touched bytes) is cheap per output byte while
 //    sparsemv (~54 flops and ~380 touched bytes per 8-byte output) is
 //    expensive per output byte;
-//  * network cost is latency + size/bandwidth with per-node NIC
-//    serialization (full duplex by default, like InfiniBand): the four
+//  * network cost is latency + size/bandwidth with per-node full-duplex
+//    NIC serialization (InfiniBand links are uniform): the four
 //    ranks of a node share the NIC, so the replica update exchange of
 //    intra-parallelization is limited by the node's aggregate injection
 //    bandwidth, exactly the effect that makes waxpby unprofitable in the
@@ -59,27 +59,12 @@ struct MachineModel {
   double intranode_latency = 0.6e-6;
   double intranode_bandwidth = 4.0e9;
 
-  /// InfiniBand links are full duplex (default); set false to model a
-  /// half-duplex interconnect where sends and receives share the wire (used
-  /// by the crossover ablation).
-  bool nic_full_duplex = true;
-
   /// Extra per-message cost charged by the active-replication protocol
   /// (envelope checks, ordering metadata). Produces SDR-MPI's ~1-2% overhead
   /// on communication-bound codes (paper Fig. 6: E = 0.48-0.49 vs 0.5).
   double replication_msg_overhead = 0.5e-6;
 
-  // --- Hostile-machine knobs (all defaults leave costs byte-identical) -----
-
-  /// Additional one-way latency for messages crossing a failure-domain
-  /// (switch) boundary, on top of net_latency. Must be >= 0: net_latency
-  /// stays the floor of every internode transfer, so min_remote_latency()
-  /// and the sharded engine's lookahead are unaffected.
-  double inter_switch_extra_latency = 0.0;
-
-  /// Per-direction bandwidth of inter-switch links (B/s); 0 means "same as
-  /// net_bandwidth". Models an oversubscribed spine.
-  double inter_switch_bandwidth = 0.0;
+  // --- Hostile-machine knob (the default leaves costs byte-identical) ------
 
   /// Per-node compute slowdown factors (stragglers): compute on a process of
   /// node n is charged `node_slowdown[n]` times the roofline cost. Empty (or

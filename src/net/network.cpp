@@ -20,40 +20,12 @@ sim::Time Network::reserve_transfer_at(int src, int dst, std::size_t bytes,
   }
   // Internode arrivals of one pair are nondecreasing by construction
   // (network.hpp), so they need no clock.
-  const int src_node = topo_.node_of(src);
-  const int dst_node = topo_.node_of(dst);
-  const auto sn = static_cast<std::size_t>(src_node);
-  const auto dn = static_cast<std::size_t>(dst_node);
-  // Link class: messages crossing a switch/PSU domain boundary ride the
-  // (possibly oversubscribed) inter-switch links. With domain modeling
-  // off (nodes_per_domain == 0) every node is its own domain, so the
-  // extra cost only applies when it was explicitly configured.
-  const bool inter_switch =
-      topo_.nodes_per_domain() > 0 &&
-      !topo_.same_domain_nodes(src_node, dst_node);
-  const double bw =
-      inter_switch && model_.inter_switch_bandwidth > 0.0
-          ? model_.inter_switch_bandwidth
-          : model_.net_bandwidth;
-  const double latency =
-      model_.net_latency +
-      (inter_switch ? model_.inter_switch_extra_latency : 0.0);
-  const double wire = static_cast<double>(bytes) / bw;
-  if (model_.nic_full_duplex) {
-    sim::Time& tx = nic_tx_busy_[sn];
-    sim::Time& rx = nic_rx_busy_[dn];
-    const sim::Time start = std::max({now, tx, rx});
-    tx = rx = start + wire;
-    return start + wire + latency;
-  }
-  // Half duplex: the message occupies both endpoints' shared NIC lanes for
-  // its serialization time. This is what makes the symmetric update exchange
-  // between two replicas cost ~2x a one-way stream.
-  sim::Time& s = nic_busy_[sn];
-  sim::Time& d = nic_busy_[dn];
-  const sim::Time start = std::max({now, s, d});
-  s = d = start + wire;
-  return start + wire + latency;
+  const double wire = static_cast<double>(bytes) / model_.net_bandwidth;
+  sim::Time& tx = nic_tx_busy_[static_cast<std::size_t>(topo_.node_of(src))];
+  sim::Time& rx = nic_rx_busy_[static_cast<std::size_t>(topo_.node_of(dst))];
+  const sim::Time start = std::max({now, tx, rx});
+  tx = rx = start + wire;
+  return start + wire + model_.net_latency;
 }
 
 void Network::init_fifo() {

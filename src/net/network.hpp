@@ -3,8 +3,9 @@
 // Network transfer scheduling on top of the DES.
 //
 // A transfer from process src to dst reserves serialization time on the
-// shared (half-duplex by default) NICs of both endpoints' nodes and is
-// delivered latency seconds after it leaves the wire. Intra-node transfers
+// full-duplex NICs of both endpoints' nodes (the sender's transmit lane and
+// the receiver's receive lane) and is delivered latency seconds after it
+// leaves the wire. Intra-node transfers
 // go through the shared-memory transport instead. Per-(src,dst) arrivals are
 // nondecreasing, so the MPI layer's non-overtaking rule holds even when
 // message sizes differ.
@@ -12,7 +13,7 @@
 // Reservation state: NIC availability lives in vectors indexed by node id.
 // An internode pair needs nothing more for FIFO order: each send starts at
 // or after the lanes the pair's previous send advanced (lanes only move
-// forward), its latency and bandwidth are fixed per node pair, and IEEE
+// forward), its latency and bandwidth are the same for every pair, and IEEE
 // rounding is monotone, so its arrival can never precede the previous one.
 // An intranode pair has no lane, and a small message would overtake a large
 // one, so it keeps a last-arrival clock. That table is dense, indexed by
@@ -40,15 +41,9 @@ class Network {
  public:
   Network(sim::Simulator& sim, MachineModel model, Topology topo)
       : sim_(sim), model_(std::move(model)), topo_(std::move(topo)) {
-    // The hostile-machine knobs may only ever ADD virtual time: net_latency
-    // must remain the floor of every internode transfer or the sharded
-    // engine's lookahead (min_remote_latency) would be unsound.
-    REPMPI_CHECK_MSG(model_.inter_switch_extra_latency >= 0.0,
-                     "inter_switch_extra_latency must be >= 0");
     for (double s : model_.node_slowdown)
       REPMPI_CHECK_MSG(s >= 1.0, "node_slowdown factors must be >= 1.0");
     const auto nodes = static_cast<std::size_t>(topo_.num_nodes());
-    nic_busy_.assign(nodes, 0.0);
     nic_tx_busy_.assign(nodes, 0.0);
     nic_rx_busy_.assign(nodes, 0.0);
   }
@@ -97,9 +92,8 @@ class Network {
   Topology topo_;
   NetworkStats stats_;
 
-  // NIC availability per node, indexed by node id (half-duplex: one shared
-  // lane per node; full duplex: separate tx/rx lanes).
-  std::vector<sim::Time> nic_busy_;
+  // NIC availability per node, indexed by node id: separate transmit and
+  // receive lanes (full duplex).
   std::vector<sim::Time> nic_tx_busy_;
   std::vector<sim::Time> nic_rx_busy_;
 

@@ -48,10 +48,9 @@ class Topology {
   //
   // Nodes are grouped into switch/PSU domains of `nodes_per_domain`
   // consecutive nodes. A domain models shared infrastructure: a correlated
-  // failure (PSU trip, switch death) takes out every node in the domain, and
-  // links between domains are the slower inter-switch class. 0 (the default)
-  // disables domain modeling entirely — every node is its own domain and
-  // nothing in the virtual-time model changes.
+  // failure (PSU trip, switch death) takes out every node in the domain.
+  // Domains shape placement and fault plans only; link costs are uniform.
+  // 0 (the default) disables domain modeling: every node is its own domain.
 
   void set_nodes_per_domain(int nodes_per_domain) {
     REPMPI_CHECK(nodes_per_domain >= 0);
@@ -66,13 +65,6 @@ class Topology {
 
   int num_domains() const {
     return domain_of_node(num_nodes() - 1) + 1;
-  }
-
-  bool same_domain_nodes(int node_a, int node_b) const {
-    return domain_of_node(node_a) == domain_of_node(node_b);
-  }
-  bool same_domain(int a, int b) const {
-    return same_domain_nodes(node_of(a), node_of(b));
   }
 
   /// Processes living on the nodes of one failure domain (what a correlated
@@ -134,30 +126,16 @@ class Topology {
   /// out to whole domains, so the replicas of any logical process land in
   /// *different* switch/PSU domains and a single domain kill can never take
   /// out all replicas of a logical rank. Costs (degree * domains_per_plane)
-  /// domains; when `num_domains_cap > 0` caps the machine below that, the
-  /// domain-aware placement is impossible and we fall back to the plain
-  /// paper placement (different nodes, possibly same domain), reporting it
-  /// via `fell_back` so callers can warn.
+  /// domains.
   static Topology replicated_domains(int num_logical, int degree,
-                                     int cores_per_node, int nodes_per_domain,
-                                     int num_domains_cap = 0,
-                                     bool* fell_back = nullptr) {
+                                     int cores_per_node, int nodes_per_domain) {
     REPMPI_CHECK(nodes_per_domain >= 0);
-    if (fell_back) *fell_back = false;
-    if (nodes_per_domain == 0) {
-      Topology t = replicated(num_logical, degree, cores_per_node);
-      return t;
-    }
+    if (nodes_per_domain == 0)
+      return replicated(num_logical, degree, cores_per_node);
     const int nodes_per_plane =
         (num_logical + cores_per_node - 1) / cores_per_node;
     const int domains_per_plane =
         (nodes_per_plane + nodes_per_domain - 1) / nodes_per_domain;
-    if (num_domains_cap > 0 && degree * domains_per_plane > num_domains_cap) {
-      if (fell_back) *fell_back = true;
-      Topology t = replicated(num_logical, degree, cores_per_node);
-      t.set_nodes_per_domain(nodes_per_domain);
-      return t;
-    }
     std::vector<int> node_of(static_cast<std::size_t>(num_logical * degree));
     for (int k = 0; k < degree; ++k) {
       const int plane_start = k * domains_per_plane * nodes_per_domain;

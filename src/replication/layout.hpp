@@ -41,21 +41,16 @@ struct ReplicaLayout {
   /// Failure-domain-aware variant: when `nodes_per_domain > 0` and
   /// `domain_aware` is set, replica planes are padded to whole switch/PSU
   /// domains so no single domain holds every replica of a logical rank.
-  /// `num_domains_cap > 0` bounds the machine; if the domain-aware placement
-  /// does not fit, falls back to plain `make_topology` placement (still
-  /// domain-annotated) and sets *fell_back.
+  /// Otherwise the plain `make_topology` placement, domain-annotated.
   net::Topology make_topology_domains(int cores_per_node, int nodes_per_domain,
-                                      int num_domains_cap, bool domain_aware,
-                                      bool* fell_back = nullptr) const {
-    if (fell_back) *fell_back = false;
+                                      bool domain_aware) const {
     if (degree == 1 || nodes_per_domain == 0 || !domain_aware) {
       net::Topology t = make_topology(cores_per_node);
       t.set_nodes_per_domain(nodes_per_domain);
       return t;
     }
     return net::Topology::replicated_domains(num_logical, degree,
-                                             cores_per_node, nodes_per_domain,
-                                             num_domains_cap, fell_back);
+                                             cores_per_node, nodes_per_domain);
   }
 };
 

@@ -167,12 +167,6 @@ class LogicalComm {
   void bcast(std::span<T> data, int root);
 
   template <support::TriviallyCopyable T>
-  T bcast_value(T v, int root) {
-    bcast(std::span<T>(&v, 1), root);
-    return v;
-  }
-
-  template <support::TriviallyCopyable T>
   void reduce(std::span<const T> in, std::span<T> out, mpi::ReduceOp op,
               int root);
 
@@ -185,9 +179,6 @@ class LogicalComm {
     allreduce(std::span<const T>(&v, 1), std::span<T>(&out, 1), op);
     return out;
   }
-
-  template <support::TriviallyCopyable T>
-  void allgather(std::span<const T> mine, std::span<T> all);
 
  private:
   struct LoggedMsg {
@@ -338,22 +329,16 @@ class LogicalComm {
     post_send(dst, tag, std::as_bytes(v));
   }
 
+  /// Receives a collective's block into `out`, which it must fill exactly.
   template <support::TriviallyCopyable T>
   void coll_recv(int src, int tag, std::span<T> out) {
     LogicalRequest req = post_irecv(src, tag);
     wait(req);
-    take_block(req.data, out);
-  }
-
-  /// Copies a collective's received block into `out`, which it must fill
-  /// exactly.
-  template <support::TriviallyCopyable T>
-  static void take_block(const support::Payload& data, std::span<T> out) {
-    REPMPI_CHECK_MSG(data.size() == out.size_bytes(),
-                     "collective block of " << data.size() << " bytes, expected "
-                         << out.size_bytes()
+    REPMPI_CHECK_MSG(req.data.size() == out.size_bytes(),
+                     "collective block of " << req.data.size()
+                         << " bytes, expected " << out.size_bytes()
                          << ": ranks passed different lengths");
-    support::copy_into(data.span(), out);
+    support::copy_into(req.data.span(), out);
   }
 
   void send_nack(int src_logical, int tag, std::uint64_t expected);
@@ -453,30 +438,6 @@ void LogicalComm::allreduce(std::span<const T> in, std::span<T> out,
   REPMPI_CHECK_MSG(out.size() >= in.size(), "allreduce output span too small");
   reduce(in, out, op, 0);
   bcast(out, 0);
-}
-
-template <support::TriviallyCopyable T>
-void LogicalComm::allgather(std::span<const T> mine, std::span<T> all) {
-  const int n = size();
-  const int tag = coll_tag_++;
-  const std::size_t blk = mine.size();
-  REPMPI_CHECK(all.size() >= blk * static_cast<std::size_t>(n));
-  std::copy(mine.begin(), mine.end(),
-            all.begin() + static_cast<std::ptrdiff_t>(
-                              blk * static_cast<std::size_t>(rank())));
-  const int next = (rank() + 1) % n;
-  const int prev = (rank() - 1 + n) % n;
-  int have = rank();
-  for (int step = 0; step < n - 1; ++step) {
-    LogicalRequest rreq = post_irecv(prev, tag);
-    coll_send(next, tag,
-              std::span<const T>(all.subspan(
-                  blk * static_cast<std::size_t>(have), blk)));
-    wait(rreq);
-    have = (have - 1 + n) % n;
-    take_block(rreq.data,
-               all.subspan(blk * static_cast<std::size_t>(have), blk));
-  }
 }
 
 }  // namespace repmpi::rep

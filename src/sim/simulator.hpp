@@ -134,7 +134,6 @@ class Context {
 
   Time now() const;
   Pid pid() const { return pid_; }
-  Simulator& simulator() { return sim_; }
 
   /// Advances this process's virtual time by dt (models compute cost).
   void delay(Time dt);

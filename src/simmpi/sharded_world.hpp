@@ -5,9 +5,9 @@
 // Owns the sharded engine (N simulators on N worker threads), one Network
 // per shard for intranode traffic, a single cross-shard Network holding the
 // NIC lane state, and the World spread over all shards.
-// It implements the ShardRouter seam: rank fibers post internode sends and
-// failure notifications into per-shard queues during a window, and the
-// engine's serial window-boundary hook applies them here:
+// The World routes through it in sharded runs: rank fibers post internode
+// sends and failure notifications into per-shard queues during a window,
+// and the engine's serial window-boundary hook applies them here:
 //
 //   * internode sends — merged across shards, sorted by the layout-
 //     independent (t, src_world, src_seq) key, reserved one by one against
@@ -37,7 +37,7 @@
 
 namespace repmpi::mpi {
 
-class ShardedMachine final : public ShardRouter {
+class ShardedMachine {
  public:
   struct Stats {
     std::uint64_t windows = 0;          ///< conservative time windows run
@@ -46,7 +46,7 @@ class ShardedMachine final : public ShardRouter {
 
   ShardedMachine(int shards, const net::MachineModel& model,
                  const net::Topology& topo, int num_ranks);
-  ~ShardedMachine() override;
+  ~ShardedMachine();
 
   World& world() { return *world_; }
 
@@ -58,28 +58,36 @@ class ShardedMachine final : public ShardRouter {
   net::NetworkStats net_stats() const;
   Stats stats() const;
 
-  // --- ShardRouter ---------------------------------------------------------
-  int num_shards() const override { return engine_.num_shards(); }
-  int shard_of(int world_rank) const override {
+  // --- The World's routing ---------------------------------------------
+  // The post_* members are called from shard worker threads during a window
+  // and touch only that shard's slice; everything they queue is applied
+  // serially at the next window boundary.
+  int num_shards() const { return engine_.num_shards(); }
+  int shard_of(int world_rank) const {
     return shard_of_rank_[static_cast<std::size_t>(world_rank)];
   }
-  sim::Simulator& shard_sim(int shard) override { return engine_.shard(shard); }
-  net::Network& shard_net(int shard) override {
+  sim::Simulator& shard_sim(int shard) { return engine_.shard(shard); }
+  net::Network& shard_net(int shard) {
     return *nets_[static_cast<std::size_t>(shard)];
   }
-  sim::Time lookahead() const override { return engine_.lookahead(); }
-  void post_internode(InternodeSend op) override {
+  sim::Time lookahead() const { return engine_.lookahead(); }
+  /// Queues an internode send for the boundary merge (source shard thread).
+  void post_internode(InternodeSend op) {
     outbox_[static_cast<std::size_t>(sim::current_shard())].push_back(
         std::move(op));
   }
-  void post_announce(int world_rank, sim::Time when) override {
+  /// Requests a death announcement on every shard at absolute time `when`.
+  void post_announce(int world_rank, sim::Time when) {
     announces_[static_cast<std::size_t>(sim::current_shard())].push_back(
         {world_rank, when});
   }
-  void post_retire() override {
+  /// Requests companion retirement at the end of the current window.
+  void post_retire() {
     retire_requested_.store(true, std::memory_order_relaxed);
   }
-  void post_abort(sim::Time when) override {
+  /// Requests a job abort (all surviving ranks killed) on every shard at
+  /// absolute time `when` — the graceful both-replicas-lost shutdown.
+  void post_abort(sim::Time when) {
     aborts_[static_cast<std::size_t>(sim::current_shard())].push_back(when);
   }
 

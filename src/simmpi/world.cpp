@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "simmpi/comm.hpp"
+#include "simmpi/sharded_world.hpp"
 
 namespace repmpi::mpi {
 
@@ -24,22 +25,37 @@ World::World(sim::Simulator& sim, net::Network& network, int num_ranks)
   build_slowdowns(network.topology());
 }
 
-World::World(ShardRouter& router, int num_ranks)
-    : router_(&router),
-      model_(&router.shard_net(0).model()),
+World::World(ShardedMachine& machine, int num_ranks)
+    : machine_(&machine),
+      model_(&machine.shard_net(0).model()),
       num_ranks_(num_ranks) {
   REPMPI_CHECK(num_ranks > 0);
-  REPMPI_CHECK_MSG(router.shard_net(0).topology().num_processes() >= num_ranks,
+  REPMPI_CHECK_MSG(machine.shard_net(0).topology().num_processes() >= num_ranks,
                    "topology has fewer slots than ranks");
   ranks_ = std::vector<RankState>(static_cast<std::size_t>(num_ranks));
   phases_.resize(static_cast<std::size_t>(num_ranks));
-  const auto shards = static_cast<std::size_t>(router.num_shards());
+  const auto shards = static_cast<std::size_t>(machine.num_shards());
   announced_.assign(shards * static_cast<std::size_t>(num_ranks), 0);
   shard_ranks_.resize(shards);
   for (int r = 0; r < num_ranks; ++r) {
-    shard_ranks_[static_cast<std::size_t>(router.shard_of(r))].push_back(r);
+    shard_ranks_[static_cast<std::size_t>(machine.shard_of(r))].push_back(r);
   }
-  build_slowdowns(router.shard_net(0).topology());
+  build_slowdowns(machine.shard_net(0).topology());
+}
+
+sim::Simulator& World::sim_of(int world_rank) {
+  return machine_ != nullptr
+             ? machine_->shard_sim(machine_->shard_of(world_rank))
+             : *sim_;
+}
+
+int World::num_shards() const {
+  return machine_ != nullptr ? machine_->num_shards() : 1;
+}
+
+sim::Simulator& World::local_sim() {
+  return machine_ != nullptr ? machine_->shard_sim(sim::current_shard())
+                             : *sim_;
 }
 
 void World::build_slowdowns(const net::Topology& topo) {
@@ -78,12 +94,12 @@ void World::note_main_done() {
 
 void World::maybe_retire_companions() {
   // The seq_cst increments make the thread that settles the last main see
-  // the full sum; a double post is absorbed by the router/engine.
+  // the full sum; a double post is absorbed by the machine.
   if (mains_done_.load() + mains_crashed_.load() < num_ranks_) return;
-  if (router_ != nullptr) {
+  if (machine_ != nullptr) {
     // Cross-shard kills must not happen from a worker mid-window; the
     // machine schedules retire_on_shard control events at the boundary.
-    router_->post_retire();
+    machine_->post_retire();
     return;
   }
   // Every main has finished or crashed: nobody can request replays anymore,
@@ -95,7 +111,7 @@ void World::maybe_retire_companions() {
 }
 
 void World::retire_on_shard(int shard) {
-  sim::Simulator& s = router_->shard_sim(shard);
+  sim::Simulator& s = machine_->shard_sim(shard);
   for (int r : shard_ranks_[static_cast<std::size_t>(shard)]) {
     for (sim::Pid companion : ranks_[static_cast<std::size_t>(r)].companions) {
       s.kill(companion);
@@ -112,14 +128,14 @@ void World::crash(int world_rank) {
   for (sim::Pid companion : rs.companions) s.kill(companion);
   ++mains_crashed_;
   maybe_retire_companions();
-  if (router_ != nullptr) {
+  if (machine_ != nullptr) {
     // The announcement lands at least a window beyond the crash (detection
     // delay >= lookahead), so deferring it to the boundary cannot move it.
-    REPMPI_CHECK_MSG(detection_delay_ >= router_->lookahead(),
+    REPMPI_CHECK_MSG(detection_delay_ >= machine_->lookahead(),
                      "sharded run needs detection delay >= lookahead ("
-                         << detection_delay_ << " < " << router_->lookahead()
+                         << detection_delay_ << " < " << machine_->lookahead()
                          << ")");
-    router_->post_announce(world_rank, s.now() + detection_delay_);
+    machine_->post_announce(world_rank, s.now() + detection_delay_);
     return;
   }
   sim_->schedule_after(detection_delay_,
@@ -145,17 +161,17 @@ void World::declare_job_failed(int logical, int world_rank, sim::Time t) {
   // the observation window, so the control event lands in the future on all
   // of them.
   const sim::Time when = t + detection_delay_;
-  if (router_ != nullptr) {
-    REPMPI_CHECK_MSG(detection_delay_ >= router_->lookahead(),
+  if (machine_ != nullptr) {
+    REPMPI_CHECK_MSG(detection_delay_ >= machine_->lookahead(),
                      "sharded run needs detection delay >= lookahead");
-    router_->post_abort(when);
+    machine_->post_abort(when);
     return;
   }
   sim_->schedule_internal_at(when, [this] { abort_on_shard(0); });
 }
 
 void World::abort_on_shard(int shard) {
-  sim::Simulator& s = router_ != nullptr ? router_->shard_sim(shard) : *sim_;
+  sim::Simulator& s = machine_ != nullptr ? machine_->shard_sim(shard) : *sim_;
   int newly_dead = 0;
   for (int r : shard_ranks_[static_cast<std::size_t>(shard)]) {
     auto& rs = ranks_[static_cast<std::size_t>(r)];
@@ -216,14 +232,14 @@ void World::send_bytes(int src_world, int dst_world, std::uint64_t channel,
 void World::send_payload(int src_world, int dst_world, std::uint64_t channel,
                          int src_comm_rank, int tag, support::Payload data) {
   REPMPI_CHECK(dst_world >= 0 && dst_world < num_ranks_);
-  if (router_ != nullptr) {
-    const int shard = router_->shard_of(src_world);
-    net::Network& snet = router_->shard_net(shard);
+  if (machine_ != nullptr) {
+    const int shard = machine_->shard_of(src_world);
+    net::Network& snet = machine_->shard_net(shard);
     if (snet.topology().same_node(src_world, dst_world)) {
       // Same node means same shard (shards own whole nodes): the intranode
       // transport has no shared NIC lane state, so the reservation touches
       // only this shard's pair clocks and can happen inline like legacy.
-      sim::Simulator& ssim = router_->shard_sim(shard);
+      sim::Simulator& ssim = machine_->shard_sim(shard);
       const sim::Time arrival =
           snet.reserve_transfer(src_world, dst_world, data.size());
       ssim.schedule_at(arrival, [this, dst_world,
@@ -240,7 +256,7 @@ void World::send_payload(int src_world, int dst_world, std::uint64_t channel,
     // fire-and-forget), so deferral is invisible to virtual time.
     auto& rs = ranks_[static_cast<std::size_t>(src_world)];
     InternodeSend op;
-    op.t = router_->shard_sim(shard).now();
+    op.t = machine_->shard_sim(shard).now();
     op.src_world = src_world;
     op.dst_world = dst_world;
     op.channel = channel;
@@ -248,7 +264,7 @@ void World::send_payload(int src_world, int dst_world, std::uint64_t channel,
     op.tag = tag;
     op.src_seq = rs.next_xsend_seq++;
     op.data = std::move(data);
-    router_->post_internode(std::move(op));
+    machine_->post_internode(std::move(op));
     return;
   }
   const sim::Time arrival =

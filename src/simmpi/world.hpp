@@ -46,6 +46,7 @@ namespace repmpi::mpi {
 
 class Proc;
 class Comm;
+class ShardedMachine;
 
 /// An internode send deferred to the window boundary of a sharded run. The
 /// key (t, src_world, src_seq) totally orders deferred sends independently
@@ -63,32 +64,6 @@ struct InternodeSend {
   int tag = 0;
   std::uint64_t src_seq = 0;  ///< per-source internode send counter
   support::Payload data;
-};
-
-/// Routing seam between the World and the sharded engine's machinery
-/// (implemented by ShardedMachine in simmpi/sharded_world.hpp). The post_*
-/// members are called from shard worker threads during a window and must
-/// only touch that shard's slice; everything they queue is applied serially
-/// at the next window boundary.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-
-  virtual int num_shards() const = 0;
-  virtual int shard_of(int world_rank) const = 0;
-  virtual sim::Simulator& shard_sim(int shard) = 0;
-  virtual net::Network& shard_net(int shard) = 0;
-  virtual sim::Time lookahead() const = 0;
-
-  /// Queues an internode send for the boundary merge (source shard thread).
-  virtual void post_internode(InternodeSend op) = 0;
-  /// Requests a death announcement on every shard at absolute time `when`.
-  virtual void post_announce(int world_rank, sim::Time when) = 0;
-  /// Requests companion retirement at the end of the current window.
-  virtual void post_retire() = 0;
-  /// Requests a job abort (all surviving ranks killed) on every shard at
-  /// absolute time `when` — the graceful both-replicas-lost shutdown.
-  virtual void post_abort(sim::Time when) = 0;
 };
 
 /// Run-scoped state of a protocol layer built on a World (the replication
@@ -113,11 +88,11 @@ class World {
  public:
   World(sim::Simulator& sim, net::Network& network, int num_ranks);
 
-  /// Sharded world: ranks are spread over the router's shards, each rank's
+  /// Sharded world: ranks are spread over the machine's shards, each rank's
   /// process living on its shard's simulator. Cross-shard interactions are
-  /// deferred through the router; everything else behaves as the legacy
-  /// single-simulator constructor.
-  World(ShardRouter& router, int num_ranks);
+  /// deferred through the machine to its window boundaries; everything else
+  /// behaves as the legacy single-simulator constructor.
+  World(ShardedMachine& machine, int num_ranks);
 
   /// Joins all simulated process threads (they may hold references to this
   /// world on their stacks) before the world's state is released. In a
@@ -129,18 +104,13 @@ class World {
 
   /// The simulator owning `world_rank`'s process (its shard's, or the
   /// single one). Spawning a companion for a rank must go through this.
-  sim::Simulator& sim_of(int world_rank) {
-    return router_ != nullptr ? router_->shard_sim(router_->shard_of(world_rank))
-                              : *sim_;
-  }
+  sim::Simulator& sim_of(int world_rank);
 
   const net::MachineModel& model() const { return *model_; }
 
   /// True when the ranks are spread over a sharded engine's threads.
-  bool sharded() const { return router_ != nullptr; }
-  int num_shards() const {
-    return router_ != nullptr ? router_->num_shards() : 1;
-  }
+  bool sharded() const { return machine_ != nullptr; }
+  int num_shards() const;
 
   /// The world's layer state, constructed from `args` by the first caller
   /// (a rank fiber on any shard). A world holds one layer's state.
@@ -396,7 +366,9 @@ class World {
   void maybe_retire_companions();
 
   /// The shard whose slice the calling thread may touch (0 in legacy runs).
-  int shard_view() const { return router_ != nullptr ? sim::current_shard() : 0; }
+  int shard_view() const {
+    return machine_ != nullptr ? sim::current_shard() : 0;
+  }
 
   std::size_t announced_index(int shard, int world_rank) const {
     return static_cast<std::size_t>(shard) *
@@ -406,14 +378,11 @@ class World {
 
   /// Simulator of the shard the calling thread is executing (the one whose
   /// fibers can be unparked right now).
-  sim::Simulator& local_sim() {
-    return router_ != nullptr ? router_->shard_sim(sim::current_shard())
-                              : *sim_;
-  }
+  sim::Simulator& local_sim();
 
   sim::Simulator* sim_ = nullptr;  ///< legacy single simulator
   net::Network* net_ = nullptr;    ///< legacy single network
-  ShardRouter* router_ = nullptr;  ///< sharded routing seam
+  ShardedMachine* machine_ = nullptr;  ///< sharded runs only
   const net::MachineModel* model_ = nullptr;
   int num_ranks_;
   std::vector<RankState> ranks_;

@@ -60,19 +60,6 @@ std::span<std::byte> as_writable_bytes_of(std::span<T> values) {
   return std::as_writable_bytes(values);
 }
 
-/// Copies a typed value/array into a freshly allocated buffer.
-template <TriviallyCopyable T>
-Buffer make_buffer(const T& value) {
-  const auto bytes = as_bytes_of(value);
-  return Buffer(bytes.begin(), bytes.end());
-}
-
-template <TriviallyCopyable T>
-Buffer make_buffer(std::span<const T> values) {
-  const auto bytes = std::as_bytes(values);
-  return Buffer(bytes.begin(), bytes.end());
-}
-
 /// Reinterprets a byte buffer as a value of type T (sizes must match).
 template <TriviallyCopyable T>
 T from_buffer(std::span<const std::byte> bytes) {

@@ -69,20 +69,19 @@ double Supervisor::backoff_sec(const SupervisorConfig& cfg, int retry) {
 
 double Supervisor::backoff_sec(const SupervisorConfig& cfg, int retry,
                                const std::string& key) {
-  const double exact = backoff_sec(cfg, retry);
-  if (cfg.backoff_jitter_seed == 0) return exact;
   // Deterministic decorrelation: a uniform factor in [0.5, 1.0) drawn from
-  // (seed, key, retry). Same inputs, same delay — the jitter sequence is
-  // reproducible — but sibling cells failing at the same instant spread out
-  // instead of hammering the host in lockstep.
-  std::uint64_t h = cfg.backoff_jitter_seed;
+  // (key, retry) under a fixed seed. Same inputs, same delay — the jitter
+  // sequence is reproducible — but sibling cells failing at the same
+  // instant spread out instead of hammering the host in lockstep.
+  constexpr std::uint64_t kJitterSeed = 0x52455053u;
+  std::uint64_t h = kJitterSeed;
   h ^= static_cast<std::uint64_t>(crc32c(key.data(), key.size())) *
        0x9e3779b97f4a7c15ULL;
   h ^= static_cast<std::uint64_t>(retry) * 0xbf58476d1ce4e5b9ULL;
   SplitMix64 mix(h);
   const double u =
       static_cast<double>(mix.next() >> 11) * 0x1.0p-53;  // [0, 1)
-  return exact * (0.5 + 0.5 * u);
+  return backoff_sec(cfg, retry) * (0.5 + 0.5 * u);
 }
 
 void Supervisor::finish_attempt(Child& c, CellStatus status, int code) {

@@ -3,7 +3,7 @@
 // Process-isolated work execution for sweep grids: a queue of scenario
 // descriptors fanned across fork/exec'd worker processes, each attempt run
 // under a wall-clock deadline with kill-on-timeout and bounded retry with
-// exponential backoff (optionally jittered — see backoff_sec below).
+// exponential, jittered backoff (see backoff_sec below).
 //
 // Why processes, not threads: a sweep cell that SIGSEGVs, OOMs, or hangs
 // must cost exactly one cell, not the run. The supervisor owns each child's
@@ -62,11 +62,6 @@ struct SupervisorConfig {
   /// Retry n (n >= 1) waits base * 2^(n-1) seconds, capped.
   double backoff_base_sec = 0.25;
   double backoff_cap_sec = 5.0;
-  /// Seed for deterministic retry jitter. 0 keeps the exact exponential
-  /// delays; any other value scales each delay by a factor in [0.5, 1.0)
-  /// derived from (seed, item key, retry number) — reproducible for a fixed
-  /// seed, but simultaneous cell failures no longer retry in lockstep.
-  std::uint64_t backoff_jitter_seed = 0;
   /// Validates a worker's stdout after a clean exit; returning false
   /// classifies the attempt kCorrupt. Null accepts everything.
   std::function<bool(const WorkItem&, const std::string& output)> validate;
@@ -93,8 +88,10 @@ class Supervisor {
   /// the exact exponential, ignoring jitter.
   static double backoff_sec(const SupervisorConfig& cfg, int retry);
 
-  /// Backoff delay with the config's deterministic jitter applied: a pure
-  /// function of (cfg, retry, key), reproducible for a fixed seed.
+  /// The delay a retry actually waits: the exact exponential scaled by a
+  /// factor in [0.5, 1.0) derived from (item key, retry number). A pure
+  /// function of (cfg, retry, key), so the schedule is reproducible, but
+  /// simultaneous cell failures no longer retry in lockstep.
   static double backoff_sec(const SupervisorConfig& cfg, int retry,
                             const std::string& key);
 

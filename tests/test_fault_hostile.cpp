@@ -5,9 +5,9 @@
 //  * a logical rank losing EVERY replica terminates the run as a reported
 //    job failure (RunResult::job_failed + time of death) — never a deadlock
 //    and never the stuck-shard detector, including under the sharded engine;
-//  * hostile machines (stragglers, inter-switch links, domain kills, bursty
-//    SDC) keep the bit-identity contract: a fixed seed gives identical
-//    simulated results at every shard count;
+//  * hostile machines (stragglers, domain kills, bursty SDC) keep the
+//    bit-identity contract: a fixed seed gives identical simulated results
+//    at every shard count;
 //  * generators are pure functions of (seed, parameters);
 //  * malformed fault plans are rejected at plan-build time.
 
@@ -147,7 +147,7 @@ TEST(JobFailure, DomainKillFatalOnNaivePlacementSurvivedByAware) {
   const double t_free = run_hpccg(cfg).wallclock;
 
   const net::Topology naive = layout.make_topology_domains(
-      cfg.cores_per_node, kNodesPerDomain, 0, /*domain_aware=*/false);
+      cfg.cores_per_node, kNodesPerDomain, /*domain_aware=*/false);
   ASSERT_GT(model::domain_kill_interrupt_probability(naive, kLogical, 2), 0.0);
 
   fault::FaultPlan kill;
@@ -160,7 +160,7 @@ TEST(JobFailure, DomainKillFatalOnNaivePlacementSurvivedByAware) {
   // Same domain index killed under domain-aware placement: one lane dies
   // wholesale, the other completes the job.
   const net::Topology aware = layout.make_topology_domains(
-      cfg.cores_per_node, kNodesPerDomain, 0, /*domain_aware=*/true);
+      cfg.cores_per_node, kNodesPerDomain, /*domain_aware=*/true);
   EXPECT_EQ(model::domain_kill_interrupt_probability(aware, kLogical, 2), 0.0);
   fault::FaultPlan aware_kill;
   fault::kill_domain_at(aware_kill, aware, /*domain=*/0, 0.4 * t_free);
@@ -201,22 +201,19 @@ TEST(JobFailure, ShardedRunReportsIdenticalFailure) {
 
 // --- Hostile machines keep the bit-identity contract -----------------------
 
-// One maximally hostile-but-survivable scenario: stragglers, slower
-// inter-switch links, a single-lane domain kill, and bursty SDC, all from
-// one seed. Simulated results must be bit-identical across shard counts.
+// One maximally hostile-but-survivable scenario: stragglers, a single-lane
+// domain kill, and bursty SDC, all from one seed. Simulated results must be bit-identical across shard counts.
 TEST(HostileBitIdentity, IdenticalAcrossShardCounts) {
   constexpr int kLogical = 8;
   const rep::ReplicaLayout layout{kLogical, 2};
   const net::Topology aware =
-      layout.make_topology_domains(4, 3, 0, /*domain_aware=*/true);
+      layout.make_topology_domains(4, 3, /*domain_aware=*/true);
 
   auto hostile_run = [&](int shards) {
     RunConfig cfg = replicated_cfg(kLogical, shards);
     cfg.mode = RunMode::kReplicatedVerify;  // exercises SDC detection too
     cfg.nodes_per_domain = 3;
     cfg.domain_aware_placement = true;
-    cfg.model.inter_switch_extra_latency = 2e-6;
-    cfg.model.inter_switch_bandwidth = 2e9;
     support::Rng rng(0xbadc0de5u);
     cfg.model.node_slowdown = fault::generate_straggler_slowdowns(
         aware.num_nodes(), 0.3, 2.0, rng);
@@ -249,19 +246,17 @@ TEST(HostileBitIdentity, IdenticalAcrossShardCounts) {
 }
 
 // On a homogeneous machine the executed-event count IS shard-invariant,
-// faults and hostile links included.
+// faults included.
 TEST(HostileBitIdentity, EventCountInvariantWithoutStragglers) {
   constexpr int kLogical = 8;
   const rep::ReplicaLayout layout{kLogical, 2};
   const net::Topology aware =
-      layout.make_topology_domains(4, 3, 0, /*domain_aware=*/true);
+      layout.make_topology_domains(4, 3, /*domain_aware=*/true);
 
   auto hostile_run = [&](int shards) {
     RunConfig cfg = replicated_cfg(kLogical, shards);
     cfg.nodes_per_domain = 3;
     cfg.domain_aware_placement = true;
-    cfg.model.inter_switch_extra_latency = 2e-6;
-    cfg.model.inter_switch_bandwidth = 2e9;
     fault::FaultPlan plan;
     fault::kill_domain_at(plan, aware, /*domain=*/1, 1e-3);
     cfg.faults = &plan;
@@ -326,7 +321,7 @@ TEST(Generators, BurstySdcCountTracksNhppMean) {
 TEST(Generators, DomainKillListsWholeDomain) {
   const rep::ReplicaLayout layout{8, 2};
   const net::Topology topo =
-      layout.make_topology_domains(4, 3, 0, /*domain_aware=*/false);
+      layout.make_topology_domains(4, 3, /*domain_aware=*/false);
   fault::FaultPlan plan;
   fault::kill_domain_at(plan, topo, 0, 2.5e-3);
   ASSERT_FALSE(plan.timed_crashes().empty());

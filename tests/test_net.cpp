@@ -108,20 +108,7 @@ TEST_F(NetworkTest, IntraNodeIsCheap) {
   EXPECT_EQ(net.stats().intranode_messages, 1u);
 }
 
-TEST_F(NetworkTest, HalfDuplexNicSerializesOpposingStreams) {
-  model_.nic_full_duplex = false;
-  sim::Simulator sim;
-  Network net(sim, model_, Topology(8, 4));
-  // Simultaneous 0->4 and 4->0 of 1 MB each must serialize on the shared
-  // NICs: second arrival ~2 ms, not ~1 ms.
-  const sim::Time a1 = net.reserve_transfer(0, 4, 1000000);
-  const sim::Time a2 = net.reserve_transfer(4, 0, 1000000);
-  EXPECT_NEAR(a1, 1e-3 + 1e-6, 1e-9);
-  EXPECT_NEAR(a2, 2e-3 + 1e-6, 1e-9);
-}
-
 TEST_F(NetworkTest, FullDuplexAllowsOpposingStreams) {
-  model_.nic_full_duplex = true;
   sim::Simulator sim;
   Network net(sim, model_, Topology(8, 4));
   const sim::Time a1 = net.reserve_transfer(0, 4, 1000000);
@@ -151,44 +138,36 @@ TEST_F(NetworkTest, PerPairFifoHoldsForMixedSizes) {
 TEST_F(NetworkTest, InternodeArrivalsPerPairAreNondecreasing) {
   // The invariant that lets internode pairs go without a FIFO clock: each
   // send starts at or after the NIC lanes the pair's previous send advanced,
-  // and latency and bandwidth are fixed per node pair, so a pair's arrivals
-  // never decrease, whatever the sizes, the interleaving with other pairs or
-  // the send instants (the sharded machine replays each window's sends in a
-  // sorted order, not in send order). Both duplex modes, with inter-switch
-  // links slower than intra-switch ones.
-  for (const bool full_duplex : {false, true}) {
-    model_.nic_full_duplex = full_duplex;
-    model_.inter_switch_extra_latency = 3e-6;
-    model_.inter_switch_bandwidth = 2.5e8;
-    Topology topo(32, 4);  // 8 nodes
-    topo.set_nodes_per_domain(2);
-    sim::Simulator sim;
-    Network net(sim, model_, topo);
-    support::Rng rng(full_duplex ? 0xf1f0ULL : 0x4a1fULL);
-    std::map<std::pair<int, int>, sim::Time> last;
-    double now = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-      const int src = static_cast<int>(rng.next_below(32));
-      int dst = static_cast<int>(rng.next_below(32));
-      if (topo.same_node(src, dst)) dst = (dst + 4) % 32;
-      // Mostly tiny messages, some up to 1 MB; send instants drift forward
-      // with occasional steps back.
-      const std::size_t bytes = rng.next_below(8) == 0
-                                    ? rng.next_below(1u << 20)
-                                    : rng.next_below(64);
-      now = std::max(0.0, now + rng.uniform(-2e-6, 5e-6));
-      const sim::Time arrival = net.reserve_transfer_at(src, dst, bytes, now);
-      const auto [it, fresh] = last.try_emplace({src, dst}, arrival);
-      if (!fresh) {
-        ASSERT_GE(arrival, it->second)
-            << "pair " << src << "->" << dst << " message " << i
-            << " full_duplex=" << full_duplex;
-        it->second = arrival;
-      }
+  // and latency and bandwidth are the same for every pair, so a pair's
+  // arrivals never decrease, whatever the sizes, the interleaving with other
+  // pairs or the send instants (the sharded machine replays each window's
+  // sends in a sorted order, not in send order).
+  const Topology topo(32, 4);  // 8 nodes
+  sim::Simulator sim;
+  Network net(sim, model_, topo);
+  support::Rng rng(0xf1f0ULL);
+  std::map<std::pair<int, int>, sim::Time> last;
+  double now = 0.0;
+  for (int i = 0; i < 20000; ++i) {
+    const int src = static_cast<int>(rng.next_below(32));
+    int dst = static_cast<int>(rng.next_below(32));
+    if (topo.same_node(src, dst)) dst = (dst + 4) % 32;
+    // Mostly tiny messages, some up to 1 MB; send instants drift forward
+    // with occasional steps back.
+    const std::size_t bytes = rng.next_below(8) == 0
+                                  ? rng.next_below(1u << 20)
+                                  : rng.next_below(64);
+    now = std::max(0.0, now + rng.uniform(-2e-6, 5e-6));
+    const sim::Time arrival = net.reserve_transfer_at(src, dst, bytes, now);
+    const auto [it, fresh] = last.try_emplace({src, dst}, arrival);
+    if (!fresh) {
+      ASSERT_GE(arrival, it->second)
+          << "pair " << src << "->" << dst << " message " << i;
+      it->second = arrival;
     }
-    EXPECT_EQ(net.stats().intranode_messages, 0u);
-    EXPECT_GT(last.size(), 500u);
   }
+  EXPECT_EQ(net.stats().intranode_messages, 0u);
+  EXPECT_GT(last.size(), 500u);
 }
 
 TEST_F(NetworkTest, IntranodeFifoOnUnevenNodes) {

@@ -128,24 +128,10 @@ TEST(Replication, BcastFromMiddleRank) {
   std::map<int, int> results;
   f.run([&](mpi::Proc& proc, LogicalComm& comm) {
     int v = comm.rank() == 1 ? 99 : 0;
-    v = comm.bcast_value(v, 1);
+    comm.bcast(std::span<int>(&v, 1), 1);
     results[proc.world_rank()] = v;
   });
   for (const auto& [rank, v] : results) EXPECT_EQ(v, 99);
-}
-
-TEST(Replication, AllgatherLogical) {
-  RepFixture f(4, 2);
-  std::map<int, std::vector<int>> results;
-  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
-    const int mine = comm.rank() * comm.rank();
-    std::vector<int> all(4);
-    comm.allgather(std::span<const int>(&mine, 1), std::span<int>(all));
-    results[proc.world_rank()] = all;
-  });
-  for (const auto& [rank, all] : results) {
-    EXPECT_EQ(all, (std::vector<int>{0, 1, 4, 9}));
-  }
 }
 
 TEST(Replication, ReplicaCommConnectsLanes) {

@@ -77,7 +77,7 @@ TEST(Sim, ParkUnparkHandshake) {
   });
   sim.spawn("waker", [&](Context& ctx) {
     ctx.delay(2.0);
-    ctx.simulator().unpark(sleeper);
+    sim.unpark(sleeper);
   });
   sim.run();
   EXPECT_DOUBLE_EQ(woke_at, 2.0);
@@ -98,10 +98,10 @@ TEST(Sim, ConditionLoopSurvivesEarlyWakeups) {
   });
   sim.spawn("waker", [&](Context& ctx) {
     ctx.delay(0.5);
-    ctx.simulator().unpark(sleeper);  // early, before the condition is set
+    sim.unpark(sleeper);  // early, before the condition is set
     ctx.delay(1.0);
     flag = true;
-    ctx.simulator().unpark(sleeper);  // real wakeup
+    sim.unpark(sleeper);  // real wakeup
   });
   sim.run();
   EXPECT_TRUE(observed);
@@ -117,9 +117,9 @@ TEST(Sim, DelayIsNotCutShortBySpuriousUnpark) {
   });
   sim.spawn("noise", [&](Context& ctx) {
     ctx.delay(1.0);
-    ctx.simulator().unpark(p);
+    sim.unpark(p);
     ctx.delay(1.0);
-    ctx.simulator().unpark(p);
+    sim.unpark(p);
   });
   sim.run();
   EXPECT_DOUBLE_EQ(t_end, 3.0);
@@ -140,7 +140,7 @@ TEST(Sim, KillUnwindsParkedProcess) {
   });
   sim.spawn("killer", [&](Context& ctx) {
     ctx.delay(1.0);
-    ctx.simulator().kill(victim);
+    sim.kill(victim);
   });
   sim.run();
   EXPECT_TRUE(cleanup_ran);      // RAII unwound
@@ -157,7 +157,7 @@ TEST(Sim, KillDuringDelayUnwindsAtWakeup) {
   });
   sim.spawn("killer", [&](Context& ctx) {
     ctx.delay(1.0);
-    ctx.simulator().kill(victim);
+    sim.kill(victim);
   });
   sim.run();
   EXPECT_DOUBLE_EQ(died_after, -1);
@@ -176,7 +176,7 @@ TEST(Sim, CheckKilledThrowsInsideComputeLoop) {
   });
   sim.spawn("killer", [&](Context& ctx) {
     ctx.delay(5.5);
-    ctx.simulator().kill(victim);
+    sim.kill(victim);
   });
   sim.run();
   EXPECT_EQ(iterations, 5);
@@ -202,7 +202,7 @@ TEST(Sim, DynamicSpawnDuringRun) {
   Time child_start = -1;
   sim.spawn("parent", [&](Context& ctx) {
     ctx.delay(2.0);
-    ctx.simulator().spawn("child", [&](Context& cctx) {
+    sim.spawn("child", [&](Context& cctx) {
       child_start = cctx.now();
       cctx.delay(1.0);
     });
@@ -381,7 +381,7 @@ TEST(Sim, UnparkThenDelayYieldsToWokenProcessFirst) {
   });
   sim.spawn("a", [&](Context& ctx) {
     ctx.delay(1.0);
-    ctx.simulator().unpark(b);
+    sim.unpark(b);
     ctx.delay(0.5);
     order.emplace_back('a', ctx.now());
   });

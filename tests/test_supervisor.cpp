@@ -253,7 +253,8 @@ TEST(Supervisor, RetryWaitsAtLeastTheBackoffDelay) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   EXPECT_EQ(results[0].attempts, 2);
-  EXPECT_GE(elapsed, 0.4);  // the second attempt respected the backoff
+  // The second attempt respected the (jittered) backoff.
+  EXPECT_GE(elapsed, Supervisor::backoff_sec(cfg, 1, "flaky"));
 }
 
 TEST(Supervisor, DiagnosticLogMentionsRetryAndClass) {
@@ -268,11 +269,10 @@ TEST(Supervisor, DiagnosticLogMentionsRetryAndClass) {
   EXPECT_NE(text.find("bad"), std::string::npos);
 }
 
-TEST(Supervisor, JitteredBackoffIsReproducibleForAFixedSeed) {
+TEST(Supervisor, JitteredBackoffIsReproducible) {
   SupervisorConfig cfg;
   cfg.backoff_base_sec = 0.5;
   cfg.backoff_cap_sec = 5.0;
-  cfg.backoff_jitter_seed = 0x1234abcd;
   for (int retry = 1; retry <= 12; ++retry) {
     const double a = Supervisor::backoff_sec(cfg, retry, "hpccg.l2.d2.none");
     const double b = Supervisor::backoff_sec(cfg, retry, "hpccg.l2.d2.none");
@@ -284,7 +284,6 @@ TEST(Supervisor, JitteredBackoffStaysWithinHalfToFullExactDelay) {
   SupervisorConfig cfg;
   cfg.backoff_base_sec = 0.5;
   cfg.backoff_cap_sec = 5.0;
-  cfg.backoff_jitter_seed = 7;
   for (int retry = 1; retry <= 12; ++retry) {
     const double exact = Supervisor::backoff_sec(cfg, retry);
     for (const char* key : {"a", "b", "hpccg.l4.d3.late_crash"}) {
@@ -295,23 +294,14 @@ TEST(Supervisor, JitteredBackoffStaysWithinHalfToFullExactDelay) {
   }
 }
 
-TEST(Supervisor, JitterDecorrelatesSiblingKeysAndZeroSeedIsExact) {
+TEST(Supervisor, JitterDecorrelatesSiblingKeys) {
   SupervisorConfig cfg;
   cfg.backoff_base_sec = 0.5;
   cfg.backoff_cap_sec = 5.0;
-  // Seed 0 keeps the exact exponential delays (what existing configs get).
-  EXPECT_DOUBLE_EQ(Supervisor::backoff_sec(cfg, 3, "any-key"),
-                   Supervisor::backoff_sec(cfg, 3));
-  // With a seed, two cells failing at the same instant retry at different
-  // times — the whole point of the jitter.
-  cfg.backoff_jitter_seed = 42;
+  // Two cells failing at the same instant retry at different times — the
+  // whole point of the jitter.
   EXPECT_NE(Supervisor::backoff_sec(cfg, 3, "hpccg.l2.d2.none"),
             Supervisor::backoff_sec(cfg, 3, "hpccg.l4.d2.none"));
-  // Different seeds give a different (still deterministic) schedule.
-  SupervisorConfig other = cfg;
-  other.backoff_jitter_seed = 43;
-  EXPECT_NE(Supervisor::backoff_sec(cfg, 3, "hpccg.l2.d2.none"),
-            Supervisor::backoff_sec(other, 3, "hpccg.l2.d2.none"));
 }
 
 TEST(Supervisor, InvalidConfigRejected) {

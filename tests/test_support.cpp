@@ -17,14 +17,16 @@ namespace {
 
 TEST(Buffer, ScalarRoundTrip) {
   const double x = 3.14159;
-  Buffer b = make_buffer(x);
+  const auto bytes = as_bytes_of(x);
+  const Buffer b(bytes.begin(), bytes.end());
   EXPECT_EQ(b.size(), sizeof(double));
   EXPECT_DOUBLE_EQ(from_buffer<double>(b), x);
 }
 
 TEST(Buffer, SpanRoundTrip) {
   const std::array<int, 4> src{1, 2, 3, 4};
-  Buffer b = make_buffer(std::span<const int>(src));
+  const auto bytes = std::as_bytes(std::span<const int>(src));
+  const Buffer b(bytes.begin(), bytes.end());
   std::array<int, 4> dst{};
   EXPECT_EQ(copy_into<int>(b, dst), 4u);
   EXPECT_EQ(dst, src);
@@ -32,7 +34,8 @@ TEST(Buffer, SpanRoundTrip) {
 
 TEST(Buffer, TypedViewAliasesBytes) {
   const std::array<double, 3> src{1.5, -2.5, 0.0};
-  Buffer b = make_buffer(std::span<const double>(src));
+  const auto bytes = std::as_bytes(std::span<const double>(src));
+  const Buffer b(bytes.begin(), bytes.end());
   auto view = typed_view<double>(std::span<const std::byte>(b));
   ASSERT_EQ(view.size(), 3u);
   EXPECT_DOUBLE_EQ(view[1], -2.5);
@@ -40,7 +43,8 @@ TEST(Buffer, TypedViewAliasesBytes) {
 
 TEST(Buffer, CopyIntoTruncatesToSmallerDst) {
   const std::array<int, 4> src{1, 2, 3, 4};
-  Buffer b = make_buffer(std::span<const int>(src));
+  const auto bytes = std::as_bytes(std::span<const int>(src));
+  const Buffer b(bytes.begin(), bytes.end());
   std::array<int, 2> dst{};
   EXPECT_EQ(copy_into<int>(b, dst), 2u);
   EXPECT_EQ(dst[0], 1);

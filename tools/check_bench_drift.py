@@ -33,10 +33,10 @@ gate on absolute deviation at the tolerance instead of meaningless
 relative drift.
 
 Robustness semantics (crash-safe sweeps): a bench entry with nonzero
-status (a failed or timed-out cell) is *skipped with a note* rather than
+status (a failed cell) is *skipped with a note* rather than
 failing the gate — its metrics are partial garbage and the driver's own
 exit code already reports the failure. A report flagged `"partial": true`
-(flushed on SIGINT/SIGTERM or --timeout-sec) may be missing baseline
+(flushed on SIGINT/SIGTERM) may be missing baseline
 benches; those are noted, not failed. A *non*-partial report missing a
 baseline bench still fails: something silently dropped a bench.
 """
@@ -100,7 +100,7 @@ def main(argv):
         cur = report.get(name)
         if cur is None:
             if report_partial:
-                # A partial report (signal / --timeout-sec flush) legally
+                # A partial report (flushed on a signal) legally
                 # stops early; absent benches are expected there.
                 notes.append(f"{name}: missing from partial report "
                              f"(expected; skipped)")

@@ -276,10 +276,6 @@ int run_sweep(const support::Options& opt, const char* argv0) {
   support::SupervisorConfig cfg;
   cfg.jobs = static_cast<int>(jobs);
   cfg.max_attempts = static_cast<int>(max_attempts);
-  // Deterministic retry jitter: cells failing at the same instant (a node
-  // brownout stalling every worker at once) spread their retries instead of
-  // re-hammering the host in lockstep. Fixed seed = reproducible delays.
-  cfg.backoff_jitter_seed = 0x52455053u;
   cfg.log = &std::cout;
   // A clean exit with a blob that isn't this cell's metrics line is corrupt
   // output — retried like any other failure class.

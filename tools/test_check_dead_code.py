@@ -5,7 +5,9 @@ Run directly: python3 tools/test_check_dead_code.py [--cxx=c++] [--ar=ar]
 Builds a two-function archive and a main that calls one of them, the way
 the audit builds the real binaries (-O0 -ffunction-sections, linked with
 --gc-sections), then checks that an unlisted dead symbol fails, the same
-symbol allowlisted passes, and a stale allowlist entry fails.
+symbol allowlisted passes, and a stale allowlist entry fails. A probe test
+binary then instantiates a header-only inline function main never calls:
+--tests must fail on it, and pass once it is allowlisted.
 """
 
 import argparse
@@ -24,33 +26,57 @@ int unused(int x) { return x * 2; }
 }  // namespace probe
 """
 
+HEADER = """
+namespace repmpi::probe {
+inline int test_only_helper(int x) { return x * 3; }
+template <class T> T twice(T x) { return x + x; }
+}  // namespace repmpi::probe
+"""
+
 MAIN = """
+#include "probe.hpp"
 namespace probe { int used(int x); }
-int main() { return probe::used(-1); }
+int main() { return probe::used(-1) + static_cast<int>(repmpi::probe::twice(0.0)); }
+"""
+
+# Uses the production template at another type, its own anonymous-namespace
+# helper, and an inline function production never calls.
+TEST = """
+#include "probe.hpp"
+namespace probe { int used(int x); }
+namespace repmpi::probe { namespace { int local(int x) { return x - 1; } } }
+int main() {
+  return probe::used(repmpi::probe::twice(1)) +
+         repmpi::probe::local(repmpi::probe::test_only_helper(0));
+}
 """
 
 
 def build(tmp, cxx, ar):
     def sh(*cmd):
         subprocess.run(cmd, cwd=tmp, check=True)
-    for name, text in [("lib.cpp", LIB), ("main.cpp", MAIN)]:
+    for name, text in [("lib.cpp", LIB), ("probe.hpp", HEADER),
+                       ("main.cpp", MAIN), ("probe_test.cpp", TEST)]:
         with open(os.path.join(tmp, name), "w") as f:
             f.write(text)
     flags = ["-O0", "-ffunction-sections"]
     sh(cxx, *flags, "-c", "lib.cpp", "-o", "lib.o")
     sh(ar, "rcs", "libprobe.a", "lib.o")
-    sh(cxx, *flags, "main.cpp", "libprobe.a", "-Wl,--gc-sections", "-o",
-       "main")
-    return os.path.join(tmp, "libprobe.a"), os.path.join(tmp, "main")
+    for exe in ["main", "probe_test"]:
+        sh(cxx, *flags, f"{exe}.cpp", "libprobe.a", "-Wl,--gc-sections",
+           "-o", exe)
+    return (os.path.join(tmp, "libprobe.a"), os.path.join(tmp, "main"),
+            os.path.join(tmp, "probe_test"))
 
 
-def run(tmp, archive, binary, allowlist):
+def run(tmp, archive, binary, allowlist, tests=()):
     path = os.path.join(tmp, "allow.txt")
     with open(path, "w") as f:
         f.write(allowlist)
+    extra = ["--tests", *tests] if tests else []
     proc = subprocess.run(
         [sys.executable, SCRIPT, f"--archive={archive}",
-         f"--allowlist={path}", binary],
+         f"--allowlist={path}", binary, *extra],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -68,7 +94,7 @@ def main():
     ap.add_argument("--ar", default="ar")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        archive, binary = build(tmp, args.cxx, args.ar)
+        archive, binary, probe_test = build(tmp, args.cxx, args.ar)
 
         code, out = run(tmp, archive, binary, "")
         check("unlisted dead symbol fails",
@@ -87,10 +113,23 @@ def main():
         code, out = run(tmp, archive, binary,
                         listed + "probe::gone(int) # deleted\n")
         check("stale entry for a deleted symbol fails",
-              code == 1 and "not defined by the archive" in out, out)
+              code == 1 and "not defined any more" in out, out)
 
         code, out = run(tmp, archive, binary, "probe::unused(int)\n")
         check("entry without a reason is a usage error", code == 2, out)
+
+        code, out = run(tmp, archive, binary, listed, [probe_test])
+        check("test-only inline function fails",
+              code == 1 and "dead: repmpi::probe::test_only_helper" in out
+              and "twice" not in out and "local" not in out, out)
+
+        helper = "repmpi::probe::test_only_helper # a test hook\n"
+        code, out = run(tmp, archive, binary, listed + helper, [probe_test])
+        check("allowlisted test-only inline function passes", code == 0, out)
+
+        code, out = run(tmp, archive, binary, listed + helper)
+        check("test-only entry without --tests is stale",
+              code == 1 and "not defined any more" in out, out)
     print("all check_dead_code checks passed")
 
 
