@@ -222,9 +222,10 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
 }
 
 int driver(int argc, char** argv) {
-  // "--jobs N" / "--shards N" work in addition to the = forms. Only these are value keys: making `json` one would change the
-  // meaning of existing "--json <bench>" invocations (the positional .json
-  // fallback below already covers "--json file.json").
+  // "--jobs N" / "--shards N" work in addition to the = forms. Only these
+  // are value keys: making `json` one would change the meaning of existing
+  // "--json <bench>" invocations (the positional .json fallback below
+  // already covers "--json file.json").
   support::Options opt(argc, argv, {"jobs", "shards", "backend"});
   for (const char* key : {"jobs", "shards"}) {
     if (!opt.has(key)) continue;

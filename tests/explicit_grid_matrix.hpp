@@ -13,7 +13,7 @@
 
 #include "kernels/sparse.hpp"
 
-namespace repmpi::kernels {
+namespace repmpi::testing {
 
 struct ExplicitGridMatrix {
   std::vector<std::int64_t> row_start;  ///< rows + 1 entries
@@ -47,8 +47,8 @@ struct ExplicitGridMatrix {
 /// Enumerates every row's couplings in CSR entry order (the k27pt dz/dy/dx
 /// triple loop; k7pt center, x-1, x+1, y-1, y+1, z-1, z+1), dropping
 /// out-of-domain x/y couplings and z couplings past a missing neighbor.
-inline ExplicitGridMatrix build_explicit_grid_matrix(Stencil stencil, int nx,
-                                                     int ny, int nz,
+inline ExplicitGridMatrix build_explicit_grid_matrix(kernels::Stencil stencil,
+                                                     int nx, int ny, int nz,
                                                      bool has_lower,
                                                      bool has_upper) {
   ExplicitGridMatrix m;
@@ -56,7 +56,7 @@ inline ExplicitGridMatrix build_explicit_grid_matrix(Stencil stencil, int nx,
   const std::int64_t rows = plane * nz;
   const std::int64_t halo_bottom = rows;
   const std::int64_t halo_top = rows + plane;
-  const double diag = diag_weight(stencil);
+  const double diag = kernels::diag_weight(stencil);
   m.row_start.reserve(static_cast<std::size_t>(rows) + 1);
   m.row_start.push_back(0);
   for (int z = 0; z < nz; ++z) {
@@ -79,7 +79,7 @@ inline ExplicitGridMatrix build_explicit_grid_matrix(Stencil stencil, int nx,
           m.col.push_back(static_cast<std::int32_t>(c));
           m.val.push_back(v);
         };
-        if (stencil == Stencil::k27pt) {
+        if (stencil == kernels::Stencil::k27pt) {
           for (int dz = -1; dz <= 1; ++dz)
             for (int dy = -1; dy <= 1; ++dy)
               for (int dx = -1; dx <= 1; ++dx) {
@@ -102,4 +102,4 @@ inline ExplicitGridMatrix build_explicit_grid_matrix(Stencil stencil, int nx,
   return m;
 }
 
-}  // namespace repmpi::kernels
+}  // namespace repmpi::testing

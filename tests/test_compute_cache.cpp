@@ -332,7 +332,7 @@ TEST(StructuredGather, MatchesGeneralWalkForAllBoundaryCombos) {
 
         // Reference: the explicit-CSR form through the general walk.
         const std::vector<double> want =
-            kernels::build_explicit_grid_matrix(st, 5, 4, 6, lower, upper)
+            testing::build_explicit_grid_matrix(st, 5, 4, 6, lower, upper)
                 .gather_all(x);
 
         std::vector<double> got(static_cast<std::size_t>(a.rows()), -7.0);

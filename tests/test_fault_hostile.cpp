@@ -202,7 +202,8 @@ TEST(JobFailure, ShardedRunReportsIdenticalFailure) {
 // --- Hostile machines keep the bit-identity contract -----------------------
 
 // One maximally hostile-but-survivable scenario: stragglers, a single-lane
-// domain kill, and bursty SDC, all from one seed. Simulated results must be bit-identical across shard counts.
+// domain kill, and bursty SDC, all from one seed. Simulated results must be
+// bit-identical across shard counts.
 TEST(HostileBitIdentity, IdenticalAcrossShardCounts) {
   constexpr int kLogical = 8;
   const rep::ReplicaLayout layout{kLogical, 2};

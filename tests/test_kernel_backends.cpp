@@ -257,7 +257,7 @@ void expect_range_matches(const kernels::CsrMatrix& a,
 std::vector<double> explicit_gather(kernels::Stencil st, const GridShape& s,
                                     bool lower, bool upper,
                                     std::span<const double> x) {
-  return kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower,
+  return testing::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower,
                                              upper)
       .gather_all(x);
 }
@@ -391,8 +391,8 @@ TEST(TableOnlyOperator, MatchesExplicitBuilder) {
         for (const Shape& s : shapes) {
           const kernels::CsrMatrix a =
               kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
-          const kernels::ExplicitGridMatrix ref =
-              kernels::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower,
+          const testing::ExplicitGridMatrix ref =
+              testing::build_explicit_grid_matrix(st, s.nx, s.ny, s.nz, lower,
                                                   upper);
           ASSERT_NE(a.tables, nullptr);
           ASSERT_EQ(a.rows(), ref.rows());
@@ -443,7 +443,7 @@ TEST(RowSums, EqualSparsemvOfOnesBitwise) {
           std::vector<double> sums(static_cast<std::size_t>(a.rows()), -7.0);
           const net::ComputeCost cost = kernels::row_sums(a, sums);
           const std::vector<double> ones(a.vector_len(), 1.0);
-          expect_bits_eq(kernels::build_explicit_grid_matrix(
+          expect_bits_eq(testing::build_explicit_grid_matrix(
                              st, s.nx, s.ny, s.nz, lower, upper)
                              .gather_all(ones),
                          sums, "explicit row sums", Backend::kScalar);

@@ -19,6 +19,9 @@
 namespace repmpi::kernels {
 namespace {
 
+using testing::build_explicit_grid_matrix;
+using testing::ExplicitGridMatrix;
+
 TEST(VectorOps, Waxpby) {
   std::vector<double> x{1, 2, 3}, y{10, 20, 30}, w(3);
   const auto cost = waxpby(2.0, x, 0.5, y, w);

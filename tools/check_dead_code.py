@@ -2,7 +2,7 @@
 """Fail on library functions that no production binary links.
 
 Usage: check_dead_code.py --archive=<lib.a> --allowlist=<file> <binary>...
-                          [--tests <test binary>...]
+                          --tests <test binary>...
 
 Takes every strong text symbol (`T`) the archive defines and subtracts
 every symbol defined in any of the binaries; what is left is library code
@@ -12,12 +12,12 @@ hiding a call, and --gc-sections drops every function no entry point
 reaches, so a symbol present in a binary is one the binary really uses.
 
 Header-only code (inline functions, templates) never reaches the archive
-as a strong symbol, so --tests adds a second check: every `repmpi::`
-function a test binary defines (built the same way) must also be defined
-by a production binary. Names are compared with template arguments and
-parameter lists stripped, so `LogicalComm::bcast<int>(...)` in a test
-counts as used when production instantiates `bcast<double>`. Skipped:
-the tests' own code (anonymous namespaces and the fixtures'
+as a strong symbol, so a second check reads the test binaries (--tests,
+built the same way): every `repmpi::` function a test binary defines must
+also be defined by a production binary. Names are compared with template
+arguments and parameter lists stripped, so `LogicalComm::bcast<int>(...)`
+in a test counts as used when production instantiates `bcast<double>`.
+Skipped: the tests' own code (anonymous namespaces and the fixtures'
 `repmpi::testing`), lambdas, constructors, destructors, assignment
 operators, and the archive's strong symbols (the first check covers
 them).
@@ -146,7 +146,7 @@ def main():
     ap.add_argument("--archive", required=True)
     ap.add_argument("--allowlist", required=True)
     ap.add_argument("binaries", nargs="+")
-    ap.add_argument("--tests", nargs="+", default=[])
+    ap.add_argument("--tests", nargs="+", required=True)
     args = ap.parse_args()
 
     library = defined_symbols(args.archive, kinds={"T"})

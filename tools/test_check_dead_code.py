@@ -2,12 +2,13 @@
 """Self-contained checks for tools/check_dead_code.py (no pytest needed).
 
 Run directly: python3 tools/test_check_dead_code.py [--cxx=c++] [--ar=ar]
-Builds a two-function archive and a main that calls one of them, the way
-the audit builds the real binaries (-O0 -ffunction-sections, linked with
---gc-sections), then checks that an unlisted dead symbol fails, the same
-symbol allowlisted passes, and a stale allowlist entry fails. A probe test
-binary then instantiates a header-only inline function main never calls:
---tests must fail on it, and pass once it is allowlisted.
+Builds a two-function archive, a main that calls one of them and a probe
+test binary that also instantiates a header-only inline function main
+never calls, the way the audit builds the real binaries (-O0
+-ffunction-sections, linked with --gc-sections). Every case passes the
+probe test binary. Checks that an unlisted dead symbol fails, the same
+symbol allowlisted passes, a stale allowlist entry fails, and the
+test-only inline function fails unless it is allowlisted.
 """
 
 import argparse
@@ -36,7 +37,9 @@ template <class T> T twice(T x) { return x + x; }
 MAIN = """
 #include "probe.hpp"
 namespace probe { int used(int x); }
-int main() { return probe::used(-1) + static_cast<int>(repmpi::probe::twice(0.0)); }
+int main() {
+  return probe::used(-1) + static_cast<int>(repmpi::probe::twice(0.0));
+}
 """
 
 # Uses the production template at another type, its own anonymous-namespace
@@ -69,14 +72,13 @@ def build(tmp, cxx, ar):
             os.path.join(tmp, "probe_test"))
 
 
-def run(tmp, archive, binary, allowlist, tests=()):
+def run(tmp, archive, binary, probe_test, allowlist):
     path = os.path.join(tmp, "allow.txt")
     with open(path, "w") as f:
         f.write(allowlist)
-    extra = ["--tests", *tests] if tests else []
     proc = subprocess.run(
         [sys.executable, SCRIPT, f"--archive={archive}",
-         f"--allowlist={path}", binary, *extra],
+         f"--allowlist={path}", binary, "--tests", probe_test],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -94,42 +96,36 @@ def main():
     ap.add_argument("--ar", default="ar")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        archive, binary, probe_test = build(tmp, args.cxx, args.ar)
+        built = build(tmp, args.cxx, args.ar)
+        helper = "repmpi::probe::test_only_helper # a test hook\n"
 
-        code, out = run(tmp, archive, binary, "")
+        code, out = run(tmp, *built, helper)
         check("unlisted dead symbol fails",
               code == 1 and "dead: probe::unused(int)" in out
               and "probe::used(int)" not in out, out)
 
         listed = "probe::unused(int) # kept for a reason\n"
-        code, out = run(tmp, archive, binary, listed)
-        check("allowlisted dead symbol passes", code == 0, out)
+        code, out = run(tmp, *built, listed + helper)
+        check("allowlisted dead symbol and test-only function pass",
+              code == 0, out)
 
-        code, out = run(tmp, archive, binary,
-                        listed + "probe::used(int) # linked now\n")
+        code, out = run(tmp, *built,
+                        listed + helper + "probe::used(int) # linked now\n")
         check("stale entry for a linked symbol fails",
               code == 1 and "now linked" in out, out)
 
-        code, out = run(tmp, archive, binary,
-                        listed + "probe::gone(int) # deleted\n")
+        code, out = run(tmp, *built,
+                        listed + helper + "probe::gone(int) # deleted\n")
         check("stale entry for a deleted symbol fails",
               code == 1 and "not defined any more" in out, out)
 
-        code, out = run(tmp, archive, binary, "probe::unused(int)\n")
+        code, out = run(tmp, *built, "probe::unused(int)\n")
         check("entry without a reason is a usage error", code == 2, out)
 
-        code, out = run(tmp, archive, binary, listed, [probe_test])
+        code, out = run(tmp, *built, listed)
         check("test-only inline function fails",
               code == 1 and "dead: repmpi::probe::test_only_helper" in out
               and "twice" not in out and "local" not in out, out)
-
-        helper = "repmpi::probe::test_only_helper # a test hook\n"
-        code, out = run(tmp, archive, binary, listed + helper, [probe_test])
-        check("allowlisted test-only inline function passes", code == 0, out)
-
-        code, out = run(tmp, archive, binary, listed + helper)
-        check("test-only entry without --tests is stale",
-              code == 1 and "not defined any more" in out, out)
     print("all check_dead_code checks passed")
 
 
