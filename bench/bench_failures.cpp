@@ -8,7 +8,10 @@
 // restarted, so restart latency bounds the degradation. This bench measures
 // (a) and (b) directly with injected crashes in HPCCG, and quantifies (c)
 // by sweeping the crash time: the earlier the (unrepaired) crash, the
-// longer the survivor runs unshared.
+// longer the survivor runs unshared. A last case kills both replicas of
+// one logical rank at one instant: nothing can cover that loss, so the run
+// must end as a reported job failure, never a hang. Its job_failed_*
+// metrics are exact-matched by the drift gate, also in the sharded pass.
 
 #include "apps/hpccg.hpp"
 #include "bench_common.hpp"
@@ -16,8 +19,8 @@
 namespace repmpi::bench {
 namespace {
 
-double run_with_plan(fault::FaultPlan* plan, int procs, int nx, int iters,
-                     int shards) {
+RunResult run_with_plan(fault::FaultPlan* plan, int procs, int nx, int iters,
+                        int shards) {
   RunConfig cfg;
   cfg.mode = RunMode::kIntra;
   cfg.num_logical = procs / 2;
@@ -28,8 +31,7 @@ double run_with_plan(fault::FaultPlan* plan, int procs, int nx, int iters,
   p.nz = 2 * nx;
   p.iterations = iters;
   return apps::run_app(cfg,
-                       [&](apps::AppContext& ctx) { apps::hpccg(ctx, p); })
-      .wallclock;
+                       [&](apps::AppContext& ctx) { apps::hpccg(ctx, p); });
 }
 
 REPMPI_BENCH(failures, "A3: crash impact on intra-parallelized HPCCG") {
@@ -45,7 +47,8 @@ REPMPI_BENCH(failures, "A3: crash impact on intra-parallelized HPCCG") {
                "execution from the crash point on; the earlier the crash, "
                "the closer its run time gets to classic replication");
 
-  const double t_free = run_with_plan(nullptr, procs, nx, iters, shards);
+  const double t_free =
+      run_with_plan(nullptr, procs, nx, iters, shards).wallclock;
 
   Table t({"crash site", "when", "time (s)", "slowdown vs failure-free"});
   t.add_row({"(none)", "-", Table::fmt(t_free, 4), "1.000"});
@@ -73,11 +76,25 @@ REPMPI_BENCH(failures, "A3: crash impact on intra-parallelized HPCCG") {
              fault::CrashSite::kSectionEntry, 3 * iters / 2}}) {
     fault::FaultPlan plan;
     plan.add({.world_rank = procs / 2 + 1, .site = c.site, .nth = c.nth});
-    const double tt = run_with_plan(&plan, procs, nx, iters, shards);
+    const double tt = run_with_plan(&plan, procs, nx, iters, shards).wallclock;
     t.add_row({c.name, "nth=" + std::to_string(c.nth), Table::fmt(tt, 4),
                Table::fmt(tt / t_free, 3)});
     ctx.metric(std::string("slowdown_") + c.slug, tt / t_free);
   }
+
+  // Both replicas of logical rank 1 die at the same instant.
+  const rep::ReplicaLayout layout{procs / 2, 2};
+  fault::FaultPlan pair;
+  for (int lane = 0; lane < layout.degree; ++lane)
+    pair.add_timed(layout.phys_rank(1, lane), 0.3 * t_free);
+  const RunResult lost = run_with_plan(&pair, procs, nx, iters, shards);
+  t.add_row({"both replicas of logical 1", "t=0.3*T",
+             lost.job_failed ? Table::fmt(lost.job_failed_time, 6) : "-",
+             lost.job_failed ? "job failed (logical " +
+                                   std::to_string(lost.job_failed_logical) + ")"
+                             : "survived"});
+  ctx.metric("job_failed_pair", lost.job_failed ? 1.0 : 0.0);
+  ctx.metric("job_failed_time_pair", lost.job_failed_time);
   t.print(ctx.out());
 
   ctx.out() << "Reference points: a crash at t=0 degrades the affected "

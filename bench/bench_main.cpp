@@ -79,7 +79,7 @@ void print_usage() {
          "N threads (default: hardware concurrency; virtual-time results\n"
          "are bit-identical to --jobs=1, only wall-clock changes).\n"
          "--shards=N splits each simulation in the benches that support\n"
-         "it (the fig6 panels, failures and hostile_*) across N simulator\n"
+         "it (the fig6 panels, failures and hostile_sdc) across N simulator\n"
          "shards synchronized by conservative time windows; virtual-time\n"
          "results are bit-identical at any shard count, and the sharded\n"
          "fig6 panels report host_shard_count/windows/cross_messages.\n"

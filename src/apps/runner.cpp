@@ -207,8 +207,7 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
 #endif
   const rep::ReplicaLayout layout{cfg.num_logical, cfg.effective_degree()};
   REPMPI_CHECK_MSG(cfg.shards >= 0, "negative shard count " << cfg.shards);
-  net::Topology topo = layout.make_topology_domains(
-      cfg.cores_per_node, cfg.nodes_per_domain, cfg.domain_aware_placement);
+  net::Topology topo = layout.make_topology(cfg.cores_per_node);
   if (cfg.shards > 0)
     return run_app_sharded(cfg, app, layout, std::move(topo));
 

@@ -59,19 +59,13 @@ struct RunConfig {
   bool verify_consistency = false;
   fault::FaultPlan* faults = nullptr;
   std::uint64_t seed = 0x5eed;
-  /// Failure-domain size (consecutive nodes per switch/PSU group); 0
-  /// disables domain modeling entirely (byte-identical to the pre-domain
-  /// machine). See net/topology.hpp.
-  int nodes_per_domain = 0;
-  /// Place replica planes in disjoint failure domains (only meaningful with
-  /// nodes_per_domain > 0): a single domain kill then never wipes every
-  /// replica of a logical rank. Off = the paper's plain different-node rule.
-  bool domain_aware_placement = true;
   /// Number of simulator shards (worker threads) driving this one run.
   /// 0 = classic single-threaded simulator; N >= 1 uses the sharded engine
   /// (sim/shard.hpp). Simulated results — virtual time, phase times, message
-  /// and byte counts, per-rank event streams — are bit-identical at every
-  /// shard count; only host wall-clock changes. Replica-compute sharing is
+  /// and byte counts — are bit-identical between the classic engine and every
+  /// shard count; only host wall-clock changes. Per-rank event streams and
+  /// the event count are equal at every shard count >= 1, but the classic
+  /// engine can differ (see RunResult::events). Replica-compute sharing is
   /// host-side machinery confined to one thread and is disabled when
   /// sharded (it never affects simulated results either way, and its
   /// decisions read no clock, only the config and modelled costs).
@@ -137,14 +131,13 @@ struct RunResult {
   /// alone: the same config gives the same counters on any host.
   support::ComputeCacheStats compute_cache;
   /// DES events executed by this run (summed over shards when sharded).
-  /// Invariant across shard counts on homogeneous machines. With per-node
-  /// slowdown factors (stragglers) the count can differ between engines:
-  /// the simulated results are still bit-identical, but the substrate's
-  /// wakeup-elision optimization keys on which request a waiter is focused
-  /// on when a notification lands, and same-virtual-time dispatch order —
-  /// which heterogeneous timing perturbs — is an engine-internal degree of
-  /// freedom. Compare wallclock/messages/bytes across shard counts, not
-  /// this host-side execution statistic.
+  /// Equal at every shard count >= 1. The classic engine (shards = 0) can
+  /// differ: chiefly, its delay() advances the clock in place when nothing
+  /// is queued before the target, which the sharded engine turns off
+  /// because a shard's queue is only part of the machine (sim/shard.cpp);
+  /// a few other engine-internal events differ too. The simulated results
+  /// are bit-identical either way; compare wallclock/messages/bytes against
+  /// the classic engine, not this host-side execution statistic.
   std::uint64_t events = 0;
   /// Sharded-engine statistics; zero on the classic single-threaded path.
   int shards = 0;

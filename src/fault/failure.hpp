@@ -56,9 +56,10 @@ struct CorruptionRule {
 };
 
 /// One planned timed crash: the rank dies at the given virtual time, whatever
-/// it is doing, independent of the instrumentation sites above. Generators
-/// (exponential arrivals, correlated domain kills) expand into these; the
-/// runner schedules them as internal simulator events before launch.
+/// it is doing, independent of the instrumentation sites above. Several rules
+/// with one time model a correlated failure (both replicas of a logical rank
+/// at one instant); the runner schedules them as internal simulator events
+/// before launch.
 struct TimedCrash {
   int world_rank = -1;
   sim::Time at = 0.0;

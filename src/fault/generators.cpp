@@ -16,15 +16,6 @@ double exp_draw(support::Rng& rng, double rate) {
 
 }  // namespace
 
-void kill_domain_at(FaultPlan& plan, const net::Topology& topo, int domain,
-                    double at) {
-  REPMPI_CHECK(domain >= 0 && domain < topo.num_domains());
-  REPMPI_CHECK(at >= 0.0);
-  // Same-instant correlated deaths: every process in the domain gets the
-  // identical crash time (a PSU trip is one event, not a cascade).
-  for (int p : topo.processes_in_domain(domain)) plan.add_timed(p, at);
-}
-
 int generate_bursty_sdc(FaultPlan& plan, int num_ranks, double base_rate,
                         double burst_factor, double burst_start,
                         double burst_end, double horizon, support::Rng& rng) {
@@ -56,24 +47,6 @@ int generate_bursty_sdc(FaultPlan& plan, int num_ranks, double base_rate,
     }
   }
   return planted;
-}
-
-std::vector<double> generate_straggler_slowdowns(int num_nodes,
-                                                 double fraction,
-                                                 double slow_factor,
-                                                 support::Rng& rng) {
-  REPMPI_CHECK(num_nodes > 0);
-  REPMPI_CHECK_MSG(fraction >= 0.0 && fraction <= 1.0,
-                   "straggler fraction must be in [0, 1]");
-  REPMPI_CHECK_MSG(slow_factor >= 1.0, "slow_factor must be >= 1.0");
-  std::vector<double> slowdown(static_cast<std::size_t>(num_nodes), 1.0);
-  for (int n = 0; n < num_nodes; ++n) {
-    support::Rng stream = rng.fork(0x30000u + static_cast<std::uint64_t>(n));
-    if (stream.next_double() < fraction) {
-      slowdown[static_cast<std::size_t>(n)] = slow_factor;
-    }
-  }
-  return slowdown;
 }
 
 }  // namespace repmpi::fault

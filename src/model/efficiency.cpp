@@ -167,46 +167,6 @@ double nhpp_expected_events(double base_rate, double burst_factor,
          base_rate * (burst_factor - 1.0) * (burst_hi - burst_lo);
 }
 
-double straggler_efficiency(const std::vector<double>& node_slowdown) {
-  double worst = 1.0;
-  for (double s : node_slowdown) {
-    REPMPI_CHECK_MSG(s >= 1.0, "node_slowdown factors must be >= 1.0");
-    worst = std::max(worst, s);
-  }
-  return 1.0 / worst;
-}
-
-double domain_kill_interrupt_probability(const net::Topology& topo,
-                                         int num_logical, int degree) {
-  REPMPI_CHECK(num_logical > 0 && degree >= 1);
-  REPMPI_CHECK(topo.num_processes() >= num_logical * degree);
-  const int domains = topo.num_domains();
-  std::vector<char> fatal(static_cast<std::size_t>(domains), 0);
-  for (int l = 0; l < num_logical; ++l) {
-    const int d0 = topo.domain_of(l);
-    bool all_same = true;
-    for (int k = 1; k < degree; ++k) {
-      if (topo.domain_of(l + k * num_logical) != d0) {
-        all_same = false;
-        break;
-      }
-    }
-    if (all_same) fatal[static_cast<std::size_t>(d0)] = 1;
-  }
-  int count = 0;
-  for (char f : fatal) count += f;
-  return static_cast<double>(count) / static_cast<double>(domains);
-}
-
-double domain_kill_job_failure_probability(double rate_per_domain,
-                                           double horizon, double p_interrupt,
-                                           int num_domains) {
-  REPMPI_CHECK(rate_per_domain >= 0 && horizon >= 0 && num_domains > 0);
-  REPMPI_CHECK(p_interrupt >= 0 && p_interrupt <= 1.0);
-  return 1.0 - std::exp(-rate_per_domain * horizon *
-                        static_cast<double>(num_domains) * p_interrupt);
-}
-
 double sdc_reexec_efficiency(double expected_events, double reexec_fraction) {
   REPMPI_CHECK(expected_events >= 0 && reexec_fraction >= 0);
   return 1.0 / (1.0 + expected_events * reexec_fraction);

@@ -17,9 +17,7 @@
 // them across scales and compares with the measured per-app (f, s).
 
 #include <cstdint>
-#include <vector>
 
-#include "net/topology.hpp"
 #include "support/rng.hpp"
 
 namespace repmpi::model {
@@ -88,7 +86,7 @@ double partial_replication_efficiency(const CheckpointModel& m, int nodes,
 double partial_replication_mtti_s(double node_mtbf_years, int num_logical,
                                   double replicated_fraction);
 
-// --- Hostile-environment models (compared against the hostile benches) ----
+// --- Bursty-SDC models (compared against the hostile_sdc bench) -----------
 
 /// Expected event count of the bursty-SDC arrival process: a non-homogeneous
 /// Poisson process with intensity `base_rate` outside and
@@ -99,30 +97,6 @@ double partial_replication_mtti_s(double node_mtbf_years, int num_logical,
 double nhpp_expected_events(double base_rate, double burst_factor,
                             double burst_start, double burst_end,
                             double horizon);
-
-/// Critical-path efficiency bound under stragglers, fixed resources: a
-/// bulk-synchronous app advances at the slowest rank's pace in every
-/// iteration, so E_model = 1 / max(node_slowdown). Measured efficiency on
-/// compute-bound apps should approach this from above (communication phases
-/// are not slowed).
-double straggler_efficiency(const std::vector<double>& node_slowdown);
-
-/// Fraction of the topology's failure domains that are *fatal*: the domain
-/// holds every replica of at least one logical rank, so a single correlated
-/// domain kill there ends the job. Domain-aware placement drives this to 0;
-/// the paper's plain placement on a small machine can leave it at 1.
-/// Physical rank of (logical l, lane k) is l + k * num_logical (the replica
-/// layout rule).
-double domain_kill_interrupt_probability(const net::Topology& topo,
-                                         int num_logical, int degree);
-
-/// Probability that independent per-domain kill arrivals (rate
-/// `rate_per_domain`, horizon `horizon`) end the job, given the fraction
-/// `p_interrupt` of fatal domains out of `num_domains`:
-///   P = 1 - exp(-rate * horizon * num_domains * p_interrupt).
-double domain_kill_job_failure_probability(double rate_per_domain,
-                                           double horizon, double p_interrupt,
-                                           int num_domains);
 
 /// Efficiency of duplicate-execution SDC detection under an expected
 /// `expected_events` corruptions when each detected event forces

@@ -23,7 +23,6 @@
 // See EXPERIMENTS.md ("Calibration") for the resulting kernel-level numbers.
 
 #include <cstddef>
-#include <vector>
 
 #include "sim/simulator.hpp"
 
@@ -63,21 +62,6 @@ struct MachineModel {
   /// (envelope checks, ordering metadata). Produces SDR-MPI's ~1-2% overhead
   /// on communication-bound codes (paper Fig. 6: E = 0.48-0.49 vs 0.5).
   double replication_msg_overhead = 0.5e-6;
-
-  // --- Hostile-machine knob (the default leaves costs byte-identical) ------
-
-  /// Per-node compute slowdown factors (stragglers): compute on a process of
-  /// node n is charged `node_slowdown[n]` times the roofline cost. Empty (or
-  /// short — missing entries read as 1.0) means a homogeneous machine.
-  /// Values must be >= 1.0 so overheads never go negative relative to model
-  /// assumptions.
-  std::vector<double> node_slowdown;
-
-  double slowdown_of_node(int node) const {
-    return (node >= 0 && static_cast<std::size_t>(node) < node_slowdown.size())
-               ? node_slowdown[static_cast<std::size_t>(node)]
-               : 1.0;
-  }
 
   /// Minimum virtual time any inter-node influence needs to travel — the
   /// conservative lookahead of the sharded simulator (sim/shard.hpp). Every

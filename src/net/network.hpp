@@ -41,8 +41,6 @@ class Network {
  public:
   Network(sim::Simulator& sim, MachineModel model, Topology topo)
       : sim_(sim), model_(std::move(model)), topo_(std::move(topo)) {
-    for (double s : model_.node_slowdown)
-      REPMPI_CHECK_MSG(s >= 1.0, "node_slowdown factors must be >= 1.0");
     const auto nodes = static_cast<std::size_t>(topo_.num_nodes());
     nic_tx_busy_.assign(nodes, 0.0);
     nic_rx_busy_.assign(nodes, 0.0);

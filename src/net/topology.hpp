@@ -44,40 +44,6 @@ class Topology {
 
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
 
-  // --- Failure domains -----------------------------------------------------
-  //
-  // Nodes are grouped into switch/PSU domains of `nodes_per_domain`
-  // consecutive nodes. A domain models shared infrastructure: a correlated
-  // failure (PSU trip, switch death) takes out every node in the domain.
-  // Domains shape placement and fault plans only; link costs are uniform.
-  // 0 (the default) disables domain modeling: every node is its own domain.
-
-  void set_nodes_per_domain(int nodes_per_domain) {
-    REPMPI_CHECK(nodes_per_domain >= 0);
-    nodes_per_domain_ = nodes_per_domain;
-  }
-  int nodes_per_domain() const { return nodes_per_domain_; }
-
-  int domain_of_node(int node) const {
-    return nodes_per_domain_ > 0 ? node / nodes_per_domain_ : node;
-  }
-  int domain_of(int process) const { return domain_of_node(node_of(process)); }
-
-  int num_domains() const {
-    return domain_of_node(num_nodes() - 1) + 1;
-  }
-
-  /// Processes living on the nodes of one failure domain (what a correlated
-  /// domain kill takes out at once).
-  std::vector<int> processes_in_domain(int domain) const {
-    std::vector<int> out;
-    for (std::size_t p = 0; p < node_of_.size(); ++p) {
-      if (domain_of_node(node_of_[p]) == domain)
-        out.push_back(static_cast<int>(p));
-    }
-    return out;
-  }
-
   /// Shard map for the sharded simulator: partitions the node id range into
   /// `shards` *contiguous* node intervals balanced by process count and
   /// returns the shard index per process. Contiguity means a shard owns
@@ -122,36 +88,8 @@ class Topology {
     return Topology(std::move(node_of), cores_per_node);
   }
 
-  /// Failure-domain-aware variant of `replicated`: replica planes are padded
-  /// out to whole domains, so the replicas of any logical process land in
-  /// *different* switch/PSU domains and a single domain kill can never take
-  /// out all replicas of a logical rank. Costs (degree * domains_per_plane)
-  /// domains.
-  static Topology replicated_domains(int num_logical, int degree,
-                                     int cores_per_node, int nodes_per_domain) {
-    REPMPI_CHECK(nodes_per_domain >= 0);
-    if (nodes_per_domain == 0)
-      return replicated(num_logical, degree, cores_per_node);
-    const int nodes_per_plane =
-        (num_logical + cores_per_node - 1) / cores_per_node;
-    const int domains_per_plane =
-        (nodes_per_plane + nodes_per_domain - 1) / nodes_per_domain;
-    std::vector<int> node_of(static_cast<std::size_t>(num_logical * degree));
-    for (int k = 0; k < degree; ++k) {
-      const int plane_start = k * domains_per_plane * nodes_per_domain;
-      for (int l = 0; l < num_logical; ++l) {
-        node_of[static_cast<std::size_t>(l + k * num_logical)] =
-            plane_start + l / cores_per_node;
-      }
-    }
-    Topology t(std::move(node_of), cores_per_node);
-    t.set_nodes_per_domain(nodes_per_domain);
-    return t;
-  }
-
  private:
   int cores_per_node_;
-  int nodes_per_domain_ = 0;  ///< 0 = domain modeling disabled
   std::vector<int> node_of_;
 };
 

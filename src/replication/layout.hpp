@@ -37,21 +37,6 @@ struct ReplicaLayout {
     if (degree == 1) return net::Topology(num_logical, cores_per_node);
     return net::Topology::replicated(num_logical, degree, cores_per_node);
   }
-
-  /// Failure-domain-aware variant: when `nodes_per_domain > 0` and
-  /// `domain_aware` is set, replica planes are padded to whole switch/PSU
-  /// domains so no single domain holds every replica of a logical rank.
-  /// Otherwise the plain `make_topology` placement, domain-annotated.
-  net::Topology make_topology_domains(int cores_per_node, int nodes_per_domain,
-                                      bool domain_aware) const {
-    if (degree == 1 || nodes_per_domain == 0 || !domain_aware) {
-      net::Topology t = make_topology(cores_per_node);
-      t.set_nodes_per_domain(nodes_per_domain);
-      return t;
-    }
-    return net::Topology::replicated_domains(num_logical, degree,
-                                             cores_per_node, nodes_per_domain);
-  }
 };
 
 }  // namespace repmpi::rep

@@ -22,7 +22,6 @@ World::World(sim::Simulator& sim, net::Network& network, int num_ranks)
   shard_ranks_.resize(1);
   shard_ranks_[0].resize(static_cast<std::size_t>(num_ranks));
   for (int r = 0; r < num_ranks; ++r) shard_ranks_[0][static_cast<std::size_t>(r)] = r;
-  build_slowdowns(network.topology());
 }
 
 World::World(ShardedMachine& machine, int num_ranks)
@@ -40,7 +39,6 @@ World::World(ShardedMachine& machine, int num_ranks)
   for (int r = 0; r < num_ranks; ++r) {
     shard_ranks_[static_cast<std::size_t>(machine.shard_of(r))].push_back(r);
   }
-  build_slowdowns(machine.shard_net(0).topology());
 }
 
 sim::Simulator& World::sim_of(int world_rank) {
@@ -56,15 +54,6 @@ int World::num_shards() const {
 sim::Simulator& World::local_sim() {
   return machine_ != nullptr ? machine_->shard_sim(sim::current_shard())
                              : *sim_;
-}
-
-void World::build_slowdowns(const net::Topology& topo) {
-  if (model_->node_slowdown.empty()) return;
-  slowdown_of_rank_.resize(static_cast<std::size_t>(num_ranks_), 1.0);
-  for (int r = 0; r < num_ranks_; ++r) {
-    slowdown_of_rank_[static_cast<std::size_t>(r)] =
-        model_->slowdown_of_node(topo.node_of(r));
-  }
 }
 
 World::~World() {

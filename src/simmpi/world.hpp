@@ -160,14 +160,6 @@ class World {
   sim::Time job_failed_time() const { return job_failed_time_; }
   int job_failed_logical() const { return job_failed_logical_; }
 
-  /// Straggler factor charged on `world_rank`'s compute (1.0 when the
-  /// machine model declares no per-node slowdowns).
-  double slowdown_of(int world_rank) const {
-    return slowdown_of_rank_.empty()
-               ? 1.0
-               : slowdown_of_rank_[static_cast<std::size_t>(world_rank)];
-  }
-
   bool is_dead(int world_rank) const {
     // Each shard holds its own announced view (the failure detector fires
     // per shard at the same virtual time); readers are always rank fibers,
@@ -354,7 +346,6 @@ class World {
     std::vector<sim::Pid> companions;
   };
 
-  void build_slowdowns(const net::Topology& topo);
   void deliver(int dst_world, MatchKey key, support::Payload data);
   void complete_recv(RequestState& req, support::Payload data);
   void fail_recv(RequestState& req);
@@ -400,10 +391,6 @@ class World {
   std::mutex layer_mu_;  ///< guards the creation of layer_
   std::unique_ptr<LayerState> layer_;
 
-  /// Per-rank straggler factors (node_slowdown mapped through the topology);
-  /// empty when the model declares none.
-  std::vector<double> slowdown_of_rank_;
-
   /// Job-failure state: earliest (time, rank) observation wins, merged under
   /// the mutex because declarations may race in from different shard worker
   /// threads within one window. Read only after the run joins.
@@ -426,12 +413,9 @@ class Proc {
   int world_rank() const { return world_rank_; }
   sim::Time now() const { return ctx_.now(); }
 
-  /// Charges roofline compute time for the given cost, scaled by the rank's
-  /// straggler factor (1.0 on a homogeneous machine — exact multiply, so
-  /// the default stays bit-identical).
+  /// Charges roofline compute time for the given cost.
   void compute(const net::ComputeCost& cost) {
-    ctx_.delay(world_.model().compute_time(cost.flops, cost.mem_bytes) *
-               world_.slowdown_of(world_rank_));
+    ctx_.delay(world_.model().compute_time(cost.flops, cost.mem_bytes));
   }
 
   /// Charges an explicit duration (e.g., modeled I/O).

@@ -13,7 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "apps/amg.hpp"
+#include "apps/gtc.hpp"
 #include "apps/hpccg.hpp"
+#include "apps/minighost.hpp"
 #include "apps/runner.hpp"
 #include "fault/failure.hpp"
 #include "late_crash_scenario.hpp"
@@ -157,19 +160,28 @@ TEST(ShardedSubstrate, DetectionDelayBelowLookaheadIsRejected) {
 
 // --- full-application invariance -------------------------------------------
 
-apps::RunResult run_hpccg(apps::RunMode mode, int shards,
-                          fault::FaultPlan* faults = nullptr) {
+apps::RunResult run_at(apps::RunMode mode, int shards, const apps::AppMain& app,
+                       fault::FaultPlan* faults = nullptr) {
   apps::RunConfig cfg;
   cfg.mode = mode;
   cfg.num_logical = 4;
   cfg.shards = shards;
   cfg.faults = faults;
+  return apps::run_app(cfg, app);
+}
+
+apps::AppMain small_hpccg() {
   apps::HpccgParams p;
   p.nx = p.ny = p.nz = 10;
   p.iterations = 2;
   p.intra_ddot = true;
   p.intra_sparsemv = true;
-  return apps::run_app(cfg, [&](apps::AppContext& ctx) { hpccg(ctx, p); });
+  return [p](apps::AppContext& ctx) { hpccg(ctx, p); };
+}
+
+apps::RunResult run_hpccg(apps::RunMode mode, int shards,
+                          fault::FaultPlan* faults = nullptr) {
+  return run_at(mode, shards, small_hpccg(), faults);
 }
 
 void expect_bit_identical(double a, double b, const char* what) {
@@ -211,15 +223,50 @@ INSTANTIATE_TEST_SUITE_P(Modes, ShardInvariance,
                            return std::string(apps::to_string(info.param));
                          });
 
-TEST_P(ShardInvariance, HpccgBitIdenticalAcrossShardCounts) {
-  const apps::RunResult one = run_hpccg(GetParam(), 1);
-  const apps::RunResult two = run_hpccg(GetParam(), 2);
-  const apps::RunResult four = run_hpccg(GetParam(), 4);
+/// Runs `app` at 1, 2 and 4 shards: simulated results, the executed event
+/// count and the boundary-merged internode sends must agree.
+void expect_shard_invariant(apps::RunMode mode, const apps::AppMain& app) {
+  const apps::RunResult one = run_at(mode, 1, app);
+  const apps::RunResult two = run_at(mode, 2, app);
+  const apps::RunResult four = run_at(mode, 4, app);
   expect_identical(one, two);
   expect_identical(one, four);
+  EXPECT_GT(one.events, 0u);
   EXPECT_GT(one.shard_windows, 0u);
   EXPECT_EQ(one.shard_cross_messages, two.shard_cross_messages);
   EXPECT_EQ(one.shard_cross_messages, four.shard_cross_messages);
+}
+
+TEST_P(ShardInvariance, HpccgBitIdenticalAcrossShardCounts) {
+  expect_shard_invariant(GetParam(), small_hpccg());
+}
+
+TEST_P(ShardInvariance, AmgBitIdenticalAcrossShardCounts) {
+  apps::AmgParams p;
+  p.stencil = kernels::Stencil::k7pt;
+  p.solver = apps::AmgParams::Solver::kGMRES;
+  p.nx = p.ny = p.nz = 8;
+  p.levels = 2;
+  p.iterations = 3;
+  expect_shard_invariant(GetParam(),
+                         [&](apps::AppContext& ctx) { amg(ctx, p); });
+}
+
+TEST_P(ShardInvariance, GtcBitIdenticalAcrossShardCounts) {
+  apps::GtcParams p;
+  p.particles_per_rank = 1500;
+  p.grid = 16;
+  p.steps = 2;
+  expect_shard_invariant(GetParam(),
+                         [&](apps::AppContext& ctx) { gtc(ctx, p); });
+}
+
+TEST_P(ShardInvariance, MiniGhostBitIdenticalAcrossShardCounts) {
+  apps::MiniGhostParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.steps = 3;
+  expect_shard_invariant(GetParam(),
+                         [&](apps::AppContext& ctx) { minighost(ctx, p); });
 }
 
 TEST(ShardInvarianceFaults, CrashMidSectionBitIdenticalAcrossShardCounts) {

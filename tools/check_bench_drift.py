@@ -24,13 +24,14 @@ the array in registry order, but a parallel run (--jobs) or a reordered
 baseline must not affect the comparison. Duplicate names in either
 document are an error.
 
-Two metric classes get special gating rules (hostile-environment benches):
-metrics whose name contains `job_failed` are exact-match — they encode
-whether (and when) a seeded fault scenario killed the job, and any change
-is a fault-semantics regression, not drift; metrics ending in `_gap` are
-measured-vs-model differences that legitimately sit near zero, so they
-gate on absolute deviation at the tolerance instead of meaningless
-relative drift.
+Two metric classes get special gating rules: metrics whose name contains
+`job_failed` are exact-match — they encode whether (and when) a seeded
+fault scenario killed the job, and any change is a fault-semantics
+regression, not drift (today A3 `failures` carries them: `job_failed_pair`
+and `job_failed_time_pair`); metrics ending in `_gap` are measured-vs-model
+differences that legitimately sit near zero, so they gate on absolute
+deviation at the tolerance instead of meaningless relative drift (today
+`hostile_sdc`'s `sdc_b*_gap`).
 
 Robustness semantics (crash-safe sweeps): a bench entry with nonzero
 status (a failed cell) is *skipped with a note* rather than

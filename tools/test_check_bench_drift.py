@@ -103,38 +103,38 @@ def main():
     check("absent host_backend emits no note",
           code == 0 and "host_backend" not in out)
 
-    # --- Hostile-bench metric classes ---------------------------------------
+    # --- Fault-outcome and gap metric classes --------------------------------
 
     # job_failed metrics are exact-match: a 1 -> 0 flip means a seeded fault
     # scenario stopped killing (or started killing) the job — fault
     # semantics, not drift — and even a tiny time-of-death shift fails.
-    jf_base = make_report({"job_failed_naive_d0": 1.0,
-                           "job_failed_time_d0": 0.00171}, name="hostile")
-    code, out = run(make_report({"job_failed_naive_d0": 1.0,
-                                 "job_failed_time_d0": 0.00171},
-                                name="hostile"), jf_base)
+    jf_base = make_report({"job_failed_pair": 1.0,
+                           "job_failed_time_pair": 0.00171}, name="failures")
+    code, out = run(make_report({"job_failed_pair": 1.0,
+                                 "job_failed_time_pair": 0.00171},
+                                name="failures"), jf_base)
     check("identical job_failed metrics pass", code == 0)
-    code, out = run(make_report({"job_failed_naive_d0": 0.0,
-                                 "job_failed_time_d0": 0.00171},
-                                name="hostile"), jf_base)
+    code, out = run(make_report({"job_failed_pair": 0.0,
+                                 "job_failed_time_pair": 0.00171},
+                                name="failures"), jf_base)
     check("job_failed outcome flip fails exactly",
           code == 1 and "exact-match" in out)
-    code, out = run(make_report({"job_failed_naive_d0": 1.0,
-                                 "job_failed_time_d0": 0.001711},
-                                name="hostile"), jf_base)
+    code, out = run(make_report({"job_failed_pair": 1.0,
+                                 "job_failed_time_pair": 0.001711},
+                                name="failures"), jf_base)
     check("time-of-death shift below 1% still fails (exact-match)",
           code == 1 and "exact-match" in out)
 
     # _gap metrics gate on absolute deviation: a gap moving 0.001 -> 0.002
     # is 100% relative drift but well within absolute tolerance, while a
     # gap jumping past the tolerance fails.
-    gap_base = make_report({"straggler_x20_gap": 0.001}, name="hostile")
-    code, out = run(make_report({"straggler_x20_gap": 0.002},
-                                name="hostile"), gap_base)
+    gap_base = make_report({"sdc_b4_gap": 0.001}, name="hostile_sdc")
+    code, out = run(make_report({"sdc_b4_gap": 0.002},
+                                name="hostile_sdc"), gap_base)
     check("tiny absolute gap change passes despite 100% relative drift",
           code == 0)
-    code, out = run(make_report({"straggler_x20_gap": 0.05},
-                                name="hostile"), gap_base)
+    code, out = run(make_report({"sdc_b4_gap": 0.05},
+                                name="hostile_sdc"), gap_base)
     check("gap beyond absolute tolerance fails",
           code == 1 and "gap-metric" in out)
 
