@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "support/log.hpp"
 
@@ -196,11 +197,12 @@ void Runtime::send_updates(const Task& t, const std::vector<int>& lanes) {
   for (std::size_t a = 0; a < def.num_args; ++a) {
     if (def.specs[a].tag == ArgTag::kIn) continue;
     maybe_crash(fault::CrashSite::kBetweenArgSends, static_cast<int>(a));
+    // One capture per output, shared by every destination lane.
+    const support::Payload update{std::span<const std::byte>(t.bindings[a])};
     for (int lane : lanes) {
       if (lane == comm_.lane()) continue;
-      rc.send(lane, update_tag(ti, a), t.bindings[a]);
-      stats_.update_bytes_sent +=
-          static_cast<std::int64_t>(t.bindings[a].size());
+      rc.send_payload(lane, update_tag(ti, a), update);
+      stats_.update_bytes_sent += static_cast<std::int64_t>(update.size());
     }
   }
 }
@@ -211,27 +213,33 @@ void Runtime::post_update_recvs(Task& t, std::size_t task_index) {
   std::size_t r = 0;
   for (std::size_t a = 0; a < def.num_args; ++a) {
     if (def.specs[a].tag == ArgTag::kIn) continue;
-    t.recv_reqs[r++] = rc.irecv(t.lane, update_tag(task_index, a));
+    // An out update lands in its binding on arrival. An inout update waits
+    // in its payload: collect_update must take the pre-image first.
+    std::optional<std::span<std::byte>> sink;
+    if (def.specs[a].tag == ArgTag::kOut) sink = t.bindings[a];
+    t.recv_reqs[r++] = rc.irecv(t.lane, update_tag(task_index, a), sink);
   }
 }
 
 bool Runtime::collect_update(Task& t) {
   // Algorithm 1, lines 36-42. The pre-copy of inout arguments happens
-  // before any received value is applied, so a partial update (some args
-  // applied, then the executor's crash fails the rest) can be rolled back
-  // for local re-execution.
+  // before any received inout value is applied, so a partial update (some
+  // args applied, then the executor's crash fails the rest) can be rolled
+  // back for local re-execution. Out args need no pre-image: their values
+  // landed on arrival, and a re-execution overwrites them.
   make_inout_copies(t);
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
   mpi::Comm& rc = comm_.replica_comm();
   std::size_t r = 0;
   for (std::size_t a = 0; a < def.num_args; ++a) {
     if (def.specs[a].tag == ArgTag::kIn) continue;
-    mpi::Status st = rc.wait(t.recv_reqs[r]);
-    if (st.failed) return false;
-    support::copy_into(
-        std::span<const std::byte>(t.recv_reqs[r].state().data),
-        t.bindings[a]);
-    ++r;
+    mpi::Request& req = t.recv_reqs[r++];
+    if (rc.wait(req).failed) return false;
+    if (def.specs[a].tag == ArgTag::kInOut) {
+      support::copy_into(std::span<const std::byte>(req.state().data),
+                         t.bindings[a]);
+      req = mpi::Request();  // the payload goes back to the pool now
+    }
   }
   ++stats_.tasks_received;
   return true;
@@ -324,6 +332,12 @@ void Runtime::section_end() {
     }
   }
   stats_.update_tail_time += proc.now() - t_local_done;
+  // A receive still posted would write into its sink after the section,
+  // when the caller may have freed the binding.
+  for (const Task& t : tasks_) {
+    for (const mpi::Request& req : t.recv_reqs)
+      REPMPI_CHECK(!req.valid() || req.done());
+  }
 
   if (config_.verify_consistency) verify_consistency();
   maybe_crash(fault::CrashSite::kSectionExit);

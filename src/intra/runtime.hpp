@@ -15,6 +15,11 @@
 //    for remote tasks are pre-posted on entry to section_end and each local
 //    task's updates are sent as soon as it completes, with completion
 //    collected only at the end;
+//  * an update costs one copy at send and one on arrival: each (task, arg)
+//    output ships in one payload shared by every destination lane, and an
+//    out argument's receive copies it straight into the binding. An inout
+//    argument's payload is held until collect_update has taken the
+//    pre-image, and freed right after its copy;
 //  * the extra-copy discipline for inout arguments (Fig. 2 / lines 30-31,
 //    37-38) makes task re-execution after a partial update correct;
 //  * on a replica failure, tasks whose updates were lost are re-executed
@@ -115,6 +120,9 @@ class Runtime {
   /// record. The body later receives a TaskArgs view of that record, valid
   /// only during the body call. `weight` is an optional relative cost
   /// estimate used by SchedulePolicy::kWeighted (ignored otherwise).
+  /// The tasks of one section must be independent: none may read a binding
+  /// that another writes, since a remote task's out update lands on arrival,
+  /// while this lane's own tasks may still be running.
   void launch(int task_type, std::span<const Binding> bindings,
               double weight = 1.0);
   void launch(int task_type, std::initializer_list<Binding> bindings,

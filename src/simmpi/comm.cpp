@@ -53,7 +53,8 @@ void Comm::send_payload(int dst, int tag, support::Payload payload) {
                               channel_, my_rank_, tag, std::move(payload));
 }
 
-Request Comm::irecv(int src, int tag) {
+Request Comm::irecv(int src, int tag,
+                    std::optional<std::span<std::byte>> sink) {
   REPMPI_CHECK_MSG(src >= 0 && src < size(), "recv from invalid rank " << src);
   REPMPI_CHECK_MSG(tag >= 0, "recv with invalid tag " << tag);
   auto st = make_request_state();
@@ -61,6 +62,7 @@ Request Comm::irecv(int src, int tag) {
   st->comm_channel = channel_;
   st->match_source = src;
   st->match_tag = tag;
+  st->sink = sink;
   proc_->world().post_recv(proc_->world_rank(), world_rank_of(src), st);
   return Request(std::move(st));
 }

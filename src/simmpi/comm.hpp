@@ -11,6 +11,7 @@
 // fault-tolerant logical p2p as SDR-MPI does.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,8 +49,11 @@ class Comm {
   /// the replication layer fans the same payload out to several receivers).
   void send_payload(int dst, int tag, support::Payload payload);
   /// Posts a receive for the message from comm rank `src` with tag `tag`
-  /// (no wildcards: a negative source or tag throws).
-  Request irecv(int src, int tag);
+  /// (no wildcards: a negative source or tag throws). With a `sink`, the
+  /// message's bytes are copied there on arrival instead of being kept in
+  /// the request (see RequestState::sink).
+  Request irecv(int src, int tag,
+                std::optional<std::span<std::byte>> sink = std::nullopt);
   Status recv(int src, int tag, support::Buffer& out);
   Status wait(Request& req);
 

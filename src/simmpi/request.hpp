@@ -10,6 +10,8 @@
 // with status.failed when the awaited peer is declared dead.
 
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "sim/simulator.hpp"
 #include "simmpi/types.hpp"
@@ -25,8 +27,16 @@ struct RequestState {
   bool cost_charged = false;
   Status status;
   /// Received payload; shares the sender's bytes by reference — the modeled
-  /// copy cost is charged at wait time instead.
+  /// copy cost is charged at wait time instead. Stays empty for a receive
+  /// with a sink.
   support::Payload data;
+  /// Where the received bytes land, when set: completion copies the matched
+  /// payload here (its size must equal the sink's) and drops its reference,
+  /// so the receiver holds none of the message's bytes past arrival. The
+  /// modeled copy is still charged at wait time, as for `data`. The sink
+  /// must stay valid until the request is done; a failed receive leaves it
+  /// untouched.
+  std::optional<std::span<std::byte>> sink;
   sim::Pid owner = sim::kNoPid;
 
   // Exact matching key of a posted receive: (comm_channel, match_source,

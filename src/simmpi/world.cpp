@@ -298,8 +298,15 @@ void World::complete_recv(RequestState& req, support::Payload data) {
   req.done = true;
   req.status.bytes = data.size();
   req.status.failed = false;
-  req.data = std::move(data);
-  // Fused delivery-and-wakeup: the payload is deposited above, so a waiter
+  if (req.sink) {
+    REPMPI_CHECK_MSG(data.size() == req.sink->size(),
+                     "a " << data.size() << "-byte message for a "
+                          << req.sink->size() << "-byte receive sink");
+    std::copy_n(data.data(), data.size(), req.sink->data());
+  } else {
+    req.data = std::move(data);
+  }
+  // Fused delivery-and-wakeup: the result is deposited above, so a waiter
   // focused on this very request resumes through the scheduler's ready lane
   // (no timed-queue traffic), and a waiter focused on a *different* request
   // is left asleep — it collects this completion from req.done when its own

@@ -347,6 +347,8 @@ class World {
   };
 
   void deliver(int dst_world, MatchKey key, support::Payload data);
+  /// The one completion point of a matched receive, whether the message or
+  /// the receive came first: fills the request's sink or keeps the payload.
   void complete_recv(RequestState& req, support::Payload data);
   void fail_recv(RequestState& req);
   void announce_death(int world_rank);

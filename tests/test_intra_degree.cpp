@@ -3,16 +3,21 @@
 // mid-update crash — survivors can hold *different* partial-update views of
 // a lost task, and each must roll back its inout pre-images and re-execute
 // locally (the degree>2 alternative the paper notes to Algorithm 1's
-// re-scheduling) so the section still exits with identical replica state.
+// re-scheduling) so the section still exits with identical replica state;
+// and the update path's payload budget: one pooled block per shipped
+// output, none left held once the section is over.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/failure.hpp"
 #include "intra/runtime.hpp"
 #include "rep_test_harness.hpp"
+#include "support/payload.hpp"
 
 namespace repmpi::intra {
 namespace {
@@ -120,6 +125,63 @@ TEST(IntraDegree3, PartialUpdateRollsBackAndReexecutesLocally) {
   // Each survivor re-executed the partially-updated task plus the dead
   // lane's never-executed one.
   for (const auto& [world, n] : reexecuted) EXPECT_EQ(n, 2) << world;
+}
+
+/// Pool statistics of this thread's payload blocks: as the first lane
+/// enters one degree-3 shared section of kOutTasks tasks, and as the last
+/// lane leaves it (its runtime, and so its task records, still alive). Each
+/// task writes kOutElems doubles through one argument tagged `tag`, so every
+/// (task, arg) output ships in a pooled heap payload.
+constexpr int kOutTasks = 8;
+constexpr std::size_t kOutElems = 16;
+
+std::pair<support::Payload::PoolStats, support::Payload::PoolStats>
+pool_stats_around_one_section(ArgTag tag) {
+  RepFixture f(1, 3);
+  support::Payload::PoolStats before, after;
+  int entered = 0, left = 0;
+  f.run([&](mpi::Proc& proc, rep::LogicalComm& comm) {
+    Runtime rt(comm, {.mode = Runtime::Mode::kShared});
+    std::vector<double> v(kOutTasks * kOutElems, 0.0);
+    if (entered++ == 0) before = support::Payload::pool_stats();
+    {
+      Section section(rt);
+      const int id = rt.register_task(
+          [](TaskArgs& a) -> net::ComputeCost {
+            for (double& x : a.get<double>(0)) x = 1.0;
+            return {16.0, 128.0};
+          },
+          {{tag, sizeof(double)}});
+      for (int t = 0; t < kOutTasks; ++t) {
+        rt.launch(id, {Binding::of(std::span<double>(v).subspan(
+                          static_cast<std::size_t>(t) * kOutElems,
+                          kOutElems))});
+      }
+    }
+    if (++left == 3) after = support::Payload::pool_stats();
+    for (const double x : v) EXPECT_EQ(x, 1.0) << "world " << proc.world_rank();
+  });
+  return {before, after};
+}
+
+TEST(IntraDegree3, EachOutputShipsInOnePayloadFreedByTheReceiver) {
+  // One payload per (task, arg) output, shared by both destination lanes,
+  // so the section acquires kOutTasks blocks and not twice that. The
+  // receivers keep none of them past the section: an out update lands in
+  // its binding on arrival, and an inout update's payload is released as
+  // collect_update applies it. So every block is back in the pool when the
+  // last lane leaves the section. The first run warms the pool, so the
+  // second one's blocks are all reused.
+  for (const ArgTag tag : {ArgTag::kOut, ArgTag::kInOut}) {
+    pool_stats_around_one_section(tag);
+    const auto [before, after] = pool_stats_around_one_section(tag);
+    EXPECT_EQ(after.blocks_allocated + after.blocks_reused -
+                  (before.blocks_allocated + before.blocks_reused),
+              static_cast<std::uint64_t>(kOutTasks))
+        << (tag == ArgTag::kOut ? "out" : "inout");
+    EXPECT_EQ(after.pooled_now, before.pooled_now)
+        << (tag == ArgTag::kOut ? "out" : "inout");
+  }
 }
 
 TEST(IntraDegree3, LaterSectionsShareAmongSurvivors) {

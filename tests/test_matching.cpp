@@ -4,10 +4,12 @@
 // pin down the MPI matching semantics the table must preserve exactly:
 // post order and arrival order within a key, per-pair FIFO non-overtaking,
 // and the failure paths (purge, death announcement, mailbox receives that
-// watch no peer, teardown with receives still posted).
+// watch no peer, teardown with receives still posted). Receives with a sink
+// copy their message into it on completion and keep no payload.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "mpi_test_harness.hpp"
@@ -400,6 +402,128 @@ TEST(Matching, FocusedWaitStillWokenByFailureOfAwaitedPeer) {
     }
   });
   EXPECT_TRUE(failed);
+}
+
+// --- Receive sinks -----------------------------------------------------------
+
+/// A message large enough for a pooled heap payload, filled with `v`.
+std::vector<double> heap_message(double v) {
+  return std::vector<double>(64, v);
+}
+
+void send_doubles(Comm& comm, int dst, int tag,
+                  const std::vector<double>& v) {
+  comm.send(dst, tag, std::as_bytes(std::span(v)));
+}
+
+TEST(Matching, SinkReceiveFillsItsSinkAndKeepsNoPayload) {
+  // Posted first (the delivery completes it) and unexpected first (the post
+  // completes it): both copy the bytes into the sink and leave `data` empty.
+  MpiFixture f(2);
+  std::vector<double> posted_sink(64, 0.0), unexpected_sink(64, 0.0);
+  bool posted_data_empty = false, unexpected_data_empty = false;
+  std::size_t posted_bytes = 0, unexpected_bytes = 0;
+  f.run([&](Proc& proc, Comm& comm) {
+    if (comm.rank() == 0) {
+      proc.elapse(1.0);  // the receiver has posted tag 1, not yet tag 2
+      send_doubles(comm, 1, 1, heap_message(1.5));
+      send_doubles(comm, 1, 2, heap_message(2.5));
+    } else {
+      Request posted =
+          comm.irecv(0, 1, std::as_writable_bytes(std::span(posted_sink)));
+      proc.elapse(2.0);  // tag 2 arrives before its receive
+      Request unexpected =
+          comm.irecv(0, 2, std::as_writable_bytes(std::span(unexpected_sink)));
+      EXPECT_TRUE(unexpected.done());  // completed by the post itself
+      posted_bytes = comm.wait(posted).bytes;
+      unexpected_bytes = comm.wait(unexpected).bytes;
+      posted_data_empty = posted.state().data.empty();
+      unexpected_data_empty = unexpected.state().data.empty();
+    }
+  });
+  EXPECT_EQ(posted_sink, heap_message(1.5));
+  EXPECT_EQ(unexpected_sink, heap_message(2.5));
+  EXPECT_TRUE(posted_data_empty);
+  EXPECT_TRUE(unexpected_data_empty);
+  EXPECT_EQ(posted_bytes, 64 * sizeof(double));
+  EXPECT_EQ(unexpected_bytes, 64 * sizeof(double));
+}
+
+TEST(Matching, SinkReceiveReportsAndChargesLikeAPlainReceive) {
+  // Same message size, both completed before their wait: a sink receive's
+  // Status::bytes and its wait-time charge equal a plain receive's.
+  MpiFixture f(2);
+  Status plain_st, sink_st;
+  double plain_charge = -1, sink_charge = -1;
+  f.run([&](Proc& proc, Comm& comm) {
+    if (comm.rank() == 0) {
+      send_doubles(comm, 1, 1, heap_message(1.0));
+      send_doubles(comm, 1, 2, heap_message(2.0));
+    } else {
+      std::vector<double> sink(64);
+      Request plain = comm.irecv(0, 1);
+      Request with_sink =
+          comm.irecv(0, 2, std::as_writable_bytes(std::span(sink)));
+      proc.elapse(1.0);  // both delivered
+      double t0 = proc.now();
+      plain_st = comm.wait(plain);
+      plain_charge = proc.now() - t0;
+      t0 = proc.now();
+      sink_st = comm.wait(with_sink);
+      sink_charge = proc.now() - t0;
+    }
+  });
+  EXPECT_FALSE(sink_st.failed);
+  EXPECT_EQ(sink_st.bytes, plain_st.bytes);
+  EXPECT_GT(plain_charge, 0.0);
+  EXPECT_EQ(sink_charge, plain_charge);
+}
+
+TEST(Matching, FailedSinkReceiveLeavesItsSinkUntouched) {
+  // Failed by the death announcement while posted, and failed fast when
+  // posted after it: neither writes a byte of its sink.
+  MpiFixture f(2);
+  std::vector<double> posted_sink(64, 7.0), late_sink(64, 7.0);
+  bool posted_failed = false, late_failed = false;
+  f.run([&](Proc& proc, Comm& comm) {
+    if (comm.rank() == 0) {
+      proc.world().crash(0);
+      proc.elapse(10.0);
+    } else {
+      Request posted =
+          comm.irecv(0, 1, std::as_writable_bytes(std::span(posted_sink)));
+      posted_failed = comm.wait(posted).failed;
+      Request late =
+          comm.irecv(0, 2, std::as_writable_bytes(std::span(late_sink)));
+      late_failed = comm.wait(late).failed;
+    }
+  });
+  EXPECT_TRUE(posted_failed);
+  EXPECT_TRUE(late_failed);
+  EXPECT_EQ(posted_sink, std::vector<double>(64, 7.0));
+  EXPECT_EQ(late_sink, std::vector<double>(64, 7.0));
+}
+
+TEST(Matching, SinkOfAnotherSizeFailsACheck) {
+  // A message that does not fit its sink exactly is an error, whichever
+  // side came first; it is never truncated or zero-padded silently.
+  for (const bool posted_first : {true, false}) {
+    MpiFixture f(2);
+    std::vector<double> sink(32, 0.0);
+    EXPECT_THROW(f.run([&](Proc& proc, Comm& comm) {
+                   if (comm.rank() == 0) {
+                     send_doubles(comm, 1, 1, heap_message(1));
+                   } else {
+                     if (!posted_first) proc.elapse(1.0);
+                     Request r = comm.irecv(
+                         0, 1, std::as_writable_bytes(std::span(sink)));
+                     comm.wait(r);
+                   }
+                 }),
+                 support::InvariantError)
+        << (posted_first ? "posted first" : "unexpected first");
+    EXPECT_EQ(sink, std::vector<double>(32, 0.0));
+  }
 }
 
 // --- Zero-copy payload substrate -------------------------------------------
